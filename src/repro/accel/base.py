@@ -13,7 +13,6 @@ from repro.analysis.pathprof import profile_paths
 from repro.analysis.regions import loop_intervals
 from repro.analysis.slicing import slice_loop_body
 from repro.energy.mcpat import EnergyModel
-from repro.tdg.engine import TimingEngine, AccelResources
 from repro.tdg.fastpath import make_engine
 
 
@@ -241,14 +240,11 @@ class BSAModel:
 
     # -- evaluation ------------------------------------------------------
     def evaluate_region(self, ctx, plan, core_config,
-                        max_invocations=None, engine=None):
+                        max_invocations=None):
         """Evaluate all invocations of one static region.
 
         Returns a :class:`RegionEstimate`; invocation costs beyond
         *max_invocations* are extrapolated from the evaluated mean.
-        *engine* picks the timing engine implementation (see
-        :func:`repro.tdg.fastpath.resolve_engine`); results are
-        byte-identical either way.
         """
         loop = plan["loop"]
         key = loop.key
@@ -267,9 +263,8 @@ class BSAModel:
             stream = self.transform_interval(ctx, plan, interval,
                                              core_config, seq_alloc)
             result = make_engine(
-                core_config, engine,
+                core_config,
                 accel_resources=self.accel_resources(core_config),
-                detailed=self.detailed,
             ).run(stream)
             cycles = result.cycles + entry_overhead
             breakdown = energy_model.evaluate(

@@ -21,6 +21,7 @@ Schema (``"schema": 1``)::
     commit       git revision the numbers belong to
     date         YYYY-MM-DD (override: $REPRO_BENCH_DATE)
     engine       {numpy, kernel, default} capability snapshot
+                 (default is "fast" iff the kernel is available)
     workload     {name, core, scale, instructions, reps}
     stages_ns    {construct, lower, eval_object, eval_fast,
                   eval_fast_cold} minimum wall ns per stage
@@ -37,7 +38,10 @@ machine; :func:`canonical_fields` strips the timing fields so tests
 can assert exactly that.
 """
 
+import contextlib
+import importlib.util
 import json
+import os
 import time
 
 from repro.artifacts import (
@@ -68,6 +72,12 @@ SINGLE_EVAL_FLOOR = 5.0
 #: work, not against a microsecond fastpath call where any fixed cost
 #: looks enormous.
 OBS_OVERHEAD_CEILING = 0.02
+
+#: Why the bench refuses to run without the compiled kernel.
+KERNEL_REQUIRED = (
+    "the compiled timing kernel is unavailable (no C compiler on "
+    "PATH, or $REPRO_NO_KERNEL is set); the bench times it against "
+    "the object engine")
 
 #: Stages reported in ``stages_ns``, in pipeline order.
 STAGES = ("construct", "lower", "eval_object", "eval_fast",
@@ -130,22 +140,47 @@ def _measure_obs_overhead(engine, trace, reps):
     }
 
 
+@contextlib.contextmanager
+def _object_engine_forced():
+    """Run the body with ``$REPRO_NO_KERNEL=1``, so every
+    :func:`~repro.tdg.fastpath.make_engine` call returns the object
+    engine; the variable and the memoized kernel are restored after."""
+    from repro.tdg.fastpath import _reset_kernel
+
+    saved = os.environ.get("REPRO_NO_KERNEL")
+    os.environ["REPRO_NO_KERNEL"] = "1"
+    _reset_kernel()
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_NO_KERNEL", None)
+        else:
+            os.environ["REPRO_NO_KERNEL"] = saved
+        _reset_kernel()
+
+
 def collect_bench(workload=DEFAULT_WORKLOAD, core=DEFAULT_CORE,
                   scale=DEFAULT_SCALE, reps=DEFAULT_REPS,
                   sweep_names=DEFAULT_SWEEP_NAMES,
                   sweep_scale=DEFAULT_SCALE, max_invocations=2):
-    """Run the smoke bench and return the BENCH payload dict."""
+    """Run the smoke bench and return the BENCH payload dict.
+
+    Raises :class:`RuntimeError` (:data:`KERNEL_REQUIRED`) when the
+    compiled kernel is unavailable.
+    """
     from repro.core_model import core_by_name
     from repro.dse.sweep import run_sweep
     from repro.tdg.engine import TimingEngine
     from repro.tdg.fastpath import (
-        HAVE_NUMPY, FastTimingEngine, kernel_available, lower_stream,
-        resolve_engine,
+        FastTimingEngine, kernel_available, lower_stream,
     )
     from repro.workloads import WORKLOADS
 
     if workload not in WORKLOADS:
         raise KeyError(f"unknown workload {workload!r}")
+    if not kernel_available():
+        raise RuntimeError(KERNEL_REQUIRED)
     reps = max(1, int(reps))
     config = core_by_name(core)
 
@@ -198,23 +233,24 @@ def collect_bench(workload=DEFAULT_WORKLOAD, core=DEFAULT_CORE,
 
     # Full-sweep throughput: cold run per engine, counting engine
     # invocations via the obs registry so "evals" means actual timing
-    # runs (baselines + region estimates), not benchmarks.
+    # runs (baselines + region estimates), not benchmarks.  The object
+    # row forces the reference engine; the fast row is the default.
     sweep_info = {
         "names": sorted(sweep_names),
         "scale": sweep_scale,
         "max_invocations": max_invocations,
     }
-    for engine in ("object", "fast"):
-        with isolated() as (registry, _recorder):
+    for label, forced in (("object", _object_engine_forced),
+                          ("fast", contextlib.nullcontext)):
+        with isolated() as (registry, _recorder), forced():
             started = time.perf_counter_ns()
             run_sweep(names=sorted(sweep_names), scale=sweep_scale,
                       max_invocations=max_invocations,
-                      with_amdahl=False, use_cache=False,
-                      engine=engine)
+                      with_amdahl=False, use_cache=False)
             elapsed_ns = time.perf_counter_ns() - started
             runs = registry.total("repro_engine_runs_total")
         sweep_info["engine_runs"] = runs
-        sweep_info[f"evals_per_sec_{engine}"] = \
+        sweep_info[f"evals_per_sec_{label}"] = \
             runs / (elapsed_ns / 1e9) if elapsed_ns else 0.0
 
     obs_info = _measure_obs_overhead(object_engine, trace, reps)
@@ -224,9 +260,9 @@ def collect_bench(workload=DEFAULT_WORKLOAD, core=DEFAULT_CORE,
         "commit": _commit(),
         "date": _bench_date(),
         "engine": {
-            "numpy": HAVE_NUMPY,
+            "numpy": importlib.util.find_spec("numpy") is not None,
             "kernel": kernel_available(),
-            "default": resolve_engine(None),
+            "default": "fast" if kernel_available() else "object",
         },
         "workload": {
             "name": workload,

@@ -130,8 +130,7 @@ def _cmd_run(args):
         raise CLIError(f"unknown BSAs {unknown!r} "
                        f"(known: {', '.join(ALL_BSAS)})")
     tdg = _workload(args.name).construct_tdg(scale=args.scale)
-    evaluation = evaluate_benchmark(tdg, name=args.name,
-                                    engine=args.engine)
+    evaluation = evaluate_benchmark(tdg, name=args.name)
     print(f"{'design':<16} {'cycles':>10} {'nJ':>10} {'speedup':>8} "
           f"{'energyX':>8} {'area':>6}")
     for core in ("IO2", "OOO2", "OOO4", "OOO6"):
@@ -239,7 +238,6 @@ def _cmd_sweep(args):
                       task_timeout=args.task_timeout,
                       max_pool_restarts=args.max_pool_restarts,
                       resume=args.resume,
-                      engine=args.engine,
                       arbitration=arbitration,
                       progress=lambda n: print("  ...", n,
                                                file=sys.stderr))
@@ -337,8 +335,7 @@ def _cmd_explore(args):
         scale=args.scale, workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=None if not args.no_cache else False,
-        engine=args.engine, arbitration=arbitration,
-        train_records=train_records,
+        arbitration=arbitration, train_records=train_records,
         progress=lambda spent, budget: print(
             f"  ... {spent}/{budget} exact evaluations",
             file=sys.stderr),
@@ -386,12 +383,15 @@ def _cmd_cache(args):
 
 def _cmd_bench(args):
     from repro.bench import (
-        check_regression, collect_bench, dumps_bench, format_bench,
-        latest_bench, load_bench, write_bench,
+        KERNEL_REQUIRED, check_regression, collect_bench, dumps_bench,
+        format_bench, latest_bench, load_bench, write_bench,
     )
+    from repro.tdg.fastpath import kernel_available
 
     sweep_names = tuple(args.sweep_names.split(",")) \
         if args.sweep_names else ("conv",)
+    if not kernel_available():
+        raise CLIError(KERNEL_REQUIRED)
     payload = collect_bench(
         workload=args.workload, core=args.core, scale=args.scale,
         reps=args.reps, sweep_names=sweep_names,
@@ -470,8 +470,8 @@ def _cmd_coordinate(args):
     config = CoordinatorConfig(
         host=args.host, port=args.port,
         names=args.names or None, scale=args.scale,
-        with_amdahl=False, engine=args.engine,
-        arbitration=arbitration, cache_dir=args.cache_dir,
+        with_amdahl=False, arbitration=arbitration,
+        cache_dir=args.cache_dir,
         lease_ttl=args.lease_ttl, heartbeat_ttl=args.heartbeat_ttl,
         hedge_after=args.hedge_after, timeout=args.timeout)
     try:
@@ -521,8 +521,7 @@ def _cmd_profile(args):
     names = tuple(args.names) if args.names else ("conv",)
     for name in names:
         _workload(name)
-    tasks = [make_task(name, DSE_CORES, ALL_SUBSETS,
-                       scale=args.scale, engine=args.engine)
+    tasks = [make_task(name, DSE_CORES, ALL_SUBSETS, scale=args.scale)
              for name in names]
     parts = []
 
@@ -677,10 +676,6 @@ def build_parser():
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--bsas", default=None,
                    help="comma-separated subset (default: all four)")
-    p.add_argument("--engine", choices=("auto", "object", "fast"),
-                   default=None,
-                   help="timing-engine implementation (byte-identical "
-                        "results; default: $REPRO_ENGINE or auto)")
 
     p = sub.add_parser("classify", help="behavior taxonomy")
     p.add_argument("name")
@@ -732,10 +727,6 @@ def build_parser():
                    help="dump the flight-recorder ring to "
                         "<cache>/blackbox/<trace_id>.json after the "
                         "run (always happens on crash/timeout)")
-    p.add_argument("--engine", choices=("auto", "object", "fast"),
-                   default=None,
-                   help="timing-engine implementation (byte-identical "
-                        "results; default: $REPRO_ENGINE or auto)")
     p.add_argument("--max-error", type=float, default=None,
                    help="bounded-error model arbitration: evaluate "
                         "each BSA with the cheapest model whose "
@@ -786,10 +777,6 @@ def build_parser():
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: $REPRO_CACHE_DIR "
                         "or ~/.cache/repro-dse)")
-    p.add_argument("--engine", choices=("auto", "object", "fast"),
-                   default=None,
-                   help="timing-engine implementation (byte-identical "
-                        "results; default: $REPRO_ENGINE or auto)")
     p.add_argument("--max-error", type=float, default=None,
                    help="bounded-error model arbitration for the "
                         "exact evaluations (see 'repro sweep')")
@@ -906,10 +893,6 @@ def build_parser():
     p.add_argument("--workers", type=int, default=1,
                    help="evaluation pool width; worker-side folded "
                         "stacks are merged into the output")
-    p.add_argument("--engine", choices=("auto", "object", "fast"),
-                   default=None,
-                   help="timing-engine implementation (default: "
-                        "$REPRO_ENGINE or auto)")
     p.add_argument("--out", default=None,
                    help="write collapsed stacks to this file "
                         "(default: stdout)")
@@ -980,10 +963,6 @@ def build_parser():
                    help="overall wall-clock budget; unresolved "
                         "shards past it abort the run (default: "
                         "wait forever)")
-    p.add_argument("--engine", choices=("auto", "object", "fast"),
-                   default=None,
-                   help="timing-engine implementation workers use "
-                        "(byte-identical results)")
     p.add_argument("--fault-spec", default=None,
                    help="deterministic fault injection in the "
                         "coordinator process (see docs/cluster.md)")

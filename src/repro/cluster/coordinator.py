@@ -64,7 +64,7 @@ class CoordinatorConfig:
 
     def __init__(self, host="127.0.0.1", port=8900, names=None,
                  core_names=None, subsets=None, scale=0.5,
-                 max_invocations=8, with_amdahl=False, engine=None,
+                 max_invocations=8, with_amdahl=False,
                  arbitration=None, cache_dir=None,
                  lease_ttl=DEFAULT_LEASE_TTL,
                  heartbeat_ttl=DEFAULT_HEARTBEAT_TTL,
@@ -78,7 +78,6 @@ class CoordinatorConfig:
         self.scale = scale
         self.max_invocations = max_invocations
         self.with_amdahl = with_amdahl
-        self.engine = engine
         self.arbitration = arbitration
         self.cache_dir = cache_dir
         self.lease_ttl = lease_ttl
@@ -124,7 +123,7 @@ class Coordinator:
                 name, self.core_names, self.subsets,
                 scale=config.scale,
                 max_invocations=config.max_invocations,
-                with_amdahl=config.with_amdahl, engine=config.engine,
+                with_amdahl=config.with_amdahl,
                 arbitration=arbitration)
             self.keys[name] = cache_key(
                 name, config.scale, self.core_names, self.subsets,

@@ -26,7 +26,7 @@ import time
 
 
 def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
-              with_amdahl=True, engine=None, arbitration=None):
+              with_amdahl=True, arbitration=None):
     """Canonical picklable task payload for one benchmark evaluation.
 
     This is the codec shared by every consumer of the worker boundary:
@@ -38,25 +38,16 @@ def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
     never by callers — they shape what the worker reports and which
     injected faults fire, not what it computes.)
 
-    ``engine`` selects the timing-engine implementation
-    (:mod:`repro.tdg.fastpath`).  ``"auto"`` (the default) is resolved
-    *in the worker*, so a pool mixing numpy-ful and numpy-less hosts
-    still evaluates every task.  The engine is deliberately not part
-    of the cache key: both engines produce byte-identical records.
+    The timing engine is not a task field: each worker picks it
+    (:func:`repro.tdg.fastpath.make_engine`), and both engines produce
+    byte-identical records.
 
     ``arbitration`` is a :meth:`~repro.fidelity.arbiter.ModelArbiter.
-    to_spec` dict (or ``None``).  Unlike ``engine`` it changes
-    results, so it travels in the task AND in the cache key — but the
-    key is only present when arbitration is on, keeping the disabled
-    codec byte-for-byte identical to the historical one.
+    to_spec` dict (or ``None``).  It changes results, so it travels in
+    the task AND in the cache key — but the key is only present when
+    arbitration is on, keeping the disabled codec byte-for-byte
+    identical to the historical one.
     """
-    from repro.tdg.fastpath import ENGINE_CHOICES
-
-    engine = engine or "auto"
-    if engine not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {engine!r} (choose from "
-            f"{', '.join(ENGINE_CHOICES)})")
     task = {
         "name": name,
         "core_names": tuple(core_names),
@@ -64,7 +55,6 @@ def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
         "scale": float(scale),
         "max_invocations": int(max_invocations),
         "with_amdahl": bool(with_amdahl),
-        "engine": engine,
     }
     if arbitration is not None:
         if hasattr(arbitration, "to_spec"):
@@ -107,7 +97,6 @@ def evaluate_task(task):
             scale=task["scale"],
             max_invocations=task["max_invocations"],
             with_amdahl=task["with_amdahl"],
-            engine=task.get("engine"),
             arbitration=task.get("arbitration"),
         )
 

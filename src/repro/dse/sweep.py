@@ -263,14 +263,13 @@ class SweepResult:
 def evaluate_one_benchmark(name, core_names=DSE_CORES,
                            subsets=ALL_SUBSETS, scale=1.0,
                            max_invocations=8, with_amdahl=True,
-                           engine=None, arbitration=None):
+                           arbitration=None):
     """Evaluate one benchmark; the per-benchmark unit of the sweep.
 
     Builds the TDG, costs every (core, BSA) pair, and composes every
     (core, subset) design point.  Pure function of its arguments —
     this is what makes per-benchmark results cacheable and the sweep
-    shardable across processes.  *engine* picks the timing-engine
-    implementation (byte-identical results; throughput only).
+    shardable across processes.
 
     *arbitration* is a :meth:`~repro.fidelity.arbiter.ModelArbiter.
     to_spec` dict (measured error bounds + budget): per-BSA model
@@ -289,7 +288,7 @@ def evaluate_one_benchmark(name, core_names=DSE_CORES,
         evaluation = evaluate_benchmark(
             tdg, core_names=core_names, bsa_names=ALL_BSAS,
             max_invocations=max_invocations, detailed=detailed,
-            name=name, engine=engine)
+            name=name)
         record = BenchmarkResult(name, workload.suite,
                                  workload.category)
         for core in core_names:
@@ -310,8 +309,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
               scale=1.0, max_invocations=8, with_amdahl=True,
               progress=None, workers=1, cache_dir=None, use_cache=None,
               retry_policy=None, task_timeout=None,
-              max_pool_restarts=2, resume=False, engine=None,
-              arbitration=None):
+              max_pool_restarts=2, resume=False, arbitration=None):
     """Run the design-space exploration.
 
     Parameters
@@ -356,18 +354,12 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
         partial) run of this exact sweep; manifest-verified cache
         hits are reported as ``resumed`` and prior failures are
         retried.  Requires the cache.
-    engine:
-        Timing-engine implementation (``"auto"``/``"object"``/
-        ``"fast"``, see :mod:`repro.tdg.fastpath`).  The engines are
-        proven byte-identical, so the choice affects throughput only —
-        it is deliberately excluded from the cache key, making cache
-        entries interchangeable across engines.
     arbitration:
         A :meth:`~repro.fidelity.arbiter.ModelArbiter.to_spec` dict
         (or an arbiter object): per-benchmark BSA model modes are
         chosen by measured error bounds under the spec's budget.
-        Unlike *engine*, arbitration CAN change results, so it IS
-        part of the cache key and checkpoint signature — but only
+        Arbitration CAN change results, so it IS part of the cache
+        key and checkpoint signature — but only
         when enabled: ``None`` (default) leaves keys, signatures and
         sweep bytes identical to an unarbitrated run.
 
@@ -390,7 +382,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
             workers=workers, cache_dir=cache_dir, use_cache=use_cache,
             retry_policy=retry_policy, task_timeout=task_timeout,
             max_pool_restarts=max_pool_restarts, resume=resume,
-            engine=engine, arbitration=arbitration)
+            arbitration=arbitration)
         current.set(benchmarks=len(sweep), cached=sweep.stats.hits,
                     computed=sweep.stats.misses,
                     failed=len(sweep.stats.failures))
@@ -400,7 +392,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
 def _run_sweep(names, core_names, subsets, scale, max_invocations,
                with_amdahl, progress, workers, cache_dir, use_cache,
                retry_policy, task_timeout, max_pool_restarts, resume,
-               engine, arbitration):
+               arbitration):
     from repro.dse.cache import SweepCache, cache_key, default_cache_dir
     from repro.dse.parallel import make_task, run_tasks
     from repro.resilience.checkpoint import (
@@ -469,7 +461,7 @@ def _run_sweep(names, core_names, subsets, scale, max_invocations,
         pending.append(make_task(
             name, core_names, subsets, scale=scale,
             max_invocations=max_invocations, with_amdahl=with_amdahl,
-            engine=engine, arbitration=arbitration))
+            arbitration=arbitration))
 
     def on_result(name, payload, elapsed, obs_payload=None):
         payloads[name] = payload

@@ -10,7 +10,7 @@ from repro.analysis.regions import attribute_baseline
 from repro.core_model import core_by_name
 from repro.obs import counter, span
 from repro.tdg.fastpath import (
-    LoweringError, lower_stream, make_engine, resolve_engine,
+    LoweringError, kernel_available, lower_stream, make_engine,
 )
 
 
@@ -63,23 +63,18 @@ class BenchmarkEvaluation:
 
 def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                        bsa_names=("simd", "dp_cgra", "ns_df", "trace_p"),
-                       max_invocations=8, detailed=False, name=None,
-                       engine=None):
+                       max_invocations=8, detailed=False, name=None):
     """Evaluate one TDG across cores and BSAs.
 
     *max_invocations* caps how many dynamic invocations of each region
     are transformed per (BSA, core); the rest extrapolate (the paper's
-    windowed approach bounds work the same way).  *engine* selects the
-    timing engine (``"auto"``/``"object"``/``"fast"``, see
-    :func:`repro.tdg.fastpath.resolve_engine`); the engines are
-    byte-identical, so the choice only affects throughput.
+    windowed approach bounds work the same way).
 
     *detailed* is either one flag for every BSA or a per-BSA mapping
     ``{bsa: bool}`` (a missing entry means fast) — the form the
     :class:`~repro.fidelity.arbiter.ModelArbiter` produces when it
     upgrades only the models whose measured error exceeds the budget.
     """
-    engine = resolve_engine(engine)
     if not isinstance(detailed, dict):
         detailed = {bsa: bool(detailed) for bsa in bsa_names}
     with span("exocore.evaluate", benchmark=name or tdg.program.name):
@@ -88,9 +83,9 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         trace = tdg.trace.instructions
 
         # The baseline trace is evaluated under every core config, so
-        # lower it once up front and amortize across runs.
+        # the kernel gets it lowered once up front.
         baseline_stream = trace
-        if engine == "fast":
+        if kernel_available():
             try:
                 baseline_stream = lower_stream(trace)
             except LoweringError:
@@ -100,8 +95,7 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         for core_name in core_names:
             with span("exocore.baseline", core=core_name):
                 config = core_by_name(core_name)
-                eng = make_engine(config, engine,
-                                  collect_commit_times=True)
+                eng = make_engine(config, collect_commit_times=True)
                 result = eng.run(baseline_stream)
                 commit_times = result.commit_times
                 per_loop_cycles = attribute_baseline(
@@ -137,8 +131,7 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                     for key, plan in plans.items():
                         estimate = model.evaluate_region(
                             ctx, plan, config,
-                            max_invocations=max_invocations,
-                            engine=engine)
+                            max_invocations=max_invocations)
                         if estimate is not None:
                             estimates[key] = estimate
                 counter("repro_region_estimates_total",

@@ -90,15 +90,15 @@ class ExactEvaluator:
     """Batched exact evaluation of :class:`DesignPoint` s.
 
     One instance pins the benchmark list, workload scale and sweep
-    plumbing (cache, engine, arbitration spec); sweep records are
+    plumbing (cache, arbitration spec); sweep records are
     memoized per (core, subset, max_invocations) triple so the loop
     never pays for the same triple twice.  *workers* parallelizes the
     underlying sweeps without affecting any numeric result.
     """
 
     def __init__(self, benchmarks, scale=1.0, workers=1,
-                 cache_dir=None, use_cache=None, engine=None,
-                 arbitration=None, reference_core=REFERENCE_CORE,
+                 cache_dir=None, use_cache=None, arbitration=None,
+                 reference_core=REFERENCE_CORE,
                  progress=None):
         self.benchmarks = tuple(sorted(benchmarks))
         if not self.benchmarks:
@@ -107,7 +107,6 @@ class ExactEvaluator:
         self.workers = int(workers)
         self.cache_dir = cache_dir
         self.use_cache = use_cache
-        self.engine = engine
         self.arbitration = arbitration
         self.reference_core = reference_core
         self.progress = progress
@@ -133,8 +132,7 @@ class ExactEvaluator:
                 subsets=(subset,), scale=self.scale,
                 max_invocations=max_invocations, with_amdahl=False,
                 workers=self.workers, cache_dir=self.cache_dir,
-                use_cache=self.use_cache, engine=self.engine,
-                arbitration=self.arbitration)
+                use_cache=self.use_cache, arbitration=self.arbitration)
         self.sweep_calls += 1
         missing = [name for name in self.benchmarks
                    if name not in sweep.results]

@@ -179,15 +179,15 @@ def _candidate_rows(surrogate, space, evaluated, pool, seed,
 
 def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
                 batch_size=None, init=None, scale=1.0, workers=1,
-                cache_dir=None, use_cache=None, engine=None,
-                arbitration=None, candidate_pool=DEFAULT_CANDIDATE_POOL,
+                cache_dir=None, use_cache=None, arbitration=None,
+                candidate_pool=DEFAULT_CANDIDATE_POOL,
                 n_models=DEFAULT_MEMBERS, l2=DEFAULT_L2,
                 explore_fraction=acquire.DEFAULT_EXPLORE_FRACTION,
                 train_records=None, progress=None):
     """Run the surrogate-assisted exploration; returns the EXPLORE
     payload dict (see :mod:`repro.explore.artifact` for the schema).
 
-    *workers*, *engine* and cache state parallelize/accelerate the
+    *workers* and cache state parallelize/accelerate the
     exact evaluations without entering the payload — the canonical
     bytes depend only on (space, benchmarks, scale, seed, budget and
     the loop hyper-parameters).  *train_records* warm-starts the
@@ -208,7 +208,7 @@ def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
 
     evaluator = ExactEvaluator(
         benchmarks, scale=scale, workers=workers,
-        cache_dir=cache_dir, use_cache=use_cache, engine=engine,
+        cache_dir=cache_dir, use_cache=use_cache,
         arbitration=arbitration)
     warm_points = training_points_from_records(train_records or [])
 

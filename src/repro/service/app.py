@@ -119,18 +119,9 @@ def _normalize_params(body):
     if max_invocations < 1:
         raise BadRequest("'max_invocations' must be >= 1")
 
-    # Engine choice is resolved in the worker ("auto" adapts to the
-    # worker's numpy availability) and is deliberately absent from the
-    # cache key: both engines produce byte-identical records.
-    from repro.tdg.fastpath import ENGINE_CHOICES
-    engine = body.get("engine", "auto")
-    if engine not in ENGINE_CHOICES:
-        raise BadRequest(f"unknown engine {engine!r} "
-                         f"(known: {', '.join(ENGINE_CHOICES)})")
-
-    # Arbitration, unlike engine, changes results: the spec is part of
-    # the task AND the cache key (only when present, so unarbitrated
-    # requests keep their historical keys warm).
+    # Arbitration changes results: the spec is part of the task AND
+    # the cache key (only when present, so unarbitrated requests keep
+    # their historical keys warm).
     arbitration = _normalize_arbitration(body)
 
     return {
@@ -139,7 +130,6 @@ def _normalize_params(body):
         "scale": scale,
         "max_invocations": max_invocations,
         "with_amdahl": bool(body.get("with_amdahl", True)),
-        "engine": engine,
         "arbitration": arbitration,
     }
 

@@ -6,10 +6,11 @@
   evaluates core+accelerator TDGs over full traces.
 - :mod:`repro.tdg.constructor`: builds the original TDG
   (``TDG_{GPP,0}``) from a program + inputs via the interpreter.
-- :mod:`repro.tdg.fastpath`: the vectorized evaluation hot path — a
+- :mod:`repro.tdg.fastpath`: the compiled evaluation hot path — a
   drop-in :class:`FastTimingEngine` that lowers instruction streams to
-  flat arrays once and relaxes edges over them (byte-identical to
-  :class:`TimingEngine`; selected via ``make_engine``/``$REPRO_ENGINE``).
+  flat arrays once and relaxes edges over them in a C kernel
+  (byte-identical to :class:`TimingEngine`; ``make_engine`` picks it
+  whenever the kernel compiles).
 """
 
 from repro.tdg.mudg import NodeKind, EdgeKind, MicroDepGraph
@@ -17,8 +18,8 @@ from repro.tdg.engine import TimingEngine, TimingResult
 from repro.tdg.constructor import TDG, construct_tdg
 from repro.tdg.dsl import DslTransform, Rule, op, fma_rule
 from repro.tdg.fastpath import (
-    ENGINE_CHOICES, FastTimingEngine, LoweredStream, LoweringError,
-    lower_stream, make_engine, resolve_engine,
+    FastTimingEngine, LoweredStream, LoweringError, lower_stream,
+    make_engine,
 )
 
 __all__ = [
@@ -27,13 +28,11 @@ __all__ = [
     "MicroDepGraph",
     "TimingEngine",
     "TimingResult",
-    "ENGINE_CHOICES",
     "FastTimingEngine",
     "LoweredStream",
     "LoweringError",
     "lower_stream",
     "make_engine",
-    "resolve_engine",
     "TDG",
     "construct_tdg",
     "DslTransform",

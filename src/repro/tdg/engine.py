@@ -123,13 +123,10 @@ class TimingResult:
 class TimingEngine:
     """Evaluates instruction streams under a core configuration."""
 
-    def __init__(self, config, accel_resources=None, detailed=False,
+    def __init__(self, config, accel_resources=None,
                  collect_commit_times=False):
         self.config = config
         self.accel_resources = accel_resources
-        #: Detailed mode removes windowing approximations (used as the
-        #: validation reference for BSA models).
-        self.detailed = detailed
         self.collect_commit_times = collect_commit_times
 
     # ------------------------------------------------------------------
@@ -197,7 +194,6 @@ class TimingEngine:
 
         redirect_time = 0     # earliest fetch after a mispredict
         last_e = start_time   # in-order issue chaining
-        last_p = start_time
         n_core = 0
         n_uops = 0
         final_time = start_time
@@ -337,7 +333,6 @@ class TimingEngine:
 
             complete = issue + latency
             complete_of[seq] = complete
-            last_p = complete
 
             # Commit
             commit = complete + 1

@@ -3,52 +3,43 @@
 :class:`~repro.tdg.engine.TimingEngine` walks Python object graphs:
 every dynamic instruction is a :class:`~repro.sim.trace.DynInst` whose
 latency/op-class are resolved through properties and dict lookups, and
-every reservation is a dict probe.  That costs ~3.5 µs per instruction
-— the sweep's dominant inner cost (ROADMAP item 1).
+every reservation is a dict probe.  That costs ~3.5 µs per instruction.
 
 This module restructures the same computation into flat parallel
-arrays:
+arrays evaluated by a compiled kernel:
 
 - :class:`LoweredStream` lowers an instruction stream **once** into
-  int64 arrays (latency, occupancy, FU table id, dependence CSR,
-  accelerator tag ids, ...).  Producer references are resolved from
-  seq ids to stream positions at lowering time, so the hot loop
-  indexes a dense ``complete[]`` array instead of probing a dict.
-  The arrays are numpy when numpy is importable, ``array('q')``
-  otherwise — either way C-contiguous int64 buffers.
+  ``array('q')`` int64 buffers (latency, occupancy, FU table id,
+  dependence CSR, accelerator tag ids, ...).  Producer references are
+  resolved from seq ids to stream positions at lowering time, so the
+  hot loop indexes a dense ``complete[]`` array instead of probing a
+  dict.
 - :class:`FastTimingEngine` evaluates a lowered stream with the exact
-  edge rules of the object engine.  When a C compiler is available the
-  inner loop runs as a compiled kernel (``_KERNEL_SOURCE``, built once
-  per source digest and loaded through ctypes — the "optional compiled
-  backend" of ROADMAP item 1); otherwise a tuned pure-Python loop over
-  the same arrays runs.  Both paths are asserted byte-identical to the
-  object engine by ``tests/test_fastpath_equivalence.py``.
-- Reservation tables are windowed **circular buffers**
-  (:class:`CircularReservationTable`) instead of dicts: a cycle's
-  occupancy lives at ``cycle & (WINDOW-1)`` with a validity mark, so
-  reserve() is two array probes with no hashing and no pruning pass.
-  Semantics match :class:`~repro.tdg.engine.ResourceTable` for any
-  stream whose reservation lookback stays under ``WINDOW`` cycles —
-  the same windowing assumption the object table's pruning makes.
+  edge rules of the object engine in a C kernel (``_KERNEL_SOURCE``,
+  built once per source digest and loaded through ctypes).  Its
+  reservation tables are windowed circular buffers: a cycle's
+  occupancy lives at ``cycle & (WINDOW-1)`` with a validity mark.
+  Results are asserted byte-identical to the object engine by
+  ``tests/test_fastpath_equivalence.py``.
 
 Engine selection
 ----------------
 
-:func:`resolve_engine` maps a requested engine name (``"auto"``,
-``"object"``, ``"fast"``; default from ``$REPRO_ENGINE``) to a
-concrete one: ``auto`` picks ``fast`` when numpy is importable and
-falls back to ``object`` otherwise.  :func:`make_engine` builds the
-corresponding engine instance.  Because the two engines are proven
-byte-identical, the engine choice deliberately does **not**
-participate in the sweep cache key — entries computed by either
-engine are interchangeable (the fastpath *source* is covered by
-``engine_version_hash`` like every other ``tdg`` module, so a change
+There is one implementation choice and one place that makes it:
+:func:`make_engine` returns a :class:`FastTimingEngine` when the
+kernel compiles (:func:`kernel_available`) and the reference
+:class:`~repro.tdg.engine.TimingEngine` otherwise.  ``$REPRO_NO_KERNEL=1``
+forces the reference engine.  Because the two engines are
+byte-identical, the choice is not an option anywhere else and does not
+participate in the sweep cache key (the fastpath *source* is covered
+by ``engine_version_hash`` like every other ``tdg`` module, so a change
 to this file still cold-starts the cache).
 
-Exactness guardrails: streams that cannot be lowered exactly (e.g. a
-DSL transform producing non-integer latencies) and engines handed a
-pre-used :class:`~repro.tdg.engine.AccelResources` transparently
-delegate to the object engine instead of risking divergence.
+Exactness guardrails: without a kernel, on streams that cannot be
+lowered exactly (e.g. a DSL transform producing non-integer
+latencies), and when handed a pre-used
+:class:`~repro.tdg.engine.AccelResources`, :class:`FastTimingEngine`
+delegates to the object engine instead of risking divergence.
 """
 
 import array
@@ -69,24 +60,6 @@ from repro.tdg.engine import (
 )
 from repro.tdg.mudg import EdgeKind
 
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - exercised in CI no-numpy job
-    _np = None
-
-HAVE_NUMPY = _np is not None
-
-#: Engine names accepted everywhere a selection is threaded through
-#: (CLI ``--engine``, service bodies, the task codec, ``$REPRO_ENGINE``).
-ENGINE_CHOICES = ("auto", "object", "fast")
-
-#: Reservation window in cycles (power of two).  Matches the lookback
-#: the object ``ResourceTable`` keeps after pruning; reservations whose
-#: ready time trails the table's frontier by more than this are treated
-#: as free — identical to the pruned-dict behavior.
-WINDOW = 65536
-_MASK = WINDOW - 1
-
 #: Table ids: one per OpClass, then the shared D-cache port table.
 _OP_CLASSES = tuple(OpClass)
 _OP_INDEX = {cls: i for i, cls in enumerate(_OP_CLASSES)}
@@ -100,7 +73,7 @@ _FU_LAT = {opcode: fu_latency(opcode) for opcode in Opcode}
 _TAB_OF = {opcode: _OP_INDEX[op_class(opcode)] for opcode in Opcode}
 _IS_STORE = {opcode: is_store(opcode) for opcode in Opcode}
 
-#: Critical-edge bind codes shared by the Python and C loops.
+#: Critical-edge bind codes of the C kernel's histogram slots.
 _BIND_KINDS = (
     EdgeKind.ISSUE, EdgeKind.DATA_DEP, EdgeKind.MEM_DEP,
     EdgeKind.ACCEL_DEP, EdgeKind.INORDER_ISSUE,
@@ -114,21 +87,13 @@ class LoweringError(Exception):
 
 
 def _int_array(values):
-    """C-contiguous int64 buffer; numpy when available.
+    """C-contiguous int64 buffer.
 
-    Non-integer values raise ``TypeError`` instead of being coerced:
-    a stream carrying float latencies must take the object path, where
-    float arithmetic is modeled exactly.  (numpy's int64 cast would
-    truncate silently, so the dtype is checked explicitly.)
+    Non-integer values raise ``TypeError`` and out-of-range ones
+    ``OverflowError`` instead of being coerced: a stream carrying
+    float latencies must take the object path, where float arithmetic
+    is modeled exactly.
     """
-    if HAVE_NUMPY:
-        if not values:
-            return _np.zeros(0, dtype=_np.int64)
-        arr = _np.asarray(values)
-        if arr.dtype.kind not in "iu":
-            raise TypeError(
-                f"non-integer lowered values (dtype {arr.dtype})")
-        return arr.astype(_np.int64, copy=False)
     return array.array("q", values)
 
 
@@ -269,10 +234,8 @@ class LoweredStream:
     def addrs(self):
         """Buffer addresses in :data:`FIELDS` order, computed once.
 
-        Fetching a numpy array's address through ``.ctypes`` costs
-        microseconds; caching here keeps the per-run kernel dispatch
-        overhead flat regardless of how often a lowered stream is
-        re-evaluated.
+        Caching keeps the per-run kernel dispatch overhead flat
+        regardless of how often a lowered stream is re-evaluated.
         """
         addrs = self._addrs
         if addrs is None:
@@ -294,145 +257,6 @@ def lower_stream(stream):
     if isinstance(stream, LoweredStream):
         return stream
     return LoweredStream(stream)
-
-
-# ---------------------------------------------------------------------------
-# Windowed circular reservation buffers (flat ResourceTable).
-
-class _BufferPool:
-    """Reusable (mark, count) window buffers for the Python loop.
-
-    Allocating ``2 x WINDOW`` ints per table per run would dwarf short
-    region evaluations, so buffers are pooled and never cleared:
-    validity marks embed a monotonically increasing epoch, making any
-    stale entry from a previous borrower read as "free".  Thread-safe
-    (the service's thread-pool mode runs engines concurrently).
-    """
-
-    def __init__(self):
-        self._free = []
-        self._lock = threading.Lock()
-        self._epoch = 0
-
-    def acquire(self):
-        """Return ``(epoch_shift, mark_buffer, count_buffer)``."""
-        with self._lock:
-            self._epoch += 1
-            shift = self._epoch << 44
-            if self._free:
-                mark, cnt = self._free.pop()
-            else:
-                mark = [0] * WINDOW
-                cnt = [0] * WINDOW
-        return shift, mark, cnt
-
-    def release(self, mark, cnt):
-        with self._lock:
-            if len(self._free) < 32:
-                self._free.append((mark, cnt))
-
-
-_POOL = _BufferPool()
-
-
-class CircularReservationTable:
-    """Flat windowed reservation table (paper section 2.7).
-
-    Drop-in equivalent of :class:`~repro.tdg.engine.ResourceTable` for
-    streams whose reservation lookback stays under :data:`WINDOW`
-    cycles: occupancy for cycle ``c`` lives at ``c & (WINDOW-1)`` and
-    is valid only when the mark slot holds ``c`` (plus the pool
-    epoch), so out-of-window cycles read as free — exactly what the
-    object table reports after pruning.
-
-    Call :meth:`close` (or use as a context manager) to return the
-    window buffers to the pool; a dropped table is merely a missed
-    reuse, never a correctness problem.
-    """
-
-    __slots__ = ("capacity", "_shift", "_mark", "_cnt")
-
-    def __init__(self, count):
-        if count < 1:
-            raise ValueError("resource count must be >= 1")
-        self.capacity = count
-        self._shift, self._mark, self._cnt = _POOL.acquire()
-
-    def reserve(self, ready, occupancy=1):
-        mark = self._mark
-        cnt = self._cnt
-        capacity = self.capacity
-        shift = self._shift
-        cycle = int(ready)
-        if occupancy == 1:
-            key = cycle + shift
-            ix = cycle & _MASK
-            while mark[ix] == key and cnt[ix] >= capacity:
-                cycle += 1
-                key += 1
-                ix = cycle & _MASK
-            if mark[ix] == key:
-                cnt[ix] += 1
-            else:
-                mark[ix] = key
-                cnt[ix] = 1
-        else:
-            while True:
-                for k in range(occupancy):
-                    c = cycle + k
-                    ix = c & _MASK
-                    if mark[ix] == c + shift and cnt[ix] >= capacity:
-                        break
-                else:
-                    break
-                cycle += 1
-            for k in range(occupancy):
-                c = cycle + k
-                ix = c & _MASK
-                if mark[ix] == c + shift:
-                    cnt[ix] += 1
-                else:
-                    mark[ix] = c + shift
-                    cnt[ix] = 1
-        return cycle
-
-    def occupancy_at(self, cycle):
-        """Booked units at *cycle* (window-local; tests/debugging)."""
-        ix = cycle & _MASK
-        return self._cnt[ix] if self._mark[ix] == cycle + self._shift \
-            else 0
-
-    def close(self):
-        if self._mark is not None:
-            _POOL.release(self._mark, self._cnt)
-            self._mark = self._cnt = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-class FlatAccelResources:
-    """Accelerator tables/windows over circular buffers.
-
-    Mirror of :class:`~repro.tdg.engine.AccelResources` used by the
-    Python fast loop; built per run from the object spec so shared
-    specs are never mutated.
-    """
-
-    def __init__(self, counts, windows=None):
-        self.tables = {name: CircularReservationTable(count)
-                       for name, count in counts.items()}
-        self.windows = dict(windows or {})
-
-    def reserve(self, name, ready, occupancy=1):
-        return self.tables[name].reserve(ready, occupancy)
-
-    def close(self):
-        for table in self.tables.values():
-            table.close()
 
 
 # ---------------------------------------------------------------------------
@@ -828,9 +652,7 @@ def _addr_of(buf):
     keep the owning object alive across the kernel call (lowered
     streams hold theirs, per-run buffers are locals).
     """
-    if isinstance(buf, array.array):
-        return buf.buffer_info()[0] if len(buf) else 0
-    return buf.ctypes.data if len(buf) else 0
+    return buf.buffer_info()[0] if len(buf) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -840,16 +662,17 @@ class FastTimingEngine:
     """Array-of-struct twin of :class:`~repro.tdg.engine.TimingEngine`.
 
     Same constructor and :meth:`run` contract; byte-identical results
-    (cycles, commit times, critical-edge histogram) on any lowerable
-    stream.  ``run`` accepts either a DynInst list (lowered on the
-    fly) or a pre-built :class:`LoweredStream` (the amortized path).
+    (cycles, commit times, critical-edge histogram) on any stream.
+    ``run`` accepts either a DynInst list (lowered on the fly) or a
+    pre-built :class:`LoweredStream` (the amortized path, which needs
+    the kernel).  Without a kernel, DynInst lists are timed by the
+    object engine.
     """
 
-    def __init__(self, config, accel_resources=None, detailed=False,
+    def __init__(self, config, accel_resources=None,
                  collect_commit_times=False):
         self.config = config
         self.accel_resources = accel_resources
-        self.detailed = detailed
         self.collect_commit_times = collect_commit_times
 
     # ------------------------------------------------------------------
@@ -862,8 +685,7 @@ class FastTimingEngine:
         if not is_enabled():
             return self._run(stream, start_time)
         with span("tdg.engine.run", core=self.config.name,
-                  accel=self.accel_resources is not None,
-                  engine="fast") as current:
+                  accel=self.accel_resources is not None) as current:
             result = self._run(stream, start_time)
             current.set(cycles=result.cycles,
                         instructions=result.instructions)
@@ -877,20 +699,18 @@ class FastTimingEngine:
                 "pre-lowered stream")
         return TimingEngine(
             self.config, accel_resources=self.accel_resources,
-            detailed=self.detailed,
             collect_commit_times=self.collect_commit_times,
         )._run(stream, start_time)
 
     def _run(self, stream, start_time=0):
         accel = self.accel_resources
-        if accel is not None and not isinstance(
-                accel, (AccelResources, FlatAccelResources)):
+        if accel is not None and not isinstance(accel, AccelResources):
             raise TypeError(f"unsupported accel resources {accel!r}")
-        if isinstance(accel, AccelResources) and any(
-                table.used for table in accel.tables.values()):
-            # A pre-used shared reservation state cannot be mirrored
-            # into fresh flat tables; only the object engine models
-            # cross-run carry-over.
+        if not kernel_available() or (accel is not None and any(
+                table.used for table in accel.tables.values())):
+            # No kernel, or a pre-used shared reservation state that
+            # cannot be mirrored into fresh flat tables (only the
+            # object engine models cross-run carry-over).
             return self._object_fallback(stream, start_time)
         try:
             lowered = lower_stream(stream)
@@ -898,9 +718,7 @@ class FastTimingEngine:
             return self._object_fallback(stream, start_time)
         counter("repro_fastpath_runs_total",
                 "fast-engine evaluations (lowered streams timed)").inc()
-        if kernel_available():
-            return self._run_kernel(lowered, start_time)
-        return self._run_python(lowered, start_time)
+        return self._run_kernel(lowered, start_time)
 
     # ------------------------------------------------------------------
     def _accel_spec(self, lowered):
@@ -921,17 +739,12 @@ class FastTimingEngine:
         histogram = {}
         for code, kind in enumerate(_BIND_KINDS):
             if hist_counts[code]:
-                histogram[kind] = int(hist_counts[code])
-        if commits is None:
-            commit_times = None
-        elif hasattr(commits, "tolist"):
-            commit_times = commits.tolist()
-        else:
-            commit_times = list(commits)
+                histogram[kind] = hist_counts[code]
         n = lowered.n
         return TimingResult(
-            cycles=int(cycles), instructions=n, committed_uops=n,
-            commit_times=commit_times, crit_histogram=histogram,
+            cycles=cycles, instructions=n, committed_uops=n,
+            commit_times=None if commits is None else list(commits),
+            crit_histogram=histogram,
         )
 
     # ------------------------------------------------------------------
@@ -981,256 +794,16 @@ class FastTimingEngine:
             raise MemoryError("fastpath kernel allocation failed")
         return self._result(cycles, lowered, commits, hist)
 
-    # ------------------------------------------------------------------
-    def _run_python(self, lowered, start_time):
-        """Pure-Python loop over the lowered arrays.
 
-        Structurally identical to the C kernel (same tables, same bind
-        codes); used when no C compiler is available and as the
-        cross-check implementation in the differential suite.
-        """
-        import heapq
+def make_engine(config, **kwargs):
+    """The timing engine for *config*: the single selection point.
 
-        config = self.config
-        n = lowered.n
-        width = config.width
-        in_order = config.in_order
-        decode_depth = config.decode_depth
-        rob_size = config.rob_size if not in_order \
-            else width * (decode_depth + 4)
-        iq_size = config.iq_size
-        branch_penalty = config.branch_penalty
-        collect = self.collect_commit_times
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        def tolist(buf):
-            return buf.tolist() if hasattr(buf, "tolist") else list(buf)
-
-        is_accel = tolist(lowered.is_accel)
-        lat = tolist(lowered.lat)
-        occ = tolist(lowered.occ)
-        tabid = tolist(lowered.tab)
-        is_mem = tolist(lowered.is_mem)
-        is_st = tolist(lowered.is_store)
-        memdep = tolist(lowered.memdep)
-        dep_ptr = tolist(lowered.dep_ptr)
-        dep_idx = tolist(lowered.dep_idx)
-        extra_ptr = tolist(lowered.extra_ptr)
-        extra_idx = tolist(lowered.extra_idx)
-        extra_lat = tolist(lowered.extra_lat)
-        mispred = tolist(lowered.mispred)
-        icache = tolist(lowered.icache)
-        accel_tag = tolist(lowered.accel_tag)
-
-        caps, windows = self._accel_spec(lowered)
-        have_accel = self.accel_resources is not None
-        tables = [CircularReservationTable(config.fu_count(cls))
-                  for cls in _OP_CLASSES]
-        tables.append(CircularReservationTable(config.dcache_ports))
-        issue_table = CircularReservationTable(width)
-        accel_tables = [CircularReservationTable(cap) if cap >= 0
-                        else None for cap in caps]
-        rings = [[0] * w if w > 0 else None for w in windows]
-        ring_cnt = [0] * len(windows)
-
-        fetch_t = []
-        disp_t = []
-        commit_t = []
-        iq = []
-        complete = [0] * n
-        hist = [0] * 8
-        commits = [0] * n if collect else None
-        redirect = 0
-        last_e = start_time
-        n_core = 0
-        final_time = start_time
-
-        try:
-            for i in range(n):
-                if is_accel[i]:
-                    ready = start_time
-                    kind = -1
-                    for k in range(dep_ptr[i], dep_ptr[i + 1]):
-                        t = complete[dep_idx[k]]
-                        if t > ready:
-                            ready = t
-                            kind = 1
-                    md = memdep[i]
-                    if md >= 0:
-                        t = complete[md]
-                        if t > ready:
-                            ready = t
-                            kind = 2
-                    for k in range(extra_ptr[i], extra_ptr[i + 1]):
-                        p = extra_idx[k]
-                        t = (complete[p] if p >= 0 else start_time) \
-                            + extra_lat[k]
-                        if t > ready:
-                            ready = t
-                            kind = 3
-                    start = ready
-                    tag = accel_tag[i]
-                    if have_accel and tag >= 0:
-                        w = windows[tag]
-                        if w > 0 and ring_cnt[tag] >= w:
-                            slot = rings[tag][ring_cnt[tag] % w]
-                            if slot > start:
-                                start = slot
-                                kind = 7
-                        if accel_tables[tag] is not None:
-                            start = accel_tables[tag].reserve(start)
-                            if start > ready:
-                                kind = 7
-                    if is_mem[i]:
-                        ps = tables[PORT_TABLE].reserve(start)
-                        if ps > start:
-                            start = ps
-                            kind = 5
-                    comp = start + lat[i]
-                    complete[i] = comp
-                    if have_accel and tag >= 0 and windows[tag] > 0:
-                        w = windows[tag]
-                        rings[tag][ring_cnt[tag] % w] = comp
-                        ring_cnt[tag] += 1
-                    if comp > final_time:
-                        final_time = comp
-                    if kind >= 0:
-                        hist[kind] += 1
-                    if collect:
-                        commits[i] = comp
-                    continue
-
-                # ---- core-side instruction ----
-                fetch = fetch_t[-1] if n_core else start_time
-                if n_core >= width:
-                    bw = fetch_t[n_core - width] + 1
-                    if bw > fetch:
-                        fetch = bw
-                if redirect > fetch:
-                    fetch = redirect
-                if icache[i]:
-                    fetch += icache[i]
-                fetch_t.append(fetch)
-
-                dispatch = fetch + decode_depth
-                if n_core:
-                    prev = disp_t[-1]
-                    if prev > dispatch:
-                        dispatch = prev
-                    if n_core >= width:
-                        bw = disp_t[n_core - width] + 1
-                        if bw > dispatch:
-                            dispatch = bw
-                if rob_size is not None and n_core >= rob_size:
-                    rob = commit_t[n_core - rob_size] + 1
-                    if rob > dispatch:
-                        dispatch = rob
-                if not in_order and iq_size is not None \
-                        and len(iq) >= iq_size:
-                    slot_free = heappop(iq) + 1
-                    if slot_free > dispatch:
-                        dispatch = slot_free
-                disp_t.append(dispatch)
-
-                ready = dispatch + 1
-                bind = 0
-                for k in range(dep_ptr[i], dep_ptr[i + 1]):
-                    t = complete[dep_idx[k]]
-                    if t > ready:
-                        ready = t
-                        bind = 1
-                md = memdep[i]
-                if md >= 0 and not is_st[i]:
-                    t = complete[md]
-                    if t > ready:
-                        ready = t
-                        bind = 2
-                for k in range(extra_ptr[i], extra_ptr[i + 1]):
-                    p = extra_idx[k]
-                    t = (complete[p] if p >= 0 else start_time) \
-                        + extra_lat[k]
-                    if t > ready:
-                        ready = t
-                        bind = 3
-                if in_order and last_e > ready:
-                    ready = last_e
-                    bind = 4
-
-                slot = issue_table.reserve(ready)
-                if slot > ready:
-                    ready = slot
-                    bind = 0
-                tid = tabid[i]
-                issue = tables[tid].reserve(ready, occ[i])
-                if issue > ready:
-                    bind = 5 if tid == PORT_TABLE else 6
-                if not in_order and iq_size is not None:
-                    heappush(iq, issue)
-                last_e = issue
-
-                comp = issue + lat[i]
-                complete[i] = comp
-
-                commit = comp + 1
-                if n_core:
-                    prev = commit_t[-1]
-                    if prev > commit:
-                        commit = prev
-                    if n_core >= width:
-                        bw = commit_t[n_core - width] + 1
-                        if bw > commit:
-                            commit = bw
-                commit_t.append(commit)
-                if collect:
-                    commits[i] = commit
-                if commit > final_time:
-                    final_time = commit
-                if mispred[i]:
-                    penalty = comp + branch_penalty
-                    if penalty > redirect:
-                        redirect = penalty
-                hist[bind] += 1
-                n_core += 1
-        finally:
-            for table in tables:
-                table.close()
-            issue_table.close()
-            for table in accel_tables:
-                if table is not None:
-                    table.close()
-        return self._result(final_time - start_time, lowered,
-                            commits, hist)
-
-
-# ---------------------------------------------------------------------------
-# Engine selection.
-
-def resolve_engine(choice=None):
-    """Resolve an engine request to ``"object"`` or ``"fast"``.
-
-    *choice* of ``None`` consults ``$REPRO_ENGINE`` (default
-    ``auto``).  ``auto`` selects the fast engine when numpy is
-    importable and the object engine otherwise, so environments
-    without numpy keep working unchanged.
+    A :class:`FastTimingEngine` when the compiled kernel is available,
+    else the reference :class:`~repro.tdg.engine.TimingEngine` (also
+    what ``$REPRO_NO_KERNEL=1`` forces).  Keyword arguments are
+    forwarded to the engine constructor (``accel_resources``,
+    ``collect_commit_times``).
     """
-    if choice is None:
-        choice = os.environ.get("REPRO_ENGINE") or "auto"
-    if choice not in ENGINE_CHOICES:
-        raise ValueError(
-            f"unknown engine {choice!r} (choose from "
-            f"{', '.join(ENGINE_CHOICES)})")
-    if choice == "auto":
-        return "fast" if HAVE_NUMPY else "object"
-    return choice
-
-
-def make_engine(config, engine=None, **kwargs):
-    """Build the selected timing engine for *config*.
-
-    Keyword arguments are forwarded to the engine constructor
-    (``accel_resources``, ``detailed``, ``collect_commit_times``).
-    """
-    if resolve_engine(engine) == "fast":
+    if kernel_available():
         return FastTimingEngine(config, **kwargs)
     return TimingEngine(config, **kwargs)

@@ -8,16 +8,20 @@ the same serialized sweep artifact.  These tests pin that contract:
 - seeded-random instruction streams (property-style: every engine
   feature — unpipelined FUs, memory levels, mispredicts, icache
   stalls, live-in deps, lat overrides — appears with some probability)
-  across core configs and both fastpath backends (C kernel and pure
-  Python via ``$REPRO_NO_KERNEL``);
+  across core configs, with the C kernel and without it (forced via
+  ``$REPRO_NO_KERNEL``, where ``FastTimingEngine`` delegates to the
+  object engine);
 - every BSA model's ``evaluate_region`` across cores, plus the DSL
   fma transform, on the shared kernel fixtures;
-- the golden four-benchmark sweep serialized with ``dumps_sweep``:
-  object vs fast must agree byte-for-byte (the PR's acceptance
-  criterion), and the fast engine must reproduce the checked-in
+- engine selection: ``make_engine`` returns the fast engine iff the
+  kernel is available;
+- the golden four-benchmark sweep serialized with ``dumps_sweep``: a
+  default sweep and a ``$REPRO_NO_KERNEL=1`` sweep must agree
+  byte-for-byte, and the default sweep must reproduce the checked-in
   golden snapshot.
 """
 
+import contextlib
 import random
 
 import pytest
@@ -30,7 +34,7 @@ from repro.tdg import DslTransform, fma_rule
 from repro.tdg.engine import AccelResources, TimingEngine
 from repro.tdg.fastpath import (
     FastTimingEngine, LoweringError, kernel_available, lower_stream,
-    make_engine, resolve_engine, _reset_kernel,
+    make_engine, _reset_kernel,
 )
 
 _STATIC = Instruction(Opcode.ADD, dest=3, srcs=(4,))
@@ -122,20 +126,35 @@ def run_both(stream, config, accel_counts=None, accel_windows=None,
     return reference
 
 
-@pytest.fixture(params=["kernel", "python"])
-def fastpath_backend(request, monkeypatch):
-    """Run the fastpath test body under both backends.
+@contextlib.contextmanager
+def no_kernel():
+    """Force the object engine for the body (``$REPRO_NO_KERNEL=1``)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_NO_KERNEL", "1")
+        _reset_kernel()
+        try:
+            yield
+        finally:
+            _reset_kernel()
 
-    The pure-Python backend is forced via ``$REPRO_NO_KERNEL``; the
-    "kernel" parametrization silently degrades to Python when no C
-    compiler is available (the fallback IS the behavior under test).
+
+@pytest.fixture(params=["kernel", "python"])
+def fastpath_backend(request):
+    """Run the fastpath test body with and without the C kernel.
+
+    ``"python"`` forces the no-kernel setting: ``make_engine`` then
+    returns the object engine and ``FastTimingEngine`` delegates to
+    it.  The "kernel" parametrization silently degrades to that
+    setting when no C compiler is available (the fallback IS the
+    behavior under test).
     """
-    if request.param == "python":
-        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
-    _reset_kernel()
-    yield request.param
-    monkeypatch.undo()
-    _reset_kernel()
+    if request.param == "kernel":
+        yield request.param
+        return
+    with no_kernel():
+        assert not kernel_available()
+        assert type(make_engine(OOO2)) is TimingEngine
+        yield request.param
 
 
 class TestRandomStreams:
@@ -173,6 +192,13 @@ class TestRandomStreams:
         stream = random_stream(9)
         lowered = lower_stream(stream)
         assert lower_stream(lowered) is lowered
+        if not kernel_available():
+            # Pre-lowered streams are the kernel's input; the object
+            # engine cannot time them, so callers lower only when the
+            # kernel is available.
+            with pytest.raises(LoweringError):
+                FastTimingEngine(OOO2).run(lowered)
+            return
         for config in (IO2, OOO2, OOO6):
             reference = TimingEngine(
                 config, collect_commit_times=True).run(stream)
@@ -212,25 +238,28 @@ class TestLoweringFallback:
 class TestAccelModels:
     @staticmethod
     def _estimates(bsa, core, tdg):
-        """All region estimates for one (bsa, core, tdg, engine).
+        """All region estimates for one (bsa, core, tdg), without and
+        with the kernel.
 
-        A fresh context + model per engine: some transforms memoize
+        A fresh context + model per setting: some transforms memoize
         schedules on first evaluation, so back-to-back calls on shared
         state differ for reasons unrelated to the engine under test.
         """
-        def sweep(engine):
+        def sweep():
             model = BSA_REGISTRY[bsa](detailed=False)
             ctx = AnalysisContext(tdg)
             out = {}
             for key, plan in model.find_candidates(ctx).items():
                 est = model.evaluate_region(
-                    ctx, plan, core, max_invocations=2, engine=engine)
+                    ctx, plan, core, max_invocations=2)
                 out[key] = None if est is None else (
                     est.cycles, est.energy_pj, est.dyn_insts,
                     est.invocations, est.accel_cycles)
             return out
 
-        return sweep("object"), sweep("fast")
+        with no_kernel():
+            obj = sweep()
+        return obj, sweep()
 
     @pytest.mark.parametrize("core", [IO2, OOO2, OOO6],
                              ids=lambda c: c.name)
@@ -253,20 +282,14 @@ class TestAccelModels:
 
 
 class TestEngineSelection:
-    def test_resolve_engine(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine("object") == "object"
-        assert resolve_engine("fast") == "fast"
-        assert resolve_engine("auto") in ("object", "fast")
-        assert resolve_engine(None) == resolve_engine("auto")
-        monkeypatch.setenv("REPRO_ENGINE", "object")
-        assert resolve_engine(None) == "object"
-        with pytest.raises(ValueError):
-            resolve_engine("warp")
-
     def test_make_engine_types(self):
-        assert isinstance(make_engine(OOO2, "object"), TimingEngine)
-        assert isinstance(make_engine(OOO2, "fast"), FastTimingEngine)
+        with no_kernel():
+            assert type(make_engine(OOO2)) is TimingEngine
+        expected = FastTimingEngine if kernel_available() \
+            else TimingEngine
+        assert type(make_engine(OOO2)) is expected
+        engine = make_engine(OOO2, collect_commit_times=True)
+        assert engine.collect_commit_times
 
     def test_kernel_available_is_bool(self):
         assert kernel_available() in (True, False)
@@ -281,12 +304,14 @@ class TestSweepByteParity:
     def sweep_pair(self):
         from repro.dse import run_sweep
 
-        return {
-            engine: run_sweep(names=self.NAMES, scale=0.1,
-                              max_invocations=2, with_amdahl=False,
-                              use_cache=False, engine=engine)
-            for engine in ("object", "fast")
-        }
+        def sweep():
+            return run_sweep(names=self.NAMES, scale=0.1,
+                             max_invocations=2, with_amdahl=False,
+                             use_cache=False)
+
+        with no_kernel():
+            obj = sweep()
+        return {"object": obj, "fast": sweep()}
 
     def test_dumps_sweep_byte_identical(self, sweep_pair):
         from repro.dse.persist import dumps_sweep

@@ -447,12 +447,12 @@ class TestArbitrationThreading:
         plain = service._task_and_key(
             "conv", dict(core_names=("IO2",), subsets=((),),
                          scale=0.5, max_invocations=2,
-                         with_amdahl=False, engine="auto",
+                         with_amdahl=False,
                          arbitration=None))
         arbitrated = service._task_and_key(
             "conv", dict(core_names=("IO2",), subsets=((),),
                          scale=0.5, max_invocations=2,
-                         with_amdahl=False, engine="auto",
+                         with_amdahl=False,
                          arbitration=self.SPEC))
         assert plain[1] != arbitrated[1]
         assert "arbitration" not in plain[0]

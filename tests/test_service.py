@@ -320,6 +320,24 @@ class TestCacheBehavior:
             assert metrics["cache"]["hits"] == 1
             assert metrics["cache"]["hit_rate"] == 0.5
 
+    def test_legacy_engine_key_is_ignored(self, tmp_path):
+        # Bodies written for older servers may still name a timing
+        # engine; the key is ignored like any other unknown key.
+        stub = StubEvaluator()
+        config = ServiceConfig(port=0, workers=1, pool_mode="thread",
+                               cache_dir=tmp_path, use_cache=True)
+        with running_service(config, evaluator=stub) as (service, _):
+            url = f"http://127.0.0.1:{service.port}/v1/evaluate"
+            body = dict(EVAL_KW, benchmark="conv")
+            status, _, plain = post_raw(url, body)
+            legacy_status, _, legacy = post_raw(
+                url, dict(body, engine="object"))
+            assert status == legacy_status == 200
+            assert legacy["key"] == plain["key"]
+            assert legacy["record"] == plain["record"]
+            assert legacy["source"] == "cache"
+            assert stub.calls == ["conv"]
+
 
 class TestSweepJobs:
     def test_job_roundtrip(self):
