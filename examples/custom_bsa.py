@@ -65,8 +65,9 @@ class LoopEngineModel(BSAModel):
         return plans
 
     # -- step 2: transformation ------------------------------------------
-    def transform_interval(self, ctx, plan, interval, core_config,
+    def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc):
+        # The loop engine is scalar, so vector_len goes unused.
         loop = plan["loop"]
         ii = plan["ii"]
         trace = ctx.tdg.trace.instructions

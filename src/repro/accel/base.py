@@ -13,7 +13,24 @@ from repro.analysis.pathprof import profile_paths
 from repro.analysis.regions import loop_intervals
 from repro.analysis.slicing import slice_loop_body
 from repro.energy.mcpat import EnergyModel
-from repro.tdg.fastpath import make_engine
+from repro.obs import counter, span
+from repro.tdg.fastpath import lower_for_reuse, make_engine
+
+
+#: Deterministic work counters, labeled ``path=`` (``baseline`` or a
+#: BSA name): instructions through each per-region pipeline step.
+_WORK_COUNTERS = {
+    "repro_insts_transformed_total":
+        "trace instructions run through a BSA transform",
+    "repro_insts_lowered_total":
+        "instructions lowered to int64 arrays for the kernel",
+    "repro_insts_priced_total": "instructions reduced to energy events",
+}
+
+
+def count_work(name, amount, path):
+    """Add *amount* to work counter *name* for *path*."""
+    counter(name, _WORK_COUNTERS[name]).inc(amount, path=path)
 
 
 class SeqAllocator:
@@ -191,8 +208,9 @@ class BSAModel:
 
     Subclasses set :attr:`name`, implement :meth:`find_candidates`
     (returns {loop_key: plan}) and :meth:`transform_interval` (returns
-    the transformed instruction stream for one invocation), and may
-    override the resource/energy hooks.
+    the transformed instruction stream for one invocation, given the
+    core's ``vector_len``), and may override the resource/energy
+    hooks.
     """
 
     #: Short name; also the ``accel`` tag on transformed instructions.
@@ -216,10 +234,17 @@ class BSAModel:
         raise NotImplementedError
 
     # -- transformer -----------------------------------------------------
-    def transform_interval(self, ctx, plan, interval, core_config,
+    def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc):
         """Rewrite one invocation's trace slice; returns the new
-        stream (list of DynInst)."""
+        stream (list of DynInst).
+
+        *vector_len* is the host core's SIMD width, the only core
+        parameter a transform may depend on: the result is timed and
+        priced on every core that shares it.  *seq_alloc* (a
+        :class:`SeqAllocator`) is shared by all invocations of the
+        region evaluated together.
+        """
         raise NotImplementedError
 
     def accel_resources(self, core_config):
@@ -241,45 +266,97 @@ class BSAModel:
     # -- evaluation ------------------------------------------------------
     def evaluate_region(self, ctx, plan, core_config,
                         max_invocations=None):
-        """Evaluate all invocations of one static region.
+        """Evaluate all invocations of one static region on one core.
 
-        Returns a :class:`RegionEstimate`; invocation costs beyond
-        *max_invocations* are extrapolated from the evaluated mean.
+        Returns a :class:`RegionEstimate` (None for a region that never
+        ran); see :meth:`evaluate_region_on_cores`.
         """
-        loop = plan["loop"]
-        key = loop.key
+        estimates = self.evaluate_region_on_cores(
+            ctx, plan, (core_config,), max_invocations)
+        return None if estimates is None else estimates[0]
+
+    def evaluate_region_on_cores(self, ctx, plan, core_configs,
+                                 max_invocations=None):
+        """Evaluate all invocations of one static region on each core.
+
+        Returns one :class:`RegionEstimate` per entry of
+        *core_configs*, in order, or None for a region that never ran.
+        Invocation costs beyond *max_invocations* are extrapolated from
+        the evaluated mean.
+
+        The evaluated intervals are transformed, lowered and reduced to
+        energy events once per distinct transform input, then timed
+        and priced on every core.  The transform input is the core's
+        ``vector_len`` plus the plan's cross-invocation state
+        (DP-CGRA's ``config_cache`` LRU, which carries over from one
+        core to the next exactly as if each core re-transformed).
+        """
+        key = plan["loop"].key
         intervals = ctx.intervals.get(key, ())
         if not intervals:
             return None
         evaluated = intervals if max_invocations is None \
             else intervals[:max_invocations]
-        seq_alloc = SeqAllocator()
-        energy_model = ctx.energy_model(core_config)
         entry_overhead = self.region_entry_overhead(plan)
-        total_cycles = 0
-        total_energy = 0.0
-        total_accel_cycles = 0
-        for interval in evaluated:
-            stream = self.transform_interval(ctx, plan, interval,
-                                             core_config, seq_alloc)
-            result = make_engine(
-                core_config,
-                accel_resources=self.accel_resources(core_config),
-            ).run(stream)
-            cycles = result.cycles + entry_overhead
-            breakdown = energy_model.evaluate(
-                stream, cycles,
-                core_active=not self.power_gates_core,
-                active_accels=(self.name,),
-            )
-            total_cycles += cycles
-            total_energy += breakdown.total_pj
-            total_accel_cycles += cycles
-        if len(evaluated) < len(intervals):
-            scale = len(intervals) / len(evaluated)
-            total_cycles = int(total_cycles * scale)
-            total_energy *= scale
-            total_accel_cycles = int(total_accel_cycles * scale)
+        core_active = not self.power_gates_core
+        active_accels = (self.name,)
+        scale = len(intervals) / len(evaluated) \
+            if len(evaluated) < len(intervals) else None
         dyn = sum(end - start for start, end in intervals)
-        return RegionEstimate(key, self.name, total_cycles, total_energy,
-                              dyn, len(intervals))
+        config_cache = plan.get("config_cache")
+        transformed = {}   # transform input -> (costed, cache after)
+        estimates = []
+        for config in core_configs:
+            reuse_key = (config.vector_len, tuple(config_cache or ()))
+            if reuse_key in transformed:
+                costed, cache_after = transformed[reuse_key]
+                if config_cache is not None:
+                    config_cache[:] = cache_after
+            else:
+                costed = self._transform_region(ctx, plan, evaluated,
+                                                config.vector_len)
+                transformed[reuse_key] = (costed,
+                                          tuple(config_cache or ()))
+            energy_model = ctx.energy_model(config)
+            total_cycles = 0
+            total_energy = 0.0
+            for timed, events in costed:
+                result = make_engine(
+                    config,
+                    accel_resources=self.accel_resources(config),
+                ).run(timed)
+                cycles = result.cycles + entry_overhead
+                total_cycles += cycles
+                total_energy += energy_model.price(
+                    events, cycles, core_active=core_active,
+                    active_accels=active_accels).total_pj
+            if scale is not None:
+                total_cycles = int(total_cycles * scale)
+                total_energy *= scale
+            estimates.append(RegionEstimate(
+                key, self.name, total_cycles, total_energy, dyn,
+                len(intervals)))
+        return estimates
+
+    def _transform_region(self, ctx, plan, evaluated, vector_len):
+        """Transform, lower and reduce to energy events each evaluated
+        interval; returns ``[(timed stream, EnergyEvents), ...]``."""
+        seq_alloc = SeqAllocator()
+        with span("accel.transform", bsa=self.name):
+            streams = [
+                self.transform_interval(ctx, plan, interval, vector_len,
+                                        seq_alloc)
+                for interval in evaluated
+            ]
+        count_work("repro_insts_transformed_total",
+                   sum(end - start for start, end in evaluated), self.name)
+        with span("tdg.lower", path=self.name):
+            timed = [lower_for_reuse(stream) for stream in streams]
+        count_work("repro_insts_lowered_total",
+                   sum(len(stream) for stream, form in zip(streams, timed)
+                       if form is not stream), self.name)
+        with span("energy.price", path=self.name):
+            events = [EnergyModel.events(stream) for stream in streams]
+        count_work("repro_insts_priced_total",
+                   sum(len(stream) for stream in streams), self.name)
+        return list(zip(timed, events))

@@ -97,7 +97,7 @@ class DPCGRAModel(BSAModel):
         return max(0.8, estimate)
 
     # ------------------------------------------------------------------
-    def transform_interval(self, ctx, plan, interval, core_config,
+    def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc):
         loop = plan["loop"]
         dep = plan["dep"]
@@ -105,7 +105,7 @@ class DPCGRAModel(BSAModel):
         trace = ctx.tdg.trace.instructions
         spans = ctx.spans_of(loop, interval)
         vectorizable = dep.vectorizable
-        group_len = core_config.vector_len if vectorizable else 1
+        group_len = vector_len if vectorizable else 1
         # Cloning: replicate the compute region across lanes while it
         # fits the fabric.
         offloaded = max(1, slice_info.offloaded_count)

@@ -109,7 +109,7 @@ class NSDataflowModel(BSAModel):
                    * control_discount)
 
     # ------------------------------------------------------------------
-    def transform_interval(self, ctx, plan, interval, core_config,
+    def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc):
         loop = plan["loop"]
         schedule = plan["schedule"]

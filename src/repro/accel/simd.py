@@ -77,12 +77,11 @@ class SIMDModel(BSAModel):
                    * control_discount)
 
     # ------------------------------------------------------------------
-    def transform_interval(self, ctx, plan, interval, core_config,
+    def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc):
         loop = plan["loop"]
         dep = plan["dep"]
         trace = ctx.tdg.trace.instructions
-        vector_len = core_config.vector_len
         spans = ctx.spans_of(loop, interval)
         loop_uids = {inst.uid for inst in loop.instructions()}
         latch_uids = {

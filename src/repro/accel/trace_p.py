@@ -119,7 +119,7 @@ class TraceProcessorModel(BSAModel):
                    * replay_discount)
 
     # ------------------------------------------------------------------
-    def transform_interval(self, ctx, plan, interval, core_config,
+    def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc):
         loop = plan["loop"]
         schedule = plan["schedule"]

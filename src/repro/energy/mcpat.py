@@ -10,7 +10,12 @@ Absolute joules are not the point (the paper reports relative energy);
 the scaling *between* configurations is what matters.
 """
 
-from repro.isa.opcodes import Opcode, OpClass, is_vector
+import bisect
+import functools
+import math
+import operator
+
+from repro.isa.opcodes import Opcode, OpClass, is_vector, op_class
 from repro.energy.cacti import (
     L1D_SRAM, L1I_SRAM, L2_SRAM, DRAM_ACCESS_PJ,
 )
@@ -30,6 +35,10 @@ _FU_PJ = {
 
 #: Vector lanes share control overhead: per-lane discount.
 _VECTOR_LANE_FACTOR = 0.65
+
+#: Per opcode: (FU pJ per scalar op, is a vector opcode).
+_FU_OF = {opcode: (_FU_PJ[op_class(opcode)], is_vector(opcode))
+          for opcode in Opcode}
 
 #: Accelerator-side coefficients (pJ), from the publications the paper
 #: cites (DySER / SEED / BERET energy tables), rounded.
@@ -123,6 +132,7 @@ class EnergyModel:
         self.l2_pj = L2_SRAM.access_energy_pj
         self.dram_pj = DRAM_ACCESS_PJ
         self.core_leak_pj_per_cycle = self._core_leakage()
+        self._repeated_sums = {}
 
     def _core_leakage(self):
         config = self.config
@@ -145,9 +155,110 @@ class EnergyModel:
         power-gates the core pipeline (NS-DF, Trace-P).
         *active_accels* names BSAs powered on during these cycles.
         """
+        return self.price(self.events(stream), cycles, core_active,
+                          active_accels)
+
+    @staticmethod
+    def events(stream):
+        """Core-independent :class:`EnergyEvents` of *stream*.
+
+        One pass over the instructions; the result can be priced for
+        any number of core configurations with :meth:`price`.
+        """
+        components = {}
+        regfile = []
+        core_insts = branches = core_mem = 0
+        fu_of = _FU_OF
+        for inst in stream:
+            opcode = inst.opcode
+            accel = inst.accel
+            if accel is not None:
+                op_pj = _ACCEL_OP_PJ.get(accel, 4.0)
+                if opcode is Opcode.CFU:
+                    name = f"{accel}_cfu"
+                    picojoules = op_pj + _CFU_EXTRA_OP_PJ \
+                        * (max(inst.vector_width, 1) - 1)
+                elif opcode is Opcode.CFG:
+                    name, picojoules = "accel_config", _CONFIG_PJ
+                else:
+                    name, picojoules = f"{accel}_op", op_pj
+                components[name] = components.get(name, 0.0) + picojoules
+                name = f"{accel}_net"
+                components[name] = components.get(name, 0.0) \
+                    + _ACCEL_NETWORK_PJ.get(accel, 2.0)
+                if inst.mem_addr is not None:
+                    _memory_events(components, L1D_SRAM.access_energy_pj,
+                                   inst.mem_level)
+                    if accel == "trace_p" and opcode is Opcode.ST:
+                        components["store_buffer"] = components.get(
+                            "store_buffer", 0.0) + _STORE_BUFFER_PJ
+                continue
+            # ---- core pipeline events, in charging order ------------
+            static = inst.static
+            category = 2 * len(inst.src_deps) + (
+                static is not None and static.dest is not None)
+            regfile.append(category)
+            if not core_insts:
+                components.update(dict.fromkeys(_FRONTEND))
+                if category:
+                    components["regfile"] = None
+                components.update(dict.fromkeys(_BACKEND))
+            elif category and "regfile" not in components:
+                components["regfile"] = None
+            core_insts += 1
+            picojoules, vector = fu_of[opcode]
+            lanes = inst.vector_width
+            if lanes > 1 or vector:
+                name = "simd_fu"
+                picojoules = picojoules * max(lanes, 1) \
+                    * _VECTOR_LANE_FACTOR
+            else:
+                name = "fu"
+            if picojoules:
+                components[name] = components.get(name, 0.0) + picojoules
+            if opcode is Opcode.BR:
+                branches += 1
+                components.setdefault("bpred")
+            elif opcode is Opcode.SEND or opcode is Opcode.RECV:
+                components["accel_comm"] = components.get(
+                    "accel_comm", 0.0) + _SEND_RECV_PJ
+            elif opcode is Opcode.CFG:
+                components["accel_config"] = components.get(
+                    "accel_config", 0.0) + _CONFIG_PJ
+            if inst.mem_addr is not None:
+                core_mem += 1
+                components.setdefault("lsq")
+                lanes = max(inst.vector_width, 1)
+                _memory_events(
+                    components,
+                    L1D_SRAM.access_energy_pj * (1 + 0.3 * (lanes - 1)),
+                    inst.mem_level)
+        counts = dict.fromkeys(_FRONTEND + _BACKEND, core_insts)
+        counts["bpred"] = branches
+        counts["lsq"] = core_mem
+        return EnergyEvents(components, counts, regfile)
+
+    def price(self, events, cycles, core_active=True, active_accels=()):
+        """Price *events* on this core over *cycles* cycles.
+
+        Arguments as :meth:`evaluate`.  Core-independent components
+        are copied; a per-core component charged a fixed coefficient
+        per event is that coefficient added ``count`` times, and the
+        register file replays its per-instruction charges, so the
+        result equals pricing the stream one instruction at a time,
+        bit for bit.
+        """
         breakdown = EnergyBreakdown()
-        per_inst = self._price_instructions(stream, breakdown)
-        del per_inst  # priced in place
+        in_order = self.config.in_order
+        for name, picojoules in events.components.items():
+            if picojoules is None:
+                if name == "regfile":
+                    picojoules = self._regfile_pj(events.regfile)
+                elif in_order and name in _OUT_OF_ORDER:
+                    continue
+                else:
+                    picojoules = self._repeated(name)(events.counts[name])
+            breakdown.add(name, picojoules)
         # Leakage.
         core_leak = self.core_leak_pj_per_cycle
         if not core_active:
@@ -158,71 +269,122 @@ class EnergyModel:
                           ACCEL_LEAK_PJ.get(accel, 8.0) * cycles)
         return breakdown
 
-    def _price_instructions(self, stream, breakdown):
-        in_order = self.config.in_order
-        for inst in stream:
-            opcode = inst.opcode
-            if inst.accel is not None:
-                self._price_accel_inst(inst, breakdown)
-                continue
-            # ---- core pipeline events -----------------------------
-            breakdown.add("fetch", self.fetch_pj)
-            breakdown.add("decode", self.decode_pj)
-            if not in_order:
-                breakdown.add("rename", self.rename_pj)
-                breakdown.add("iq", self.iq_pj)
-                breakdown.add("rob", self.rob_pj)
-            breakdown.add("regfile",
-                          self.regread_pj * len(inst.src_deps)
-                          + (self.regwrite_pj
-                             if inst.static is not None
-                             and inst.static.dest is not None else 0.0))
-            breakdown.add("bypass", self.bypass_pj)
-            breakdown.add("commit", self.commit_pj)
-            op_cls = inst.op_class
-            fu_pj = _FU_PJ[op_cls]
-            lanes = inst.vector_width
-            if lanes > 1 or is_vector(opcode):
-                lanes = max(lanes, 1)
-                fu_pj = fu_pj * lanes * _VECTOR_LANE_FACTOR
-                breakdown.add("simd_fu", fu_pj)
-            else:
-                breakdown.add("fu", fu_pj)
-            if opcode is Opcode.BR:
-                breakdown.add("bpred", self.bpred_pj)
-            if opcode in (Opcode.SEND, Opcode.RECV):
-                breakdown.add("accel_comm", _SEND_RECV_PJ)
-            if opcode is Opcode.CFG:
-                breakdown.add("accel_config", _CONFIG_PJ)
-            if inst.mem_addr is not None:
-                breakdown.add("lsq", self.lsq_pj)
-                lanes = max(inst.vector_width, 1)
-                breakdown.add("l1d", self.l1d_pj * (1 + 0.3 * (lanes - 1)))
-                if inst.mem_level in ("l2", "dram"):
-                    breakdown.add("l2", self.l2_pj)
-                if inst.mem_level == "dram":
-                    breakdown.add("dram", self.dram_pj)
+    def _repeated(self, name):
+        """The :class:`RepeatedSum` of component *name*'s coefficient."""
+        repeated = self._repeated_sums.get(name)
+        if repeated is None:
+            repeated = self._repeated_sums[name] = RepeatedSum(
+                getattr(self, f"{name}_pj"))
+        return repeated
 
-    @staticmethod
-    def _price_accel_inst(inst, breakdown):
-        accel = inst.accel
-        opcode = inst.opcode
-        op_pj = _ACCEL_OP_PJ.get(accel, 4.0)
-        net_pj = _ACCEL_NETWORK_PJ.get(accel, 2.0)
-        if opcode is Opcode.CFU:
-            fused = max(inst.vector_width, 1)
-            breakdown.add(f"{accel}_cfu",
-                          op_pj + _CFU_EXTRA_OP_PJ * (fused - 1))
-        elif opcode is Opcode.CFG:
-            breakdown.add("accel_config", _CONFIG_PJ)
+    def _regfile_pj(self, categories):
+        """Register-file pJ of per-instruction ``2 * reads + writes``
+        categories, summed in stream order."""
+        values = [self.regread_pj * (category >> 1)
+                  + (self.regwrite_pj if category & 1 else 0.0)
+                  for category in range(max(categories) + 1)]
+        # reduce, not sum(): sum() compensates rounding on Python 3.12+.
+        return functools.reduce(operator.add,
+                                map(values.__getitem__, categories), 0.0)
+
+
+#: Per-core components charged once per core instruction, before and
+#: after the register file; each is priced with the model's
+#: ``<name>_pj`` coefficient, as are ``bpred`` and ``lsq``.
+_FRONTEND = ("fetch", "decode", "rename", "iq", "rob")
+_BACKEND = ("bypass", "commit")
+
+#: Components only an out-of-order core pays for.
+_OUT_OF_ORDER = frozenset(("rename", "iq", "rob"))
+
+
+def _memory_events(components, l1d_pj, level):
+    components["l1d"] = components.get("l1d", 0.0) + l1d_pj
+    if level == "l2" or level == "dram":
+        components["l2"] = components.get("l2", 0.0) \
+            + L2_SRAM.access_energy_pj
+    if level == "dram":
+        components["dram"] = components.get("dram", 0.0) + DRAM_ACCESS_PJ
+
+
+class EnergyEvents:
+    """Core-independent energy events of one instruction stream.
+
+    ``components`` maps each component, in first-charged order, to its
+    pJ when that does not depend on the core, or to None when
+    :meth:`EnergyModel.price` computes it per core: from ``counts``
+    (events of a fixed per-core coefficient) or, for ``regfile``, from
+    the per-instruction ``2 * source reads + destination write``
+    categories in ``regfile``.
+    """
+
+    __slots__ = ("components", "counts", "regfile")
+
+    def __init__(self, components, counts, regfile):
+        self.components = components
+        self.counts = counts
+        self.regfile = regfile
+
+
+class RepeatedSum:
+    """``0.0 + c + c + ... + c`` (n terms), rounded after every
+    addition, for any n in O(log n).
+
+    Inside one binade [2**(e-1), 2**e) all partial sums lie on one grid
+    of spacing ulp, and unless *c* rounds to that grid as an exact tie
+    every addition adds the same grid-rounded amount, so the sums run
+    linearly.  The trajectory is stored as segments ``(n, sum, step)``:
+    the sum after n additions and what each further addition adds
+    until the next segment.  Additions that cross a binade, or start a
+    tie binade on an odd grid point, are single-addition segments.
+    """
+
+    def __init__(self, coefficient):
+        if not coefficient > 0.0:
+            raise ValueError("coefficient must be positive")
+        self.coefficient = coefficient
+        self.starts = [0]
+        self.segments = [(0, 0.0, 0.0)]
+        self._end = (1, coefficient)   # first (n, sum) not yet covered
+
+    def __call__(self, n):
+        while self._end is not None and self._end[0] <= n:
+            self._grow()
+        start, total, step = self.segments[
+            bisect.bisect_right(self.starts, n) - 1]
+        return total + (n - start) * step
+
+    def _grow(self):
+        n, total = self._end
+        c = self.coefficient
+        _, exp = math.frexp(total)
+        ulp = math.ldexp(1.0, exp - 53)
+        remainder = math.fmod(c, ulp)
+        floor_units = int((c - remainder) / ulp)
+        here = int(total / ulp)
+        tie = remainder == ulp / 2
+        if tie:
+            # Ties round to even: from an even grid point the rounded
+            # amount is the even neighbour of floor_units, every time.
+            units = floor_units + (floor_units & 1) if here % 2 == 0 \
+                else 0
         else:
-            breakdown.add(f"{accel}_op", op_pj)
-        breakdown.add(f"{accel}_net", net_pj)
-        if inst.mem_addr is not None:
-            breakdown.add("l1d", L1D_SRAM.access_energy_pj)
-            if inst.mem_level in ("l2", "dram"):
-                breakdown.add("l2", L2_SRAM.access_energy_pj)
-            if inst.mem_level == "dram":
-                breakdown.add("dram", DRAM_ACCESS_PJ)
-            if accel == "trace_p" and inst.opcode is Opcode.ST:
-                breakdown.add("store_buffer", _STORE_BUFFER_PJ)
+            units = floor_units + (remainder > ulp / 2)
+        if not units and not tie and total >= c:
+            self._append(n, total, 0.0)     # c no longer moves the sum
+            self._end = None
+            return
+        # Additions whose exact sum stays below the binade's top,
+        # 2**53 ulps, all add units * ulp.
+        room = (1 << 53) - floor_units - 1 - here
+        runs = room // units + 1 if units and room >= 0 else 0
+        if runs <= 0:
+            self._append(n, total, 0.0)
+            self._end = (n + 1, total + c)
+        else:
+            self._append(n, total, units * ulp)
+            self._end = (n + runs, (here + runs * units) * ulp)
+
+    def _append(self, n, total, step):
+        self.starts.append(n)
+        self.segments.append((n, total, step))

@@ -2,16 +2,19 @@
 
 This is the expensive step the TDG makes tractable: the trace is
 simulated once, then every (core, BSA, region) combination is costed by
-transforming and re-timing only the affected trace slices.
+transforming and re-timing only the affected trace slices.  Each
+region is transformed, lowered and reduced to energy events once per
+BSA; only the timing-engine run and the pricing of those events repeat
+for every core.
 """
 
 from repro.accel import BSA_REGISTRY, AnalysisContext
+from repro.accel.base import count_work
 from repro.analysis.regions import attribute_baseline
 from repro.core_model import core_by_name
+from repro.energy.mcpat import EnergyModel
 from repro.obs import counter, span
-from repro.tdg.fastpath import (
-    LoweringError, kernel_available, lower_stream, make_engine,
-)
+from repro.tdg.fastpath import lower_for_reuse, make_engine
 
 
 class CoreBaseline:
@@ -67,8 +70,8 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
     """Evaluate one TDG across cores and BSAs.
 
     *max_invocations* caps how many dynamic invocations of each region
-    are transformed per (BSA, core); the rest extrapolate (the paper's
-    windowed approach bounds work the same way).
+    are transformed per BSA and timed per core; the rest extrapolate
+    (the paper's windowed approach bounds work the same way).
 
     *detailed* is either one flag for every BSA or a per-BSA mapping
     ``{bsa: bool}`` (a missing entry means fast) — the form the
@@ -81,41 +84,48 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         ctx = AnalysisContext(tdg)
         evaluation = BenchmarkEvaluation(name or tdg.program.name, ctx)
         trace = tdg.trace.instructions
-
-        # The baseline trace is evaluated under every core config, so
-        # the kernel gets it lowered once up front.
-        baseline_stream = trace
-        if kernel_available():
-            try:
-                baseline_stream = lower_stream(trace)
-            except LoweringError:
-                pass
+        configs = [core_by_name(core_name) for core_name in core_names]
 
         # ---- baselines --------------------------------------------------
-        for core_name in core_names:
+        # The trace and each loop's spans are lowered and reduced to
+        # energy events once, then timed and priced on every core.
+        with span("tdg.lower", path="baseline"):
+            baseline_stream = lower_for_reuse(trace)
+        count_work("repro_insts_lowered_total",
+                   len(trace) if baseline_stream is not trace else 0,
+                   "baseline")
+        with span("energy.price", path="baseline"):
+            trace_events = EnergyModel.events(trace)
+            loop_events = {
+                key: EnergyModel.events(_concat(trace, spans))
+                for key, spans in ctx.intervals.items() if spans
+            }
+        count_work("repro_insts_priced_total", len(trace) + sum(
+            end - start for spans in ctx.intervals.values()
+            for start, end in spans), "baseline")
+        for core_name, config in zip(core_names, configs):
             with span("exocore.baseline", core=core_name):
-                config = core_by_name(core_name)
                 eng = make_engine(config, collect_commit_times=True)
                 result = eng.run(baseline_stream)
                 commit_times = result.commit_times
                 per_loop_cycles = attribute_baseline(
                     commit_times, ctx.intervals, result.cycles)
                 energy_model = ctx.energy_model(config)
-                total_energy = energy_model.evaluate(trace, result.cycles)
+                total_energy = energy_model.price(trace_events,
+                                                  result.cycles)
                 per_loop_energy = {}
-                for key, spans in ctx.intervals.items():
-                    if not spans:
-                        per_loop_energy[key] = 0.0
-                        continue
-                    stream = _concat(trace, spans)
-                    breakdown = energy_model.evaluate(
-                        stream, per_loop_cycles.get(key, 0))
-                    per_loop_energy[key] = breakdown.total_pj
+                for key in ctx.intervals:
+                    events = loop_events.get(key)
+                    per_loop_energy[key] = 0.0 if events is None \
+                        else energy_model.price(
+                            events, per_loop_cycles.get(key, 0)).total_pj
                 evaluation.baselines[core_name] = CoreBaseline(
                     core_name, result.cycles, total_energy.total_pj,
                     per_loop_cycles, per_loop_energy)
 
         # ---- accelerated estimates --------------------------------------
+        # BSA -> region -> core: each region is transformed once and
+        # costed on every core (BSAModel.evaluate_region_on_cores).
         for bsa in bsa_names:
             model = BSA_REGISTRY[bsa](
                 detailed=detailed.get(bsa, False))
@@ -123,17 +133,19 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                 plans = model.find_candidates(ctx)
                 current.set(candidates=len(plans))
             evaluation.plans[bsa] = plans
+            per_core = {core_name: {} for core_name in core_names}
+            with span("accel.estimate_regions", bsa=bsa):
+                for key, plan in plans.items():
+                    estimates = model.evaluate_region_on_cores(
+                        ctx, plan, configs,
+                        max_invocations=max_invocations)
+                    if estimates is None:
+                        continue
+                    for core_name, estimate in zip(core_names,
+                                                   estimates):
+                        per_core[core_name][key] = estimate
             for core_name in core_names:
-                config = core_by_name(core_name)
-                estimates = {}
-                with span("accel.estimate_regions", bsa=bsa,
-                          core=core_name):
-                    for key, plan in plans.items():
-                        estimate = model.evaluate_region(
-                            ctx, plan, config,
-                            max_invocations=max_invocations)
-                        if estimate is not None:
-                            estimates[key] = estimate
+                estimates = per_core[core_name]
                 counter("repro_region_estimates_total",
                         "per-region accelerated estimates produced") \
                     .inc(len(estimates), bsa=bsa)

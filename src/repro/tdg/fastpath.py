@@ -259,6 +259,21 @@ def lower_stream(stream):
     return LoweredStream(stream)
 
 
+def lower_for_reuse(stream):
+    """*stream* in the form to time under several core configs.
+
+    Lowered once when the kernel will time it; unchanged without a
+    kernel, or when the stream is not int64-lowerable (each run then
+    takes the object engine, exactly as an unlowered stream would).
+    """
+    if not kernel_available():
+        return stream
+    try:
+        return lower_stream(stream)
+    except LoweringError:
+        return stream
+
+
 # ---------------------------------------------------------------------------
 # Compiled kernel.
 

@@ -67,8 +67,8 @@ class TestTransformStructure:
         from repro.accel.base import SeqAllocator
         plan = next(iter(plans.values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval, config,
-                                          SeqAllocator())
+        stream = model.transform_interval(ctx, plan, interval,
+                                          config.vector_len, SeqAllocator())
         return tdg, interval, stream
 
     def test_fewer_instructions(self, vec_setup):
@@ -135,8 +135,8 @@ class TestScalarExpansion:
         from repro.accel.base import SeqAllocator
         plan = next(iter(plans.values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval, OOO4,
-                                          SeqAllocator())
+        stream = model.transform_interval(ctx, plan, interval,
+                                          OOO4.vector_len, SeqAllocator())
         scalar_loads = [d for d in stream if d.opcode is Opcode.LD]
         vector_loads = [d for d in stream if d.opcode is Opcode.VLD]
         assert scalar_loads and not vector_loads
@@ -153,8 +153,8 @@ class TestReductions:
         from repro.accel.base import SeqAllocator
         plan = next(iter(plans.values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval, OOO2,
-                                          SeqAllocator())
+        stream = model.transform_interval(ctx, plan, interval,
+                                          OOO2.vector_len, SeqAllocator())
         assert any(d.opcode is Opcode.VFADD for d in stream)
 
     def test_reduction_speedup_breaks_serial_chain(self, reduction_tdg):
