@@ -10,6 +10,12 @@ that ``GET /v1/dash`` serves the self-contained HTML dashboard.
 Exits nonzero with a message on any violation.  The server lifecycle
 (start, SIGTERM, exit-code check) belongs to the caller.
 
+With ``--expect-timeout NAME`` (the caller started the server with
+``--task-timeout`` under a ``REPRO_FAULT_SPEC`` that hangs that
+benchmark's worker) the script asserts NAME answers 504, that the
+next request computes on the respawned pool, and that
+``/v1/healthz`` counts the restart.
+
 With ``--expect-crash NAME`` (the caller started the server under a
 ``REPRO_FAULT_SPEC`` that crashes that benchmark's worker) the script
 additionally drives the crash path *last* — repeated crashes degrade
@@ -42,6 +48,11 @@ def main(argv=None):
                         help="benchmark whose worker the server's "
                              "fault spec crashes; evaluated last, "
                              "must fail and leave a blackbox dump")
+    parser.add_argument("--expect-timeout", default=None,
+                        help="benchmark whose worker the server's "
+                             "fault spec hangs past --task-timeout; "
+                             "must answer 504, then the pool must "
+                             "serve the next request")
     parser.add_argument("--blackbox-dir", default=None,
                         help="server-side flight-recorder dump "
                              "directory (with --expect-crash)")
@@ -129,6 +140,34 @@ def main(argv=None):
             return fail(f"dashboard HTML is missing {marker!r}")
     print(f"[smoke] dashboard ok ({len(dash_html)} bytes, "
           "self-contained)")
+
+    if args.expect_timeout:
+        from repro.service import ServiceError
+        try:
+            result = client.evaluate(args.expect_timeout, **kw)
+        except ServiceError as exc:
+            if exc.status != 504:
+                return fail(f"hung {args.expect_timeout} answered "
+                            f"HTTP {exc.status}, expected 504")
+            print(f"[smoke] hung benchmark timed out as expected: "
+                  f"{exc}")
+        else:
+            return fail(f"evaluation of {args.expect_timeout} should "
+                        f"have timed out, got source="
+                        f"{result['source']!r}")
+        # A knob no earlier request used: a fresh key, so this one
+        # must run on the respawned pool.
+        after = client.evaluate(args.benchmark, scale=args.scale,
+                                max_invocations=1, with_amdahl=False)
+        if after["source"] != "computed":
+            return fail(f"request after the timeout was not computed "
+                        f"(source={after['source']!r})")
+        restarts = client.healthz()["pool"]["restarts"]
+        if restarts < 1:
+            return fail(f"healthz pool.restarts={restarts} after a "
+                        f"killed timeout")
+        print(f"[smoke] pool respawned after the timeout "
+              f"(restarts={restarts}); next request computed")
 
     if args.expect_crash:
         # Last on purpose: every try crashes the worker, and enough

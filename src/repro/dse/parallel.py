@@ -2,7 +2,7 @@
 
 Benchmarks are embarrassingly parallel — each one builds its own TDG
 and never shares state with the others — so the sweep shards them
-across a :class:`~concurrent.futures.ProcessPoolExecutor`.  Workers
+across worker processes.  Workers
 return plain JSON-able record payloads (the same form the on-disk
 cache stores), which the parent merges deterministically regardless of
 completion order.
@@ -14,12 +14,12 @@ JSON snapshots back alongside the record, so the parent can merge
 worker metrics (commutative sums — shard order cannot perturb them)
 and splice worker spans onto its own trace timeline.
 
-Fault tolerance is delegated to :mod:`repro.resilience`: the pool is
+Fault tolerance is delegated to :mod:`repro.resilience`: tasks are
 driven by a :class:`~repro.resilience.runner.ResilientRunner` (bounded
 retries, per-task wall-clock timeouts, ``BrokenProcessPool`` respawn,
-inline degradation), and the worker entry point consults the
-deterministic fault-injection harness so chaos tests can crash, hang
-or flake a specific task attempt.
+inline degradation) over its pool supervisor, and the worker entry
+point consults the deterministic fault-injection harness so chaos
+tests can crash, hang or flake a specific task attempt.
 """
 
 import time
@@ -181,7 +181,7 @@ def run_tasks(tasks, workers=1, on_result=None, obs=False,
     is NOT significant — callers must merge deterministically (the
     sweep sorts by name).
     """
-    from repro.resilience.runner import ResilientRunner, run_inline
+    from repro.resilience.runner import ResilientRunner
 
     tasks = list(tasks)
     results = {}
@@ -195,11 +195,8 @@ def run_tasks(tasks, workers=1, on_result=None, obs=False,
     if profile:
         spec = profile if isinstance(profile, dict) else {}
         tasks = [dict(task, profile=spec) for task in tasks]
-    if workers <= 1 or len(tasks) <= 1:
-        run_inline(evaluate_task, tasks, on_result=deliver,
-                   on_failure=on_failure, policy=policy)
-        return results
-    if obs:
+    workers = min(workers, len(tasks))
+    if obs and workers > 1:
         from repro.obs import current_span_id, current_trace_id, \
             new_trace_id
 
@@ -209,8 +206,7 @@ def run_tasks(tasks, workers=1, on_result=None, obs=False,
                  "parent": current_span_id()}
         tasks = [dict(task, obs=True, trace=trace) for task in tasks]
     runner = ResilientRunner(
-        evaluate_task, workers=min(workers, len(tasks)),
-        policy=policy, timeout=timeout,
+        evaluate_task, workers=workers, policy=policy, timeout=timeout,
         max_pool_restarts=max_pool_restarts)
     runner.run(tasks, on_result=deliver, on_failure=on_failure)
     return results

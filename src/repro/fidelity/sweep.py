@@ -24,7 +24,6 @@ the canonical bytes.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 from repro.fidelity.stats import ErrorStats, _round
 from repro.obs import counter, histogram, span
@@ -199,11 +198,13 @@ def run_fidelity_sweep(benchmarks=DEFAULT_BENCHES, cores=DEFAULT_CORES,
                        workers=1, progress=None):
     """Run the sweep; returns the full canonical FIDELITY payload.
 
-    ``workers > 1`` shards benchmarks across a process pool; the
-    merge is in sorted-name order, so the payload is byte-identical
-    for any worker count.
+    ``workers > 1`` shards benchmarks across worker processes through
+    :class:`~repro.resilience.runner.ResilientRunner`; the merge is in
+    sorted-name order, so the payload is byte-identical for any worker
+    count.
     """
     from repro.fidelity.artifact import make_payload
+    from repro.resilience.runner import ResilientRunner
     from repro.workloads import WORKLOADS
 
     benchmarks = list(dict.fromkeys(benchmarks))
@@ -218,22 +219,17 @@ def run_fidelity_sweep(benchmarks=DEFAULT_BENCHES, cores=DEFAULT_CORES,
              for name in benchmarks]
 
     shards = {}
+
+    def collect(shard):
+        shards[shard["benchmark"]] = shard
+        if progress is not None:
+            progress(shard["benchmark"])
+
     with span("fidelity.sweep", benchmarks=len(tasks),
               workers=workers):
-        if workers <= 1 or len(tasks) <= 1:
-            for task in tasks:
-                shards[task["name"]] = fidelity_shard(task)
-                if progress is not None:
-                    progress(task["name"])
-        else:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(tasks))) as pool:
-                futures = {pool.submit(fidelity_shard, task):
-                           task["name"] for task in tasks}
-                for future, name in futures.items():
-                    shards[name] = future.result()
-                    if progress is not None:
-                        progress(name)
+        ResilientRunner(fidelity_shard,
+                        workers=min(workers, len(tasks))) \
+            .run(tasks, on_result=collect)
         summary, bounds = summarize_shards(shards)
 
     config = {

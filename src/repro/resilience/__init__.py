@@ -7,9 +7,17 @@ evaluation service (:mod:`repro.service.workers`):
 - :mod:`repro.resilience.policy` — :class:`RetryPolicy` (bounded
   attempts, exponential backoff, deterministic jitter, retryable vs
   fatal classification) and the :class:`TaskFailure` record.
-- :mod:`repro.resilience.runner` — :class:`ResilientRunner`, a
-  process-pool driver with per-task timeouts, ``BrokenProcessPool``
-  respawn/re-dispatch and inline degradation.
+- :mod:`repro.resilience.pool` — :class:`PoolSupervisor`, the one
+  owner of evaluation worker pools: lazy spawn, dispatch capped at the
+  worker count (timeouts run from dispatch), hung-pool kill,
+  generation-guarded respawn, degradation to one worker, and the
+  pool/timeout/retry counters and flight events.
+- :mod:`repro.resilience.runner` — :class:`ResilientRunner`, the batch
+  adapter over a supervisor (sweep and fidelity sweep): retries,
+  innocent re-dispatch, the ``TaskFailure`` contract, and one inline
+  path for ``workers <= 1`` and a degraded pool.  The service's
+  :class:`~repro.service.workers.EvaluationPool` is the async adapter
+  over the same supervisor.
 - :mod:`repro.resilience.checkpoint` — atomic sweep progress
   manifests behind ``repro sweep --resume``.
 - :mod:`repro.resilience.faultinject` — the deterministic
@@ -22,7 +30,8 @@ See ``docs/resilience.md`` for the failure model and guarantees.
 from repro.resilience.policy import (
     EvaluationTimeout, RetryPolicy, TaskFailure, TransientError,
 )
-from repro.resilience.runner import ResilientRunner, run_inline
+from repro.resilience.pool import PoolSupervisor
+from repro.resilience.runner import ResilientRunner
 from repro.resilience.checkpoint import SweepCheckpoint, sweep_signature
 from repro.resilience.faultinject import (
     FaultSpecError, parse_fault_spec,
@@ -33,8 +42,8 @@ __all__ = [
     "RetryPolicy",
     "TaskFailure",
     "TransientError",
+    "PoolSupervisor",
     "ResilientRunner",
-    "run_inline",
     "SweepCheckpoint",
     "sweep_signature",
     "FaultSpecError",

@@ -1,44 +1,41 @@
-"""Fault-tolerant process-pool runner for embarrassingly parallel tasks.
+"""Fault-tolerant runner for embarrassingly parallel tasks.
 
-Wraps a :class:`~concurrent.futures.ProcessPoolExecutor` with the
-failure handling the bare pool lacks:
+Drives tasks over a :class:`~repro.resilience.pool.PoolSupervisor`
+(which owns the worker processes) with the failure handling a bare
+pool lacks:
 
-- **Per-task wall-clock timeouts.**  A hung worker cannot be cancelled
-  cooperatively, so on expiry the pool's processes are terminated, the
-  expired task is recorded (or retried, per policy) and every innocent
-  in-flight task is re-dispatched on a fresh pool at no attempt cost.
+- **Per-task wall-clock timeouts.**  On expiry the supervisor kills
+  the pool, the expired task is recorded (or retried, per policy) and
+  every innocent in-flight task is re-dispatched on a fresh pool at no
+  attempt cost.
 - **Pool-death recovery.**  ``BrokenProcessPool`` (worker OOM-killed,
   segfaulted, ``os._exit``) respawns the pool and re-dispatches the
   in-flight tasks, charging each one attempt — the culprit must not
   crash-loop forever, and the policy's attempt budget bounds it.
-- **Graceful degradation.**  After ``max_pool_restarts`` genuine pool
-  deaths the runner stops trusting process isolation and runs the
-  remaining tasks inline in the parent (workers=1 semantics).  Inline
-  execution skips ``crash``/``hang`` fault injection and cannot
-  enforce timeouts, but it always terminates.
+- **One inline path.**  With one worker — asked for, or left after the
+  supervisor degrades the pool following ``max_pool_restarts`` deaths
+  — tasks run one at a time in the parent.  Inline execution skips
+  ``crash``/``hang`` fault injection and cannot enforce timeouts, but
+  it always terminates.
 - **Bounded retries** with deterministic backoff via
   :class:`~repro.resilience.policy.RetryPolicy`.
 
-Submission is capped at the worker count so a submitted task is a
-*running* task — its wall clock starts at submission, not behind an
-executor queue.
-
-Every event is counted in the :mod:`repro.obs` registry
-(``repro_retries_total``, ``repro_task_timeouts_total``,
-``repro_pool_restarts_total``, ``repro_pool_inline_fallback_total``,
-``repro_task_failures_total``) so chaos tests and operators see
-exactly what the layer absorbed.
+Every event is counted in the :mod:`repro.obs` registry (see
+:mod:`repro.resilience.pool`) so chaos tests and operators see exactly
+what the layer absorbed.
 """
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.obs import counter, dump_blackbox, flight_event, span
 from repro.resilience.policy import (
     EvaluationTimeout, RetryPolicy, TaskFailure,
+)
+from repro.resilience.pool import (
+    PoolSupervisor, record_failure, record_retry,
 )
 
 #: Floor for the event-loop wait slice — avoids busy-spinning while
@@ -73,55 +70,24 @@ class ResilientRunner:
     shallow copy of the task dict extended with ``attempt`` (0-based
     try number) and ``pooled`` (True in pool workers, absent inline) —
     the hooks fault injection keys on.  Results are delivered through
-    ``on_result(raw_return_value)`` in completion order; terminal
-    failures through ``on_failure(TaskFailure)``.  When *on_failure*
-    is ``None`` the first terminal failure re-raises instead (the
-    fail-fast behavior of a bare pool).
+    ``on_result(raw_return_value)`` — in completion order from a pool,
+    in submission order inline (``workers <= 1``), where a retried
+    task reruns before the next one starts; terminal failures through
+    ``on_failure(TaskFailure)``.  When *on_failure* is ``None`` the
+    first terminal failure re-raises instead (the fail-fast behavior
+    of a bare pool).
     """
 
     def __init__(self, worker_fn, workers=2, policy=None, timeout=None,
                  max_pool_restarts=2, key_fn=_default_key,
                  clock=time.monotonic, sleep=time.sleep):
         self.worker_fn = worker_fn
-        self.workers = max(1, int(workers))
         self.policy = policy if policy is not None else RetryPolicy()
-        self.timeout = timeout
-        self.max_pool_restarts = max(0, int(max_pool_restarts))
         self.key_fn = key_fn
         self.clock = clock
         self.sleep = sleep
-        self.pool_deaths = 0
-        self.inline = False
-        self._pool = None
-
-    # -- pool lifecycle ------------------------------------------------
-
-    def _ensure_pool(self):
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        return self._pool
-
-    def _discard_pool(self, kill=False):
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if kill:
-            # A hung worker never returns; terminating the processes
-            # is the only cancellation a ProcessPoolExecutor has.
-            # (_processes is private but stable across 3.10-3.13, and
-            # the stdlib offers no public kill switch.)
-            procs = getattr(pool, "_processes", None) or {}
-            for proc in list(procs.values()):
-                try:
-                    proc.terminate()
-                except (OSError, AttributeError):
-                    pass
-        try:
-            pool.shutdown(wait=True, cancel_futures=True)
-        except Exception:
-            pass
-
-    # -- the drive loop ------------------------------------------------
+        self.pool = PoolSupervisor(workers, timeout=timeout,
+                                   max_pool_restarts=max_pool_restarts)
 
     def run(self, tasks, on_result=None, on_failure=None):
         """Run every task to completion or terminal failure.
@@ -136,33 +102,21 @@ class ResilientRunner:
         failures = []
 
         def fail(state, exc, kind):
+            record_failure(state.key, kind, state.attempts,
+                           type(exc).__name__)
+            if on_failure is None:
+                raise exc
             failure = TaskFailure.from_exception(
                 state.key, exc, state.attempts, seconds=state.seconds,
                 kind=kind)
-            counter("repro_task_failures_total",
-                    "tasks that failed after all retries") \
-                .inc(kind=kind)
-            flight_event("task.failed", task=state.key, kind=kind,
-                         attempts=state.attempts,
-                         error=type(exc).__name__)
-            # A terminal failure is exactly what the flight recorder
-            # exists for: leave the postmortem before moving on.
-            dump_blackbox(f"task-failed:{state.key}")
-            if on_failure is None:
-                self._discard_pool()
-                raise exc
             failures.append(failure)
             on_failure(failure)
 
         def handle_error(state, exc, kind="error"):
             state.attempts += 1
             if self.policy.should_retry(exc, state.attempts, kind=kind):
-                counter("repro_retries_total",
-                        "task retries scheduled by the "
-                        "fault-tolerance layer").inc(kind=kind)
-                flight_event("task.retry", task=state.key, kind=kind,
-                             attempt=state.attempts,
-                             error=type(exc).__name__)
+                record_retry(state.key, kind, state.attempts,
+                             type(exc).__name__)
                 state.eligible_at = self.clock() + self.policy.delay(
                     state.key, state.attempts)
                 waiting.append(state)
@@ -187,26 +141,24 @@ class ResilientRunner:
 
         try:
             while pending or waiting or running:
+                if self.pool.workers <= 1:
+                    self._step_inline(pending, waiting, handle_error,
+                                      on_result)
+                    continue
+
                 now = self.clock()
                 for state in [s for s in waiting
                               if s.eligible_at <= now]:
                     waiting.remove(state)
                     pending.append(state)
 
-                if self.inline:
-                    self._step_inline(pending, waiting, handle_error,
-                                      on_result)
-                    continue
-
-                while pending and len(running) < self.workers:
+                while pending and self.pool.has_slot():
                     state = pending.popleft()
-                    pool = self._ensure_pool()
+                    state.started_at = self.clock()
                     task = dict(state.task, attempt=state.attempts,
                                 pooled=True)
-                    state.started_at = self.clock()
-                    flight_event("task.dispatch", task=state.key,
-                                 attempt=state.attempts)
-                    future = pool.submit(self.worker_fn, task)
+                    future = self.pool.submit(self.worker_fn, task,
+                                              state.key, state.attempts)
                     running[future] = state
 
                 if not running:
@@ -227,19 +179,19 @@ class ResilientRunner:
                 if broken:
                     self._on_pool_death(running, pending, reap)
                     continue
-                if self.timeout is not None:
+                if self.pool.timeout is not None:
                     self._expire_timeouts(running, pending,
                                           handle_error)
         finally:
-            self._discard_pool()
+            self.pool.shutdown()
         return failures
 
     def _wait_slice(self, running, waiting):
         candidates = []
         now = self.clock()
-        if self.timeout is not None and running:
+        if self.pool.timeout is not None and running:
             soonest = min(s.started_at for s in running.values()) \
-                + self.timeout
+                + self.pool.timeout
             candidates.append(soonest - now + 0.01)
         if waiting:
             candidates.append(min(s.eligible_at for s in waiting)
@@ -249,18 +201,14 @@ class ResilientRunner:
         return max(_MIN_WAIT, min(candidates))
 
     def _on_pool_death(self, running, pending, reap):
-        """One worker died and broke the pool: respawn or go inline.
+        """One worker died and broke the pool: the supervisor respawns
+        (or degrades) it.
 
         In-flight siblings that finished before the breakage still
         deliver their results; the rest are charged one attempt
         (the culprit is unknowable) and re-dispatched.
         """
-        self.pool_deaths += 1
-        counter("repro_pool_restarts_total",
-                "worker pools discarded and respawned") \
-            .inc(reason="death")
-        flight_event("pool.death", deaths=self.pool_deaths,
-                     in_flight=[s.key for s in running.values()])
+        self.pool.died(self.pool.generation)
         for future, state in list(running.items()):
             del running[future]
             if future.done():
@@ -268,40 +216,20 @@ class ResilientRunner:
             else:
                 future.cancel()
                 state.attempts += 1
-                counter("repro_retries_total",
-                        "task retries scheduled by the "
-                        "fault-tolerance layer").inc(kind="pool")
+                record_retry(state.key, "pool", state.attempts,
+                             "BrokenProcessPool")
                 pending.append(state)
-        self._discard_pool()
-        if self.pool_deaths > self.max_pool_restarts \
-                and not self.inline:
-            self.inline = True
-            counter("repro_pool_inline_fallback_total",
-                    "pools abandoned for inline execution").inc()
-            flight_event("pool.inline_fallback",
-                         deaths=self.pool_deaths)
-            dump_blackbox("pool-degraded")
 
     def _expire_timeouts(self, running, pending, handle_error):
+        """Tasks past their budget: the supervisor kills the pool, and
+        innocent in-flight tasks are re-dispatched free of charge."""
         now = self.clock()
         expired = [state for state in running.values()
-                   if now - state.started_at > self.timeout]
+                   if now - state.started_at > self.pool.timeout]
         if not expired:
             return
-        # The hung workers can only be cancelled by killing the pool;
-        # innocent in-flight tasks are re-dispatched free of charge.
-        counter("repro_task_timeouts_total",
-                "tasks cancelled at their wall-clock budget") \
-            .inc(len(expired))
-        counter("repro_pool_restarts_total",
-                "worker pools discarded and respawned") \
-            .inc(reason="timeout")
-        for state in expired:
-            flight_event("task.timeout", task=state.key,
-                         attempt=state.attempts,
-                         budget_seconds=self.timeout)
-        dump_blackbox("task-timeout")
-        self._discard_pool(kill=True)
+        self.pool.kill([state.key for state in expired],
+                       self.pool.generation)
         for future, state in list(running.items()):
             del running[future]
             future.cancel()
@@ -310,76 +238,34 @@ class ResilientRunner:
                 handle_error(
                     state,
                     EvaluationTimeout(
-                        f"{state.key} exceeded {self.timeout}s "
+                        f"{state.key} exceeded {self.pool.timeout}s "
                         "wall clock (worker killed)"),
                     kind="timeout")
             else:
                 pending.append(state)
 
     def _step_inline(self, pending, waiting, handle_error, on_result):
-        """Degraded mode: one task at a time in the parent process."""
-        if not pending:
+        """Run one task in the parent process.
+
+        A task in backoff goes first, so a retry reruns before the next
+        task starts and results keep submission order.
+        """
+        if waiting:
             state = min(waiting, key=lambda s: s.eligible_at)
+            waiting.remove(state)
             self.sleep(max(0.0, state.eligible_at - self.clock()))
-            return
-        state = pending.popleft()
+        else:
+            state = pending.popleft()
         state.started_at = self.clock()
-        with span("resilience.inline_task", key=state.key,
-                  attempt=state.attempts):
-            try:
-                # No "pooled" flag: crash/hang injection must not take
-                # the parent down, and timeouts are unenforceable here.
-                result = self.worker_fn(
-                    dict(state.task, attempt=state.attempts))
-            except Exception as exc:
-                state.seconds += self.clock() - state.started_at
-                handle_error(state, exc)
-            else:
-                if on_result is not None:
-                    on_result(result)
+        try:
+            # No "pooled" flag: crash/hang injection must not take the
+            # parent down, and timeouts are unenforceable here.
+            result = self.worker_fn(dict(state.task,
+                                         attempt=state.attempts))
+        except Exception as exc:
+            state.seconds += self.clock() - state.started_at
+            handle_error(state, exc)
+        else:
+            if on_result is not None:
+                on_result(result)
 
-
-def run_inline(worker_fn, tasks, on_result=None, on_failure=None,
-               policy=None, key_fn=_default_key, clock=time.monotonic,
-               sleep=time.sleep):
-    """Serial execution with the same retry/failure contract.
-
-    The ``workers <= 1`` path of :func:`repro.dse.parallel.run_tasks`:
-    no subprocesses, no timeouts, but transient errors still retry and
-    terminal failures are still contained (or re-raised when
-    *on_failure* is ``None``).  Returns the failure list.
-    """
-    policy = policy if policy is not None else RetryPolicy()
-    failures = []
-    for task in tasks:
-        key = key_fn(task)
-        attempts = 0
-        seconds = 0.0
-        while True:
-            started = clock()
-            try:
-                result = worker_fn(dict(task, attempt=attempts))
-            except Exception as exc:
-                seconds += clock() - started
-                attempts += 1
-                if policy.should_retry(exc, attempts):
-                    counter("repro_retries_total",
-                            "task retries scheduled by the "
-                            "fault-tolerance layer").inc(kind="error")
-                    sleep(policy.delay(key, attempts))
-                    continue
-                counter("repro_task_failures_total",
-                        "tasks that failed after all retries") \
-                    .inc(kind="error")
-                if on_failure is None:
-                    raise
-                failure = TaskFailure.from_exception(
-                    key, exc, attempts, seconds=seconds)
-                failures.append(failure)
-                on_failure(failure)
-                break
-            else:
-                if on_result is not None:
-                    on_result(result)
-                break
-    return failures

@@ -1,30 +1,31 @@
-"""Warm worker pool: persistent executors for engine evaluations.
+"""Warm worker pool: persistent workers for engine evaluations.
 
 The one-shot CLI pays interpreter startup + package import + workload
-construction per evaluation; the service keeps a persistent
-:class:`~concurrent.futures.ProcessPoolExecutor` of warm workers
+construction per evaluation; the service keeps warm worker processes
 instead, reusing the exact task codec and worker entry point of the
 sweep's pool (:mod:`repro.dse.parallel`) so service results are the
 same payloads the sweep computes and the cache stores.
 
-The pool is self-healing: a worker crash (``BrokenProcessPool``)
-respawns the executor and retries the evaluation, an evaluation that
-exceeds ``task_timeout`` has its workers killed and surfaces as
-:class:`~repro.resilience.policy.EvaluationTimeout` (HTTP 504 at the
-route layer), and after ``max_pool_restarts`` respawns the pool
-degrades to a single sacrificial worker (the service equivalent of the
-sweep's inline fallback — the event loop must never run engine code
-itself).  Restart and degradation events are counted in the
-:mod:`repro.obs` registry and surfaced through ``/v1/healthz``.
+The workers belong to a :class:`~repro.resilience.pool.PoolSupervisor`
+— the same one the sweep runner drives — so the pool heals the same
+way: a worker crash (``BrokenProcessPool``) respawns the pool and the
+evaluation retries, an evaluation that exceeds ``task_timeout`` (timed
+from dispatch to a free worker) has its workers killed and surfaces
+as :class:`~repro.resilience.policy.EvaluationTimeout` (HTTP 504 at
+the route layer), and after ``max_pool_restarts`` deaths the pool
+degrades to a single sacrificial worker (the event loop must never
+run engine code itself).  Restarts and degradation are surfaced
+through ``/v1/healthz``.
 """
 
 import asyncio
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.dse.parallel import evaluate_payload
-from repro.obs import counter, dump_blackbox, flight_event
 from repro.resilience.policy import EvaluationTimeout
+from repro.resilience.pool import (
+    PoolSupervisor, record_failure, record_retry,
+)
 
 
 def _warm_worker(_index):
@@ -35,8 +36,9 @@ def _warm_worker(_index):
     return engine_version_hash()
 
 
-class EvaluationPool:
-    """Async facade over a persistent executor of evaluation workers.
+class EvaluationPool(PoolSupervisor):
+    """Async adapter: a :class:`PoolSupervisor` of evaluation workers
+    awaited from the service's event loop.
 
     *mode* is ``"process"`` (production: true parallelism, isolation
     from engine crashes) or ``"thread"`` (tests / debugging: same
@@ -44,141 +46,66 @@ class EvaluationPool:
     ``task -> (payload, seconds)`` and defaults to the sweep's worker
     entry point; a process pool requires it to be picklable.
 
-    *task_timeout* bounds one evaluation's wall clock (process mode
-    kills the hung worker; thread mode can only abandon it).
-    *max_pool_restarts* bounds respawns before degrading to a
-    single-worker pool (``degraded`` flag).
+    *task_timeout* bounds one evaluation's wall clock from dispatch
+    (process mode kills the hung worker; thread mode can only abandon
+    it).  *max_pool_restarts* bounds crash retries and the deaths
+    before degrading to a single-worker pool (``degraded`` flag).
     """
 
     def __init__(self, workers=1, mode="process", evaluator=None,
                  task_timeout=None, max_pool_restarts=2):
-        if mode not in ("process", "thread"):
-            raise ValueError(f"unknown pool mode {mode!r}")
-        self.workers = max(1, int(workers))
-        self.mode = mode
-        self.task_timeout = task_timeout
-        self.max_pool_restarts = max(0, int(max_pool_restarts))
-        self.restarts = 0
-        self.degraded = False
+        super().__init__(workers, mode=mode, timeout=task_timeout,
+                         max_pool_restarts=max_pool_restarts)
         self._evaluator = evaluator if evaluator is not None \
             else evaluate_payload
-        self._executor = None
-        self._generation = 0
-        self._respawn_lock = None
-
-    def _make_executor(self):
-        if self.mode == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers,
-                                  thread_name_prefix="repro-eval")
+        self._turn = None           # evaluations waiting for a worker
 
     async def start(self, warm=True):
-        if self._respawn_lock is None:
-            self._respawn_lock = asyncio.Lock()
-        if self._executor is not None:
-            return
-        self._executor = self._make_executor()
         if warm and self.mode == "process":
-            loop = asyncio.get_running_loop()
+            pool = self._pool()
             await asyncio.gather(*(
-                loop.run_in_executor(self._executor, _warm_worker, i)
-                for i in range(self.workers)))
-
-    async def _respawn(self, generation, kill=False, reason="death"):
-        """Replace a dead/hung executor (exactly once per generation).
-
-        Concurrent evaluations that all observed the same breakage
-        race here; the generation check makes the respawn idempotent
-        so the pool is only rebuilt — and only counted — once.
-        """
-        async with self._respawn_lock:
-            if self._generation != generation:
-                return
-            self._generation += 1
-            executor, self._executor = self._executor, None
-            if executor is not None:
-                if kill:
-                    # A hung worker never returns; terminating the
-                    # processes is the only cancellation a
-                    # ProcessPoolExecutor has (see the sweep runner).
-                    procs = getattr(executor, "_processes", None) or {}
-                    for proc in list(procs.values()):
-                        try:
-                            proc.terminate()
-                        except (OSError, AttributeError):
-                            pass
-                try:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                except Exception:
-                    pass
-            self.restarts += 1
-            counter("repro_pool_restarts_total",
-                    "worker pools discarded and respawned") \
-                .inc(reason=reason)
-            flight_event("pool.respawn", reason=reason,
-                         restarts=self.restarts)
-            if self.restarts > self.max_pool_restarts \
-                    and not self.degraded:
-                self.degraded = True
-                self.workers = 1
-                counter("repro_pool_inline_fallback_total",
-                        "pools abandoned for inline execution").inc()
-                flight_event("pool.degraded", restarts=self.restarts)
-                dump_blackbox("pool-degraded")
-            self._executor = self._make_executor()
+                asyncio.wrap_future(pool.submit(_warm_worker, index))
+                for index in range(self.workers)))
 
     async def evaluate(self, task):
         """Run one evaluation on a warm worker; ``(payload, seconds)``.
 
-        Retries across pool respawns after a worker crash (bounded by
-        ``max_pool_restarts + 1`` tries); raises
-        :class:`EvaluationTimeout` when ``task_timeout`` expires.
+        Waits for a free worker, then retries across pool respawns
+        after a worker crash (bounded by ``max_pool_restarts + 1``
+        tries); raises :class:`EvaluationTimeout` when ``task_timeout``
+        expires.
         """
-        if self._executor is None:
-            await self.start(warm=False)
-        loop = asyncio.get_running_loop()
-        name = task.get("name", "?") if isinstance(task, dict) else "?"
-        if isinstance(task, dict):
-            # Flag pool dispatch the same way the sweep runner does:
-            # fault injection (and worker-side reporting) keys on it.
-            task = dict(task, pooled=(self.mode == "process"))
+        if self._turn is None:
+            self._turn = asyncio.Condition()
+        name = task.get("name", "?")
         tries = 0
         while True:
-            generation = self._generation
-            flight_event("task.dispatch", task=name, attempt=tries,
-                         pool="service")
-            future = loop.run_in_executor(
-                self._executor, self._evaluator, task)
+            async with self._turn:
+                await self._turn.wait_for(self.has_slot)
+                generation = self.generation
+                # Flag the try the same way the sweep runner does:
+                # fault injection (and worker-side reporting) keys on it.
+                future = self.submit(
+                    self._evaluator,
+                    dict(task, attempt=tries,
+                         pooled=(self.mode == "process")),
+                    name, tries)
             try:
-                if self.task_timeout is not None:
-                    return await asyncio.wait_for(
-                        future, timeout=self.task_timeout)
-                return await future
+                return await asyncio.wait_for(
+                    asyncio.wrap_future(future), self.timeout)
             except asyncio.TimeoutError:
-                counter("repro_task_timeouts_total",
-                        "tasks cancelled at their wall-clock "
-                        "budget").inc()
-                flight_event("task.timeout", task=name,
-                             budget_seconds=self.task_timeout)
-                dump_blackbox("task-timeout")
-                if self.mode == "process":
-                    await self._respawn(generation, kill=True,
-                                        reason="timeout")
+                self.kill([name], generation)
                 raise EvaluationTimeout(
                     f"evaluation of {name} exceeded "
-                    f"{self.task_timeout}s wall clock") from None
+                    f"{self.timeout}s wall clock") from None
             except BrokenProcessPool:
                 tries += 1
-                flight_event("pool.crash", task=name, tries=tries)
-                await self._respawn(generation, reason="death")
+                self.died(generation)
                 if tries > self.max_pool_restarts:
-                    dump_blackbox(f"pool-crash:{name}")
+                    record_failure(name, "pool", tries,
+                                   "BrokenProcessPool")
                     raise
-                counter("repro_retries_total",
-                        "task retries scheduled by the "
-                        "fault-tolerance layer").inc(kind="pool")
-
-    def shutdown(self, wait=True):
-        if self._executor is not None:
-            self._executor.shutdown(wait=wait)
-            self._executor = None
+                record_retry(name, "pool", tries, "BrokenProcessPool")
+            finally:
+                async with self._turn:
+                    self._turn.notify_all()

@@ -29,8 +29,8 @@ from repro.dse import dumps_sweep, run_sweep
 from repro.dse.cache import SweepCache
 from repro.obs import get_registry
 from repro.resilience import (
-    EvaluationTimeout, RetryPolicy, SweepCheckpoint, TransientError,
-    parse_fault_spec, run_inline, sweep_signature,
+    EvaluationTimeout, ResilientRunner, RetryPolicy, SweepCheckpoint,
+    TransientError, parse_fault_spec, sweep_signature,
 )
 from repro.resilience.faultinject import (
     ENV_VAR, FaultSpecError, reset_plan,
@@ -132,12 +132,29 @@ class TestInlineRunner:
             return task["name"]
 
         results = []
-        failures = run_inline(
-            worker, [{"name": "a"}], on_result=results.append,
-            policy=FAST_POLICY, sleep=lambda s: None)
+        failures = ResilientRunner(
+            worker, workers=1, policy=FAST_POLICY,
+            sleep=lambda s: None).run(
+            [{"name": "a"}], on_result=results.append)
         assert results == ["a"]
         assert failures == []
         assert attempts == [0, 1, 2]
+
+    def test_retry_reruns_before_the_next_task(self):
+        calls = []
+
+        def worker(task):
+            calls.append((task["name"], task["attempt"]))
+            if task["name"] == "a" and task["attempt"] == 0:
+                raise TransientError("flaky")
+            return task["name"]
+
+        results = []
+        ResilientRunner(worker, workers=1, policy=FAST_POLICY,
+                        sleep=lambda s: None).run(
+            [{"name": "a"}, {"name": "b"}], on_result=results.append)
+        assert calls == [("a", 0), ("a", 1), ("b", 0)]
+        assert results == ["a", "b"]
 
     def test_fatal_error_is_not_retried(self):
         calls = []
@@ -146,9 +163,10 @@ class TestInlineRunner:
             calls.append(task["name"])
             raise ValueError("broken input")
 
-        failures = run_inline(worker, [{"name": "a"}],
-                              on_failure=lambda f: None,
-                              policy=FAST_POLICY, sleep=lambda s: None)
+        failures = ResilientRunner(
+            worker, workers=1, policy=FAST_POLICY,
+            sleep=lambda s: None).run(
+            [{"name": "a"}], on_failure=lambda f: None)
         assert calls == ["a"]
         assert len(failures) == 1
         assert failures[0].error == "ValueError"
@@ -160,10 +178,11 @@ class TestInlineRunner:
             return task["name"]
 
         results, reported = [], []
-        failures = run_inline(
-            worker, [{"name": "bad"}, {"name": "good"}],
-            on_result=results.append, on_failure=reported.append,
-            policy=FAST_POLICY, sleep=lambda s: None)
+        failures = ResilientRunner(
+            worker, workers=1, policy=FAST_POLICY,
+            sleep=lambda s: None).run(
+            [{"name": "bad"}, {"name": "good"}],
+            on_result=results.append, on_failure=reported.append)
         assert results == ["good"]
         assert [f.name for f in failures] == ["bad"]
         assert reported == failures
@@ -174,8 +193,8 @@ class TestInlineRunner:
             raise ValueError("boom")
 
         with pytest.raises(ValueError, match="boom"):
-            run_inline(worker, [{"name": "a"}], policy=FAST_POLICY,
-                       sleep=lambda s: None)
+            ResilientRunner(worker, workers=1, policy=FAST_POLICY,
+                            sleep=lambda s: None).run([{"name": "a"}])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ tests (backpressure, coalescing, drain) use an event-gated stub so
 their interleavings are deterministic.
 """
 
+import asyncio
 import json
 import os
 import re
@@ -23,11 +24,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import get_flight_recorder, get_registry, set_blackbox_dir
+from repro.resilience import EvaluationTimeout
+from repro.resilience.faultinject import ENV_VAR, reset_plan
 from repro.service import (
     EvaluationService, ServiceConfig, ServiceClient, ServiceError,
 )
 from repro.service.http import Router
 from repro.service.metrics import LatencyHistogram
+from repro.service.workers import EvaluationPool
 
 #: Tiny-but-real evaluation parameters shared with the CLI-parity
 #: checks (mirrors the sweep-cache test configuration).
@@ -549,3 +554,136 @@ class TestLatencyHistogram:
         snapshot = LatencyHistogram().snapshot()
         assert snapshot["count"] == 0
         assert snapshot["p95_ms"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# The pool's fault contract: real process workers, injected faults.
+
+#: One core, one subset: the smallest real evaluation.
+POOL_KW = dict(cores=["IO2"], subsets=[["simd"]], **EVAL_KW)
+
+
+def pool_task(name):
+    from repro.dse.parallel import make_task
+    return make_task(name, ("IO2",), (("simd",),), **EVAL_KW)
+
+
+def computed_inline(name):
+    from repro.dse.parallel import evaluate_payload
+    return evaluate_payload(pool_task(name))[0]
+
+
+def run_on_pool(pool, coro):
+    """Drive *coro* on a fresh event loop, then shut *pool* down."""
+    async def go():
+        try:
+            return await asyncio.wait_for(coro, 120)
+        finally:
+            pool.shutdown(wait=True)
+    return asyncio.run(go())
+
+
+@pytest.fixture
+def fault_spec(monkeypatch, tmp_path):
+    """Set ``$REPRO_FAULT_SPEC`` (workers inherit it at spawn); keep
+    postmortem dumps inside the test's tmp dir."""
+
+    def activate(text):
+        monkeypatch.setenv(ENV_VAR, text)
+        reset_plan()
+
+    set_blackbox_dir(tmp_path / "blackbox")
+    get_flight_recorder().clear()
+    yield activate
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    reset_plan()
+    set_blackbox_dir(None)
+
+
+class TestPoolFaults:
+    def test_crash_respawns_and_computes(self, fault_spec):
+        fault_spec("crash:task=conv")
+        pool = EvaluationPool(workers=1, mode="process")
+        payload, _ = run_on_pool(pool, pool.evaluate(pool_task("conv")))
+        assert payload == computed_inline("conv")
+        assert pool.restarts == 1
+        assert pool.degraded is False
+
+    def test_crash_every_try_degrades_and_healthz_reports_it(
+            self, fault_spec):
+        fault_spec("crash:task=conv:attempt=*")
+        config = ServiceConfig(port=0, workers=2, pool_mode="process",
+                               use_cache=False, max_pool_restarts=2)
+        with running_service(config) as (service, client):
+            with pytest.raises(ServiceError):
+                client.evaluate("conv", **POOL_KW)
+            health = client.healthz()
+        tries = [event for event in get_flight_recorder().snapshot()
+                 if event["kind"] == "task.dispatch"
+                 and event["fields"]["task"] == "conv"]
+        assert len(tries) == config.max_pool_restarts + 1
+        assert service.pool.degraded is True
+        assert service.pool.workers == 1
+        assert health["pool"]["degraded"] is True
+        assert health["pool"]["workers"] == 1
+
+    def test_hang_times_out_then_next_request_computes(self, fault_spec):
+        fault_spec("hang:task=conv:seconds=60")
+        pool = EvaluationPool(workers=1, mode="process", task_timeout=3)
+
+        async def go():
+            with pytest.raises(EvaluationTimeout):
+                await pool.evaluate(pool_task("conv"))
+            return await pool.evaluate(pool_task("fft"))
+
+        payload, _ = run_on_pool(pool, go())
+        assert payload == computed_inline("fft")
+        assert pool.restarts == 1
+
+    def test_timeout_clock_starts_at_dispatch(self, fault_spec):
+        """A request queued behind a hung one is not charged for the
+        wait: only the hung request times out."""
+        fault_spec("hang:task=conv:seconds=60")
+        timeouts0 = get_registry().total("repro_task_timeouts_total")
+        pool = EvaluationPool(workers=1, mode="process", task_timeout=3)
+
+        async def go():
+            return await asyncio.gather(
+                pool.evaluate(pool_task("conv")),
+                pool.evaluate(pool_task("fft")),
+                return_exceptions=True)
+
+        hung, computed = run_on_pool(pool, go())
+        assert isinstance(hung, EvaluationTimeout)
+        assert not isinstance(computed, BaseException), computed
+        assert computed[0] == computed_inline("fft")
+        assert get_registry().total("repro_task_timeouts_total") \
+            == timeouts0 + 1
+
+    def test_dispatch_never_exceeds_workers(self):
+        """More concurrent evaluations than workers: each one is
+        dispatched only to a free worker, and all of them complete."""
+        lock = threading.Lock()
+        state = {"running": 0, "peak": 0}
+
+        def evaluator(task):
+            with lock:
+                state["running"] += 1
+                state["peak"] = max(state["peak"], state["running"])
+            time.sleep(0.01)
+            with lock:
+                state["running"] -= 1
+            return stub_payload(task["name"]), 0.0
+
+        pool = EvaluationPool(workers=2, mode="thread",
+                              evaluator=evaluator)
+
+        async def go():
+            return await asyncio.gather(*(
+                pool.evaluate({"name": f"b{index}"})
+                for index in range(16)))
+
+        results = run_on_pool(pool, go())
+        assert [payload["benchmark"] for payload, _ in results] \
+            == [f"b{index}" for index in range(16)]
+        assert state["peak"] == 2
