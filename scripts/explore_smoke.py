@@ -14,9 +14,11 @@ asserts the loop's acceptance properties end to end:
   serial and the ``--workers N`` run.
 
 The exhaustive ground-truth pass shares the exploration's sweep
-cache, so it only pays for the cells the budgeted run did not already
-evaluate.  Exits non-zero with the gate's failure strings on any
-violation; writes the canonical ``EXPLORE_<date>.json`` to
+cache.  The explorer sweeps every core x subset of the space on the
+first point at a window depth, so the budgeted run already evaluated
+every cell and the serial rerun and the truth pass are fully warm (CI
+checks that the cache's run log records a single miss).  Exits
+non-zero with the gate's failure strings on any violation; writes the canonical ``EXPLORE_<date>.json`` to
 ``--out-dir`` for artifact upload either way.
 """
 

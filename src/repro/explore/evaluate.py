@@ -3,10 +3,27 @@
 The surrogate loop periodically spends budget on *exact* evaluations:
 full TDG-model runs through :func:`repro.dse.sweep.run_sweep`, the
 same engine (and the same content-addressed cache) the Fig. 12 sweep
-uses.  Each distinct (core, subset, max_invocations) triple becomes
-one ``run_sweep(core_names=(ref, core), subsets=(subset,))`` call, so
-its cache key depends only on that triple — warm across exploration
-rounds, across repeated runs, and across ``repro sweep`` itself.
+uses.  Like the paper's TDG, one simulation of a benchmark costs every
+(core, BSA) pair: the first point at a window depth
+(``max_invocations``) makes one ``run_sweep`` call over all of the
+space's cores x all of its subsets, and every later point at that
+depth is a dictionary lookup.
+
+The reference core is always the first core of that call.  DP-CGRA's
+config cache carries over from one core to the next
+(docs/modeling.md, "Order dependence"), so only the first core pays
+each region's config load.  With the reference first, every other
+core sees the same warm cache as in a two-core ``(reference, core)``
+sweep, which is what keeps the metrics of each point independent of
+which other cores the space holds.
+
+The sweep cache key hashes the benchmark, scale, depth and the full
+(cores, subsets) argument, so a repeated or resumed exploration of the
+same space is warm from its first point.  On the paper space
+(:meth:`DesignSpace.paper`) at depth 8 that argument is exactly
+``repro sweep``'s (the four DSE cores, all 16 subsets, no Amdahl
+schedule), so the two share cache entries; any other space or depth
+has keys of its own.
 
 The two axes the sweep engine does not model directly are applied as
 deterministic analytic post-transforms on the sweep summary:
@@ -35,9 +52,9 @@ relative to the IO2 reference, geometric mean across benchmarks
 import math
 
 from repro.dse.report import REFERENCE_CORE
-from repro.dse.sweep import run_sweep
+from repro.dse.sweep import ALL_SUBSETS, run_sweep
 from repro.energy.dvfs import OperatingPoint
-from repro.explore.space import SIZING_FACTORS
+from repro.explore.space import DEFAULT_CORES, SIZING_FACTORS
 from repro.obs import counter, span
 
 #: Fraction of nominal modeled energy attributed to leakage when
@@ -89,20 +106,27 @@ def _geomean(values):
 class ExactEvaluator:
     """Batched exact evaluation of :class:`DesignPoint` s.
 
-    One instance pins the benchmark list, workload scale and sweep
-    plumbing (cache, arbitration spec); sweep records are
-    memoized per (core, subset, max_invocations) triple so the loop
-    never pays for the same triple twice.  *workers* parallelizes the
+    One instance pins the benchmark list, the *cores* and *subsets* a
+    point may use, the workload scale and the sweep plumbing (cache,
+    arbitration spec).  Sweep records are memoized per window depth:
+    the first point at a depth sweeps every core (reference first) x
+    every subset in one ``run_sweep`` call, so ``sweep_calls`` is the
+    number of distinct depths evaluated.  *workers* parallelizes the
     underlying sweeps without affecting any numeric result.
     """
 
     def __init__(self, benchmarks, scale=1.0, workers=1,
                  cache_dir=None, use_cache=None, arbitration=None,
                  reference_core=REFERENCE_CORE,
-                 progress=None):
+                 progress=None, cores=DEFAULT_CORES,
+                 subsets=ALL_SUBSETS):
         self.benchmarks = tuple(sorted(benchmarks))
         if not self.benchmarks:
             raise ValueError("need at least one benchmark")
+        self.cores = (reference_core,) + tuple(
+            core for core in dict.fromkeys(cores)
+            if core != reference_core)
+        self.subsets = tuple(subsets)
         self.scale = float(scale)
         self.workers = int(workers)
         self.cache_dir = cache_dir
@@ -110,26 +134,19 @@ class ExactEvaluator:
         self.arbitration = arbitration
         self.reference_core = reference_core
         self.progress = progress
-        self._records = {}      # (core, subset, maxinv) -> {name: rec}
-        self.exact_evals = 0    # points metered (not memoized triples)
+        self._records = {}      # max_invocations -> {name: record}
+        self.exact_evals = 0    # points metered (not memoized depths)
         self.sweep_calls = 0
 
-    def _triple(self, point):
-        return (point.core, point.subset, point.max_invocations)
-
-    def _records_for(self, triple):
-        cached = self._records.get(triple)
+    def _records_for(self, max_invocations):
+        cached = self._records.get(max_invocations)
         if cached is not None:
             return cached
-        core, subset, max_invocations = triple
-        core_names = (self.reference_core,) \
-            if core == self.reference_core \
-            else (self.reference_core, core)
-        with span("explore.evaluate", core=core,
-                  subset=",".join(subset)):
+        with span("explore.evaluate", max_invocations=max_invocations,
+                  cores=len(self.cores), subsets=len(self.subsets)):
             sweep = run_sweep(
-                names=list(self.benchmarks), core_names=core_names,
-                subsets=(subset,), scale=self.scale,
+                names=list(self.benchmarks), core_names=self.cores,
+                subsets=self.subsets, scale=self.scale,
                 max_invocations=max_invocations, with_amdahl=False,
                 workers=self.workers, cache_dir=self.cache_dir,
                 use_cache=self.use_cache, arbitration=self.arbitration)
@@ -139,16 +156,21 @@ class ExactEvaluator:
         if missing:
             raise RuntimeError(
                 f"sweep failed for benchmarks {missing!r} "
-                f"(core={core}, subset={subset})")
+                f"(max_invocations={max_invocations})")
         records = {name: sweep.results[name]
                    for name in self.benchmarks}
-        self._records[triple] = records
+        self._records[max_invocations] = records
         return records
 
     def metrics(self, point):
         """``{"speedup", "energy_eff"}`` of one point vs the IO2 ref,
         geomeaned across the evaluator's benchmarks."""
-        records = self._records_for(self._triple(point))
+        if point.core not in self.cores \
+                or point.subset not in self.subsets:
+            raise ValueError(
+                f"{point!r} lies outside the evaluator's cores "
+                f"{self.cores!r} / {len(self.subsets)} subsets")
+        records = self._records_for(point.max_invocations)
         speedups = []
         energy_effs = []
         for name in self.benchmarks:
@@ -168,7 +190,7 @@ class ExactEvaluator:
     def evaluate(self, points):
         """Exact metrics for *points*, keyed by canonical point key.
 
-        Triples are resolved in sorted-key order so sweep-call order —
+        Points are resolved in sorted-key order so sweep-call order —
         and thus cache population order and obs traffic — is
         deterministic for any input order.
         """

@@ -150,30 +150,33 @@ def _candidate_rows(surrogate, space, evaluated, pool, seed,
         candidates = space.sample(
             pool, seed=seed * 1_000_003 + round_index)
     rows = []
-    for point in candidates:
-        key = point.key()
-        if key in evaluated:
-            continue
-        features = point_features(point)
-        predicted = surrogate.predict(features)
-        novelty = surrogate.novelty(features)
-        row = {
-            "key": key,
-            "point": point,
-            "uncertainty": math.fsum(
-                [predicted[name][1] for name in _TARGETS]
-                + [NOVELTY_WEIGHT * novelty]),
-        }
-        for name in _TARGETS:
-            mean, std = predicted[name]
-            row[name] = mean
-            # Optimistic (UCB) estimate: one combined-uncertainty
-            # standard deviation up in log space.  Front peeling runs
-            # on these, so a region the model has never seen competes
-            # with a plateau it is sure about.
-            row[name + "_ucb"] = mean * math.exp(
-                std + UCB_NOVELTY_WEIGHT * novelty)
-        rows.append(row)
+    with span("explore.rank", candidates=len(candidates)) as current:
+        for point in candidates:
+            key = point.key()
+            if key in evaluated:
+                continue
+            features = point_features(point)
+            predicted = surrogate.predict(features)
+            novelty = surrogate.novelty(features)
+            row = {
+                "key": key,
+                "point": point,
+                "uncertainty": math.fsum(
+                    [predicted[name][1] for name in _TARGETS]
+                    + [NOVELTY_WEIGHT * novelty]),
+            }
+            for name in _TARGETS:
+                mean, std = predicted[name]
+                row[name] = mean
+                # Optimistic (UCB) estimate: one combined-uncertainty
+                # standard deviation up in log space.  Front peeling
+                # runs on these, so a region the model has never seen
+                # competes with a plateau it is sure about.
+                row[name + "_ucb"] = mean * math.exp(
+                    std + UCB_NOVELTY_WEIGHT * novelty)
+            rows.append(row)
+        current.set(scored=len(rows))
+    counter("repro_explore_candidates_scored_total").inc(len(rows))
     return rows
 
 
@@ -209,7 +212,8 @@ def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
     evaluator = ExactEvaluator(
         benchmarks, scale=scale, workers=workers,
         cache_dir=cache_dir, use_cache=use_cache,
-        arbitration=arbitration)
+        arbitration=arbitration, cores=space.cores,
+        subsets=space.subsets)
     warm_points = training_points_from_records(train_records or [])
 
     evaluated = {}      # key -> {point, speedup, energy_eff, round}

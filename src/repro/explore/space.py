@@ -23,26 +23,17 @@ twice under different encodings.
 Every point encodes to a stable string key (:meth:`DesignPoint.key`)
 and a fixed-order feature vector (:meth:`DesignSpace.features`, see
 :data:`FEATURE_NAMES`) consumed by the surrogate.  Feature vectors are
-numpy arrays when numpy is importable and ``array('d')`` otherwise —
-storage only: every consumer reduces them with fixed-order scalar
-arithmetic, so the two representations are bit-identical in effect
-(the numpy-absent parity tests assert exactly that).
+tuples of Python floats: the surrogate scores thousands of them per
+round with scalar arithmetic, and importing this package never pulls
+in numpy.
 """
 
 import random
-from array import array
 
 from repro.core_model import core_by_name
 from repro.core_model.config import DSE_CORES
 from repro.dse.sweep import ALL_BSAS, ALL_SUBSETS, subset_to_key
 from repro.energy.dvfs import NOMINAL_GHZ, OperatingPoint
-
-try:                                    # pragma: no cover - env probe
-    import numpy as _np
-    HAVE_NUMPY = True
-except ImportError:                     # pragma: no cover - env probe
-    _np = None
-    HAVE_NUMPY = False
 
 #: Default axes of the production space (>= 10^6 canonical points).
 DEFAULT_CORES = ("IO2", "OOO1", "OOO2", "OOO4", "OOO6", "OOO8")
@@ -363,7 +354,7 @@ def point_features(point):
         SIZING_FACTORS[level] if bsa in present else 0.0
         for bsa, level in zip(ALL_BSAS, point.sizing)
     ]
-    values = [
+    return (
         float(config.width),
         float(config.rob_size or 0),
         float(config.iq_size or 0),
@@ -385,7 +376,4 @@ def point_features(point):
           for a in range(len(membership))
           for b in range(a + 1, len(membership))),
         *(float(config.width) * m for m in membership),
-    ]
-    if HAVE_NUMPY:
-        return _np.asarray(values, dtype=_np.float64)
-    return array("d", values)
+    )

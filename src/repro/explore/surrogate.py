@@ -17,7 +17,16 @@ means the surrogate produces **bit-identical** coefficients and
 predictions whether or not numpy is installed, at any worker count, on
 any platform with IEEE-754 doubles — the property the EXPLORE
 artifact's byte-reproducibility rests on.  (Feature vectors may arrive
-as numpy arrays or ``array('d')``; both are consumed element-wise.)
+as tuples, ``array('d')`` or numpy arrays; scoring converts them to
+Python floats once, which is exact for all three.)
+
+Scoring is the explorer's inner loop (thousands of candidates per
+round), so :meth:`SurrogateEnsemble.predict` standardizes a candidate
+once per distinct member *geometry* — the (means, scales) of a fit,
+shared by member k of every target because they fit the same bootstrap
+rows — and each member's stump leaves are pre-scaled by ``boost_lr``.
+Every :func:`math.fsum` keeps its exact term multiset, so the fast
+path is bit-identical to scoring member by member.
 
 Bootstrap resampling uses integer-seeded :class:`random.Random`
 instances only — never hash-based or global-state randomness.
@@ -25,6 +34,7 @@ instances only — never hash-based or global-state randomness.
 
 import math
 import random
+from operator import mul, sub
 
 #: Floor for log-space targets: a non-positive metric (degenerate
 #: benchmark) trains as "very bad", not as a crash.
@@ -96,6 +106,11 @@ def _best_stump(rows, residuals):
     return best
 
 
+def _standardize(features, means, scales):
+    return [(x - mean) / scale
+            for x, mean, scale in zip(features, means, scales)]
+
+
 def _solve(matrix, rhs):
     """Solve ``matrix @ x = rhs`` by Gaussian elimination with partial
     pivoting.  *matrix* is a list of row-lists (modified in place)."""
@@ -145,6 +160,7 @@ class RidgeModel:
         self.scales = None
         self.weights = None         # bias last
         self.stumps = []
+        self._leaves = ()           # (feature, threshold, lr*left, lr*right)
 
     def fit(self, rows, targets):
         if not rows:
@@ -163,8 +179,7 @@ class RidgeModel:
             self.scales.append(std if std > 1e-12 else 1.0)
 
         standardized = [
-            [(row[j] - self.means[j]) / self.scales[j]
-             for j in range(n_features)] + [1.0]
+            _standardize(row, self.means, self.scales) + [1.0]
             for row in rows
         ]
         logs = [math.log(max(t, _LOG_FLOOR)) for t in targets]
@@ -189,8 +204,8 @@ class RidgeModel:
         if self.boost_rounds > 0 and n >= 2 * _MIN_LEAF:
             plain = [row[:-1] for row in standardized]
             residuals = [
-                log - self._linear_log(row)
-                for row, log in zip(plain, logs)
+                log - math.fsum(map(mul, self.weights, row))
+                for row, log in zip(standardized, logs)
             ]
             for _ in range(self.boost_rounds):
                 stump = _best_stump(plain, residuals)
@@ -199,29 +214,32 @@ class RidgeModel:
                 self.stumps.append(stump)
                 for i, row in enumerate(plain):
                     residuals[i] -= self.boost_lr * stump.value(row)
+        self._leaves = tuple(
+            (stump.feature, stump.threshold,
+             self.boost_lr * stump.left, self.boost_lr * stump.right)
+            for stump in self.stumps)
         return self
 
-    def _linear_log(self, standardized_row):
-        terms = [
-            self.weights[j] * standardized_row[j]
-            for j in range(len(standardized_row))
-        ]
-        terms.append(self.weights[-1])
-        return math.fsum(terms)
+    def geometry(self):
+        """``(means, scales)``: the standardization of this fit."""
+        return tuple(self.means), tuple(self.scales)
 
     def standardize(self, features):
         """One feature vector in this fit's standardized coordinates."""
-        return [
-            (features[j] - self.means[j]) / self.scales[j]
-            for j in range(len(self.means))
-        ]
+        return _standardize([float(x) for x in features],
+                            self.means, self.scales)
 
-    def predict_log(self, features):
-        """Predicted log-space value for one feature vector."""
-        row = self.standardize(features)
-        terms = [self._linear_log(row)]
-        terms.extend(self.boost_lr * stump.value(row)
-                     for stump in self.stumps)
+    def log_of(self, row):
+        """Predicted log-space value of one standardized *row* that
+        ends in the bias slot ``1.0``.
+
+        The linear part sums ``weights[j] * row[j]`` with the bias
+        term ``weights[-1] * 1.0``; the boosted part adds one
+        pre-scaled leaf per stump.
+        """
+        terms = [math.fsum(map(mul, self.weights, row))]
+        for feature, threshold, left, right in self._leaves:
+            terms.append(left if row[feature] <= threshold else right)
         return math.fsum(terms)
 
 
@@ -247,6 +265,8 @@ class SurrogateEnsemble:
         self.members = {}           # target -> [RidgeModel, ...]
         self.n_trained = 0
         self._train_rows = []       # standardized, for novelty()
+        self._geometries = []       # distinct member (means, scales)
+        self._scorers = {}          # target -> [(geometry, model), ...]
 
     def fit(self, rows, targets_by_name):
         """Fit every member of every target.
@@ -288,6 +308,15 @@ class SurrogateEnsemble:
         self.n_trained = n
         anchor = self.members[self.target_names[0]][0]
         self._train_rows = [anchor.standardize(row) for row in rows]
+
+        index_of = {}
+        self._scorers = {}
+        for name in self.target_names:
+            self._scorers[name] = [
+                (index_of.setdefault(model.geometry(), len(index_of)),
+                 model)
+                for model in self.members[name]]
+        self._geometries = list(index_of)
         return self
 
     def novelty(self, features):
@@ -307,21 +336,19 @@ class SurrogateEnsemble:
         anchor = self.members[self.target_names[0]][0]
         row = anchor.standardize(features)
         n_features = len(row)
-        best = None
-        for train_row in self._train_rows:
-            dist = math.fsum(
-                abs(row[j] - train_row[j])
-                for j in range(n_features)) / n_features
-            if best is None or dist < best:
-                best = dist
-        return best
+        return min(
+            math.fsum(map(abs, map(sub, row, train_row))) / n_features
+            for train_row in self._train_rows)
 
     def predict(self, features):
         """``{target: (predicted_value, log_space_uncertainty)}``."""
+        features = [float(x) for x in features]
+        rows = [_standardize(features, means, scales) + [1.0]
+                for means, scales in self._geometries]
         out = {}
         for name in self.target_names:
-            logs = [model.predict_log(features)
-                    for model in self.members[name]]
+            logs = [model.log_of(rows[geometry])
+                    for geometry, model in self._scorers[name]]
             mean = math.fsum(logs) / len(logs)
             if len(logs) > 1:
                 var = math.fsum((v - mean) ** 2 for v in logs) \

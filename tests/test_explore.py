@@ -23,17 +23,20 @@ from repro.artifacts import (
     latest_artifact, stamp, write_artifact,
 )
 from repro.dse.cache import SweepCache, export_records
+from repro.core_model.config import DSE_CORES
 from repro.dse.report import frontier_table, pareto_frontier
 from repro.dse.sweep import run_sweep
 from repro.explore import run_explore
 from repro.explore.acquire import peel_fronts, select_batch, uncovered
+from repro.explore.evaluate import ExactEvaluator
 from repro.explore.artifact import (
     check_explore, dumps_explore, explore_filename, frontier_recall,
     latest_explore, load_explore, write_explore,
 )
 from repro.explore.loop import training_points_from_records
 from repro.explore.space import (
-    DesignPoint, DesignSpace, FEATURE_NAMES, point_features,
+    DEFAULT_CORES, DesignPoint, DesignSpace, FEATURE_NAMES,
+    point_features,
 )
 from repro.explore.surrogate import RidgeModel, SurrogateEnsemble
 
@@ -253,6 +256,114 @@ class TestSurrogate:
         probe = rows[7]
         assert a.predict(probe) == b.predict(array(
             "d", [float(v) for v in probe]))
+
+    def test_scoring_matches_member_by_member_oracle(self):
+        rows, targets = _training_set()
+        model = SurrogateEnsemble(seed=7).fit(rows, targets)
+        _assert_scores_match_oracle(model, rows, _probe_vectors(
+            len(FEATURE_NAMES), 200, seed=13))
+
+    def test_degenerate_bootstrap_fallback_scores_match_oracle(self):
+        # Feature 0 is non-zero in two rows only: a bootstrap that
+        # misses both makes the column constant, and without a ridge
+        # its normal matrix is singular, so the member falls back to
+        # the full-data fit and shares member 0's geometry.
+        rng = random.Random(3)
+        rows = [(1.0 if i < 2 else 0.0,)
+                + tuple(rng.uniform(-2.0, 2.0) for _ in range(4))
+                for i in range(12)]
+        targets = {
+            "speedup": [1.0 + rng.random() for _ in rows],
+            "energy_eff": [0.5 + rng.random() for _ in rows],
+        }
+        for seed in range(50):
+            model = SurrogateEnsemble(l2=0.0, seed=seed).fit(
+                rows, targets)
+            members = model.members["speedup"]
+            if any(m.geometry() == members[0].geometry()
+                   for m in members[1:]):
+                break
+        else:
+            pytest.fail("no seed triggered the bootstrap fallback")
+        assert len(model._geometries) < model.n_members
+        _assert_scores_match_oracle(model, rows, _probe_vectors(
+            5, 200, seed=seed))
+
+
+def _probe_vectors(width, n, seed):
+    """*n* seeded feature vectors: training-like 0/1 and small-integer
+    entries mixed with arbitrary floats."""
+    rng = random.Random(seed)
+    choices = (0.0, 1.0, 2.0, 4.0, 0.5)
+    return [tuple(rng.choice(choices) if rng.random() < 0.5
+                  else rng.uniform(-8.0, 8.0) for _ in range(width))
+            for _ in range(n)]
+
+
+def _oracle_standardize(model, features):
+    return [(features[j] - model.means[j]) / model.scales[j]
+            for j in range(len(model.means))]
+
+
+def _oracle_predict_log(model, features):
+    """RidgeModel.predict_log as it was before the float fast path:
+    standardized per member, stump leaves scaled per call."""
+    row = _oracle_standardize(model, features)
+    linear = [model.weights[j] * row[j] for j in range(len(row))]
+    linear.append(model.weights[-1])
+    terms = [math.fsum(linear)]
+    terms.extend(model.boost_lr * stump.value(row)
+                 for stump in model.stumps)
+    return math.fsum(terms)
+
+
+def _oracle_predict(ensemble, features):
+    out = {}
+    for name in ensemble.target_names:
+        logs = [_oracle_predict_log(model, features)
+                for model in ensemble.members[name]]
+        mean = math.fsum(logs) / len(logs)
+        std = 0.0
+        if len(logs) > 1:
+            std = math.sqrt(math.fsum((v - mean) ** 2 for v in logs)
+                            / len(logs))
+        out[name] = (math.exp(mean), std)
+    return out
+
+
+def _oracle_novelty(ensemble, train_rows, features):
+    anchor = ensemble.members[ensemble.target_names[0]][0]
+    row = _oracle_standardize(anchor, features)
+    best = None
+    for train in train_rows:
+        train = _oracle_standardize(anchor, train)
+        dist = math.fsum(abs(row[j] - train[j])
+                         for j in range(len(row))) / len(row)
+        if best is None or dist < best:
+            best = dist
+    return best
+
+
+def _bits(prediction):
+    return {name: (mean.hex(), std.hex())
+            for name, (mean, std) in prediction.items()}
+
+
+def _assert_scores_match_oracle(model, train_rows, probes):
+    from array import array
+    try:
+        import numpy
+    except ImportError:
+        numpy = None
+    for probe in list(train_rows) + probes:
+        expected = _bits(_oracle_predict(model, probe))
+        novelty = _oracle_novelty(model, train_rows, probe).hex()
+        forms = [tuple(probe), array("d", probe)]
+        if numpy is not None:
+            forms.append(numpy.asarray(probe, dtype=numpy.float64))
+        for form in forms:
+            assert _bits(model.predict(form)) == expected
+            assert model.novelty(form).hex() == novelty
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +615,110 @@ class TestCacheExport:
 
 
 # ---------------------------------------------------------------------------
+# Exact evaluation
+
+
+class _PerTripleEvaluator(ExactEvaluator):
+    """The oracle: ExactEvaluator as it was when it memoized per
+    (core, subset, max_invocations) triple, with one two-core
+    ``(reference, core)`` sweep of one subset per triple."""
+
+    def metrics(self, point):
+        self._triple = (point.core, point.subset, point.max_invocations)
+        return super().metrics(point)
+
+    def _records_for(self, max_invocations):
+        triple = self._triple
+        cached = self._records.get(triple)
+        if cached is not None:
+            return cached
+        core, subset, max_invocations = triple
+        core_names = (self.reference_core,) \
+            if core == self.reference_core \
+            else (self.reference_core, core)
+        sweep = run_sweep(
+            names=list(self.benchmarks), core_names=core_names,
+            subsets=(subset,), scale=self.scale,
+            max_invocations=max_invocations, with_amdahl=False)
+        self.sweep_calls += 1
+        records = {name: sweep.results[name]
+                   for name in self.benchmarks}
+        self._records[triple] = records
+        return records
+
+
+def _assert_matches_per_triple_oracle(benchmarks, spaces):
+    oracle = _PerTripleEvaluator(benchmarks, scale=0.1)
+    for space in spaces:
+        evaluator = ExactEvaluator(benchmarks, scale=0.1,
+                                   cores=space.cores,
+                                   subsets=space.subsets)
+        for point in space:
+            assert evaluator.metrics(point) == oracle.metrics(point), \
+                point
+        assert evaluator.sweep_calls == len(space.max_invocations)
+    return oracle
+
+
+class TestExactEvaluator:
+    def test_per_depth_sweep_matches_per_triple_oracle(self):
+        oracle = _assert_matches_per_triple_oracle(("conv",), [
+            DesignSpace.paper(cores=cores, max_invocations=(2, 4))
+            for cores in (DSE_CORES, DEFAULT_CORES)])
+        assert oracle.sweep_calls == len(DEFAULT_CORES) * 16 * 2
+
+    def test_reference_core_first_keeps_dp_cgra_cells_exact(self):
+        # djpeg1's DP-CGRA energy depends on which core evaluates a
+        # region first (docs/modeling.md, "Order dependence"): this
+        # space fails if the reference core is not the first core of
+        # the sweep.
+        _assert_matches_per_triple_oracle(("djpeg1",), [DesignSpace(
+            cores=DEFAULT_CORES, subsets=((), ("dp_cgra",)),
+            freqs=(2.0,), sizing_levels=(0,), max_invocations=(2,))])
+
+    def test_reference_core_goes_first(self):
+        evaluator = ExactEvaluator(("conv",),
+                                   cores=("OOO4", "IO2", "OOO2"))
+        assert evaluator.cores == ("IO2", "OOO4", "OOO2")
+
+    def test_point_outside_the_space_is_rejected(self):
+        evaluator = ExactEvaluator(("conv",), cores=("IO2", "OOO2"),
+                                   subsets=((), ("simd",)))
+        with pytest.raises(ValueError):
+            evaluator.metrics(DesignPoint("OOO4", ("simd",)))
+        with pytest.raises(ValueError):
+            evaluator.metrics(DesignPoint("OOO2", ("ns_df",)))
+        assert evaluator.sweep_calls == 0
+
+    def test_paper_space_shares_the_sweep_cli_cache_entry(
+            self, tmp_path):
+        # `repro sweep conv` runs exactly this call: the four DSE
+        # cores, all 16 subsets, depth 8, no Amdahl schedule.
+        cache = str(tmp_path)
+        run_sweep(names=["conv"], scale=0.1, with_amdahl=False,
+                  cache_dir=cache)
+        space = DesignSpace.paper()
+        evaluator = ExactEvaluator(("conv",), scale=0.1,
+                                   cache_dir=cache, cores=space.cores,
+                                   subsets=space.subsets)
+        calls = []
+
+        def spy(**kwargs):
+            sweep = run_sweep(**kwargs)
+            calls.append(sweep.stats)
+            return sweep
+
+        evaluator_module = sys.modules[ExactEvaluator.__module__]
+        original = evaluator_module.run_sweep
+        evaluator_module.run_sweep = spy
+        try:
+            evaluator.evaluate(list(space))
+        finally:
+            evaluator_module.run_sweep = original
+        assert [(s.hits, s.misses) for s in calls] == [(1, 0)]
+
+
+# ---------------------------------------------------------------------------
 # The exploration loop and the EXPLORE artifact
 
 
@@ -576,6 +791,32 @@ class TestExploreLoop:
         assert payload["budget"]["spent"] == EXPLORE_KW["budget"]
         for row in payload["points"]:
             assert row["source"] == "exact"
+
+    def test_rank_span_and_scored_counter(self, explore_cache,
+                                          paper_space):
+        from repro.obs import (
+            disable, enable, get_recorder, get_registry,
+        )
+        name = "repro_explore_candidates_scored_total"
+        before = get_registry().value(name)
+        enable(reset=True)
+        try:
+            run_explore(space=paper_space, cache_dir=explore_cache,
+                        **EXPLORE_KW)
+            records = list(get_recorder().records)
+        finally:
+            disable()
+            get_recorder().clear()
+        ranks = [r["args"] for r in records
+                 if r["name"] == "explore.rank"]
+        assert ranks
+        assert all(0 < a["scored"] <= a["candidates"] for a in ranks)
+        assert get_registry().value(name) - before \
+            == sum(a["scored"] for a in ranks)
+        evaluates = [r["args"] for r in records
+                     if r["name"] == "explore.evaluate"]
+        assert evaluates == [
+            {"max_invocations": 2, "cores": 4, "subsets": 16}]
 
     def test_unknown_benchmark_raises(self, paper_space):
         with pytest.raises(Exception):
@@ -662,11 +903,11 @@ PARITY_SCRIPT = """\
 import sys
 from repro.explore import run_explore
 from repro.explore.artifact import canonical_fields, dumps_explore
-from repro.explore.space import DesignSpace, HAVE_NUMPY
-assert HAVE_NUMPY is %s
+from repro.explore.space import DesignSpace
 payload = run_explore(space=DesignSpace.paper(max_invocations=(2,)),
                       benchmarks=("conv",), budget=6, seed=0,
                       scale=0.1, cache_dir=sys.argv[1])
+%s
 sys.stdout.write(dumps_explore(canonical_fields(payload)))
 """
 
@@ -679,12 +920,25 @@ def test_numpy_absent_parity(explore_cache):
         os.pathsep + env["PYTHONPATH"]
         if env.get("PYTHONPATH") else "")
     outputs = []
-    for block, have in ((NUMPY_BLOCK, False), ("", True)):
+    blocked_check = 'assert "numpy" not in sys.modules'
+    for block, check in ((NUMPY_BLOCK, blocked_check), ("", "")):
         result = subprocess.run(
             [sys.executable, "-c",
-             PARITY_SCRIPT % (block, have), explore_cache],
+             PARITY_SCRIPT % (block, check), explore_cache],
             capture_output=True, text=True, env=env, timeout=600)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
     assert outputs[0] == outputs[1]
     assert len(outputs[0]) > 200
+
+
+def test_explore_never_imports_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1]
+                            / "src")
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.explore\n"
+         "assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
