@@ -1,10 +1,9 @@
 """Shared conventions for canonical repo-root artifacts.
 
 The repo tracks its own health as a series of dated, checked-in JSON
-artifacts: ``BENCH_<date>.json`` (perf trajectory, :mod:`repro.bench`),
-``FIDELITY_<date>.json`` (model-error trajectory,
+artifacts: ``FIDELITY_<date>.json`` (model-error trajectory,
 :mod:`repro.fidelity.artifact`) and ``EXPLORE_<date>.json``
-(design-space exploration, :mod:`repro.explore.artifact`).  They all
+(design-space exploration, :mod:`repro.explore.artifact`).  Both
 follow one convention, implemented here exactly once:
 
 - **stamping** — every payload carries ``schema`` (int), ``commit``

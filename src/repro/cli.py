@@ -10,7 +10,6 @@ sweep [NAMES...]          design-space exploration (Figs. 10-13)
 explore [NAMES...]        surrogate-assisted search of the extended
                           design space (EXPLORE_*.json)
 cache export              dump the sweep cache as JSONL training records
-bench                     perf-trajectory smoke benchmark (BENCH_*.json)
 validate                  regenerate the Table 1 validation summary
 serve                     long-lived HTTP evaluation service
                           (``--worker-of URL`` joins a fleet)
@@ -379,55 +378,6 @@ def _cmd_cache(args):
           f"({with_meta} with evaluation meta) from {root} "
           f"-> {destination}", file=sys.stderr)
     return 0
-
-
-def _cmd_bench(args):
-    from repro.bench import (
-        KERNEL_REQUIRED, check_regression, collect_bench, dumps_bench,
-        format_bench, latest_bench, load_bench, write_bench,
-    )
-    from repro.tdg.fastpath import kernel_available
-
-    sweep_names = tuple(args.sweep_names.split(",")) \
-        if args.sweep_names else ("conv",)
-    if not kernel_available():
-        raise CLIError(KERNEL_REQUIRED)
-    payload = collect_bench(
-        workload=args.workload, core=args.core, scale=args.scale,
-        reps=args.reps, sweep_names=sweep_names,
-        sweep_scale=args.scale, max_invocations=args.max_invocations)
-    print(format_bench(payload), file=sys.stderr)
-
-    baseline_path = args.baseline
-    if baseline_path == "auto":
-        found = latest_bench(args.out_dir)
-        baseline_path = str(found) if found is not None else None
-        if baseline_path is None:
-            print("[bench] no BENCH_*.json baseline found; "
-                  "skipping regression check", file=sys.stderr)
-    failures = []
-    if baseline_path:
-        try:
-            baseline = load_bench(baseline_path)
-        except (OSError, ValueError) as exc:
-            raise CLIError(
-                f"cannot read baseline {baseline_path}: {exc}"
-            ) from None
-        failures = check_regression(payload, baseline,
-                                    tolerance=args.tolerance)
-        for failure in failures:
-            print(f"[bench] REGRESSION: {failure}", file=sys.stderr)
-        if not failures:
-            print(f"[bench] no regression vs {baseline_path} "
-                  f"(tolerance {args.tolerance:.0%})",
-                  file=sys.stderr)
-
-    if args.no_write:
-        print(dumps_bench(payload), end="")
-    else:
-        path = write_bench(payload, args.out_dir)
-        print(f"[bench] wrote {path}", file=sys.stderr)
-    return 1 if failures else 0
 
 
 def _cmd_serve(args):
@@ -800,32 +750,6 @@ def build_parser():
     p.add_argument("--out", default=None,
                    help="output file (default: stdout)")
 
-    p = sub.add_parser("bench",
-                       help="perf-trajectory smoke benchmark")
-    p.add_argument("--workload", default="conv",
-                   help="smoke workload (default conv)")
-    p.add_argument("--core", default="OOO2",
-                   help="core config to time (default OOO2)")
-    p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument("--reps", type=int, default=5,
-                   help="repetitions per stage; minimum is reported")
-    p.add_argument("--max-invocations", type=int, default=2)
-    p.add_argument("--sweep-names", default=None,
-                   help="comma-separated benchmarks for the sweep-"
-                        "throughput stage (default: conv)")
-    p.add_argument("--out-dir", default=".",
-                   help="directory for BENCH_<date>.json (default .)")
-    p.add_argument("--no-write", action="store_true",
-                   help="print the payload to stdout instead of "
-                        "writing BENCH_<date>.json")
-    p.add_argument("--baseline", default=None,
-                   help="BENCH file to gate against ('auto' picks the "
-                        "newest BENCH_*.json in --out-dir); any "
-                        "regression exits 1")
-    p.add_argument("--tolerance", type=float, default=0.30,
-                   help="fractional ratio drop tolerated before a "
-                        "regression is flagged (default 0.30)")
-
     p = sub.add_parser("validate",
                        help="Table 1 validation / fidelity sweep")
     p.add_argument("--scale", type=float, default=None,
@@ -986,7 +910,6 @@ def main(argv=None):
         "sweep": _cmd_sweep,
         "explore": _cmd_explore,
         "cache": _cmd_cache,
-        "bench": _cmd_bench,
         "validate": _cmd_validate,
         "serve": _cmd_serve,
         "coordinate": _cmd_coordinate,

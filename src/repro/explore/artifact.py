@@ -1,8 +1,7 @@
 """The canonical ``EXPLORE_<date>.json`` artifact and its gate.
 
-Third member of the dated-artifact family (see
-:mod:`repro.artifacts`): BENCH tracks throughput, FIDELITY tracks
-model error, EXPLORE tracks what the surrogate-assisted search found —
+Second member of the dated-artifact family (see
+:mod:`repro.artifacts`): FIDELITY tracks model error, EXPLORE tracks what the surrogate-assisted search found —
 the discovered Pareto frontier, how well the surrogate predicted the
 points it chose, and how much exact-evaluation budget that cost.
 Every number is modeled (machine-independent), so like FIDELITY the

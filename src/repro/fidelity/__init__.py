@@ -10,7 +10,7 @@ Three pieces, layered:
   fast-vs-detailed, sharded per benchmark and byte-stable at any
   worker count.
 - :mod:`repro.fidelity.artifact` — the canonical
-  ``FIDELITY_<date>.json`` (BENCH-harness conventions) and the
+  ``FIDELITY_<date>.json`` (:mod:`repro.artifacts` conventions) and the
   :func:`check_fidelity` regression gate.
 - :mod:`repro.fidelity.arbiter` — :class:`ModelArbiter`, turning the
   sweep's measured per-(BSA, class) error bounds into cheapest-model

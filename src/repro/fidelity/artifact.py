@@ -1,12 +1,12 @@
 """The canonical ``FIDELITY_<date>.json`` artifact and its gate.
 
-Mirrors the BENCH harness conventions (:mod:`repro.bench`): one
+Follows the dated-artifact conventions of :mod:`repro.artifacts`: one
 canonical, byte-stable JSON file per sweep date, checked into the repo
 root; ``latest_fidelity`` discovers the newest baseline by
 date-in-name; :func:`check_fidelity` is the regression gate CI runs
-against it.  Unlike BENCH, *every* number in a FIDELITY payload is
-machine-independent (modeled cycles, not wall clock), so the whole
-payload minus provenance (``commit``/``date``) is reproducible —
+against it.  Every number in a FIDELITY payload is machine-independent
+(modeled cycles, not wall clock), so the whole payload minus
+provenance (``commit``/``date``) is reproducible —
 :func:`canonical_fields` strips exactly those two fields.
 
 Schema (``"schema": 1``)::

@@ -3,8 +3,8 @@
 Every substantial run (a sweep, a service lifetime) appends one JSON
 line to ``<cache>/runlog.jsonl`` summarizing what happened: throughput,
 cache hit rate, retry/timeout counters, latency quantiles.  The log is
-longitudinal where the checked-in ``BENCH_*/FIDELITY_*/EXPLORE_*``
-artifacts are per-commit: together they answer "is this system getting
+longitudinal where the checked-in ``FIDELITY_*/EXPLORE_*`` artifacts
+are per-commit: together they answer "is this system getting
 faster or flakier over time?" without re-running anything.
 
 ``repro obs report`` renders both sources as trend tables and flags
@@ -200,14 +200,6 @@ def _artifact_series(prefix, directory, pick):
     return dates, values
 
 
-def _bench_evals_per_sec(payload):
-    sweep = payload.get("sweep") or {}
-    value = sweep.get("evals_per_sec_fast")
-    if value is None:
-        value = sweep.get("evals_per_sec_object")
-    return value
-
-
 def _fidelity_error(payload):
     """Worst per-class max relative error across every tier/metric."""
     worst = None
@@ -260,16 +252,14 @@ def build_report(cache_root, artifacts_dir=None, window=20,
             "lower", [e.get("latency_p95_ms") for e in serves])
 
     artifacts = {}
-    for prefix, direction, pick in (
-            ("BENCH", "higher", _bench_evals_per_sec),
-            ("FIDELITY", "lower", _fidelity_error),
-            ("EXPLORE", "lower", _explore_error)):
+    for prefix, pick in (("FIDELITY", _fidelity_error),
+                         ("EXPLORE", _explore_error)):
         dates, values = _artifact_series(prefix, artifacts_dir, pick)
         if dates:
             artifacts[prefix] = {"dates": dates, "values": values}
             clean = [v for v in values if v is not None]
             if len(clean) >= 2:
-                series[f"artifact.{prefix.lower()}"] = (direction, clean)
+                series[f"artifact.{prefix.lower()}"] = ("lower", clean)
 
     return {
         "cache_root": str(cache_root),
@@ -313,8 +303,7 @@ def format_report(report):
               e.get("pool_restarts", 0)]
              for e in serves]))
 
-    for prefix, label in (("BENCH", "sweep evals/s, fast engine"),
-                          ("FIDELITY", "worst max rel error"),
+    for prefix, label in (("FIDELITY", "worst max rel error"),
                           ("EXPLORE", "surrogate error")):
         trail = report["artifacts"].get(prefix)
         if not trail:

@@ -535,15 +535,15 @@ class TestArtifactsHelper:
     def test_filename_uses_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXPLORE_DATE", "1999-09-09")
         assert explore_filename() == "EXPLORE_1999-09-09.json"
-        assert artifact_filename("BENCH", "2001-01-01") \
-            == "BENCH_2001-01-01.json"
+        assert artifact_filename("FIDELITY", "2001-01-01") \
+            == "FIDELITY_2001-01-01.json"
 
-    def test_bench_and_fidelity_share_the_helper(self):
-        from repro import bench
+    def test_explore_and_fidelity_share_the_helper(self):
+        from repro.explore import artifact as explore
         from repro.fidelity import artifact as fidelity
         payload = {"b": 2, "a": 1}
         expected = dumps_artifact(payload)
-        assert bench.dumps_bench(payload) == expected
+        assert explore.dumps_explore(payload) == expected
         assert fidelity.dumps_fidelity(payload) == expected
 
 

@@ -13,6 +13,8 @@ the same serialized sweep artifact.  These tests pin that contract:
   object engine);
 - every BSA model's ``evaluate_region`` across cores, plus the DSL
   fma transform, on the shared kernel fixtures;
+- (marked ``bench``) the kernel's speedup floor over the object engine
+  on conv at scale 0.1, OOO2;
 - engine selection: ``make_engine`` returns the fast engine iff the
   kernel is available;
 - the golden four-benchmark sweep serialized with ``dumps_sweep``: a
@@ -23,6 +25,7 @@ the same serialized sweep artifact.  These tests pin that contract:
 
 import contextlib
 import random
+import time
 
 import pytest
 
@@ -45,6 +48,10 @@ CONFIGS = [IO2, OOO2, OOO6,
                       dcache_ports=1, alu_units=2)]
 
 _MEM_LEVELS = (("l1", 4), ("l2", 12), ("dram", 176))
+
+#: Acceptance floor: timing a pre-lowered stream with the C kernel must
+#: beat the object engine by at least this factor on conv/OOO2/0.1.
+SINGLE_EVAL_FLOOR = 5.0
 
 
 def make_inst(seq, opcode=Opcode.ADD, deps=(), **kwargs):
@@ -205,6 +212,40 @@ class TestRandomStreams:
             candidate = FastTimingEngine(
                 config, collect_commit_times=True).run(lowered)
             assert_results_equal(reference, candidate)
+
+
+def min_ns(fn, reps):
+    """Minimum wall time of *reps* calls of *fn*, in ns."""
+    best = None
+    for _ in range(reps):
+        started = time.perf_counter_ns()
+        fn()
+        elapsed = time.perf_counter_ns() - started
+        best = elapsed if best is None else min(best, elapsed)
+    return best
+
+
+class TestKernelFloor:
+    @pytest.mark.bench
+    def test_fast_beats_object_by_the_floor(self):
+        from repro.workloads import WORKLOADS
+
+        if not kernel_available():
+            pytest.skip("no compiled kernel to time")
+        conv_trace = list(WORKLOADS["conv"].construct_tdg(scale=0.1)
+                          .trace.instructions)
+        lowered = lower_stream(conv_trace)
+        fast = FastTimingEngine(OOO2)
+        reference = TimingEngine(OOO2)
+        assert fast.run(lowered).cycles == reference.run(conv_trace).cycles
+        # The kernel call is tens of microseconds, so its minimum needs
+        # more samples than the millisecond object run to escape
+        # scheduler noise.
+        fast_ns = min_ns(lambda: fast.run(lowered), 50)
+        object_ns = min_ns(lambda: reference.run(conv_trace), 5)
+        assert object_ns / fast_ns >= SINGLE_EVAL_FLOOR, (
+            f"kernel {fast_ns / 1000:.0f} us vs object engine "
+            f"{object_ns / 1000:.0f} us")
 
 
 class TestLoweringFallback:
