@@ -13,6 +13,7 @@ from repro.analysis.pathprof import profile_paths
 from repro.analysis.regions import loop_intervals
 from repro.analysis.slicing import slice_loop_body
 from repro.energy.mcpat import EnergyModel
+from repro.isa.opcodes import Opcode
 from repro.obs import counter, span
 from repro.tdg.fastpath import lower_for_reuse, make_engine
 
@@ -51,6 +52,23 @@ class SeqAllocator:
         return seq
 
 
+def map_deps(dyn, seq_map):
+    """*dyn*'s source deps, each renamed to its transformed producer's
+    seq where *seq_map* has one."""
+    deps = dyn.src_deps
+    return tuple(map(seq_map.get, deps, deps))
+
+
+def remap(dyn, seq_map):
+    """*dyn* unchanged, or a clone whose register and memory deps name
+    transformed producers (see :func:`map_deps`)."""
+    if seq_map.keys().isdisjoint(dyn.src_deps) \
+            and dyn.mem_dep not in seq_map:
+        return dyn
+    return dyn.clone(src_deps=map_deps(dyn, seq_map),
+                     mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
+
+
 def apply_dataflow_latency(stream, latency):
     """Charge *latency* cycles on accelerator-internal dataflow edges.
 
@@ -63,14 +81,12 @@ def apply_dataflow_latency(stream, latency):
         return stream
     base = SeqAllocator._BASE
     for inst in stream:
-        if inst.accel is None:
+        deps = inst.src_deps
+        if inst.accel is None or not deps or max(deps) < base:
             continue
-        internal = tuple(d for d in inst.src_deps if d >= base)
-        if internal:
-            inst.src_deps = tuple(
-                d for d in inst.src_deps if d < base)
-            inst.extra_deps = inst.extra_deps + tuple(
-                (d, latency) for d in internal)
+        inst.src_deps = tuple(d for d in deps if d < base)
+        inst.extra_deps = inst.extra_deps + tuple(
+            (d, latency) for d in deps if d >= base)
     return stream
 
 
@@ -99,32 +115,27 @@ class CFUFolder:
         new accel DynInst to append, or None if folded into a pending
         compound instruction.
         """
-        from repro.isa.opcodes import Opcode
-
-        uid = dyn.uid
-        cfu_index = self.schedule.cfu_of.get(uid)
-        members = self.schedule.cfus[cfu_index] \
-            if cfu_index is not None else None
-        position = members.index(uid) if members else 0
-
-        if members and position > 0:
-            pending = self._pending.get(cfu_index)
-            if pending is not None and pending[1] == position:
-                inst, _ = pending
-                external = tuple(
-                    d for d in mapped_deps
-                    if d != inst.seq and d not in inst.src_deps
-                )
-                inst.src_deps = inst.src_deps + external
-                inst.lat_override = (inst.lat_override or 0) \
-                    + dyn.latency
-                inst.vector_width += 1
-                if position + 1 < len(members):
-                    self._pending[cfu_index] = (inst, position + 1)
-                else:
-                    self._pending.pop(cfu_index, None)
-                self.seq_map[dyn.seq] = inst.seq
-                return None
+        slot = self.schedule.slots.get(dyn.uid)
+        if slot is not None:
+            cfu_index, position, size = slot
+            if position:
+                pending = self._pending.get(cfu_index)
+                if pending is not None and pending[1] == position:
+                    inst = pending[0]
+                    external = tuple(
+                        d for d in mapped_deps
+                        if d != inst.seq and d not in inst.src_deps
+                    )
+                    inst.src_deps = inst.src_deps + external
+                    inst.lat_override = (inst.lat_override or 0) \
+                        + dyn.latency
+                    inst.vector_width += 1
+                    if position + 1 < size:
+                        self._pending[cfu_index] = (inst, position + 1)
+                    else:
+                        del self._pending[cfu_index]
+                    self.seq_map[dyn.seq] = inst.seq
+                    return None
         # Chain head (or out-of-order instance): fresh compound inst.
         seq = self.seq_alloc.next()
         inst = dyn.clone(
@@ -132,7 +143,7 @@ class CFUFolder:
             src_deps=mapped_deps, lat_override=dyn.latency,
             vector_width=1, mispredicted=False, icache_lat=0,
         )
-        if members and len(members) > 1 and position == 0:
+        if slot is not None and size > 1 and not position:
             self._pending[cfu_index] = (inst, 1)
         self.seq_map[dyn.seq] = seq
         return inst
@@ -339,8 +350,9 @@ class BSAModel:
         return estimates
 
     def _transform_region(self, ctx, plan, evaluated, vector_len):
-        """Transform, lower and reduce to energy events each evaluated
-        interval; returns ``[(timed stream, EnergyEvents), ...]``."""
+        """Transform each evaluated interval, then lower it and reduce
+        it to energy events in one walk; returns
+        ``[(timed stream, EnergyEvents), ...]``."""
         seq_alloc = SeqAllocator()
         with span("accel.transform", bsa=self.name):
             streams = [
@@ -351,12 +363,11 @@ class BSAModel:
         count_work("repro_insts_transformed_total",
                    sum(end - start for start, end in evaluated), self.name)
         with span("tdg.lower", path=self.name):
-            timed = [lower_for_reuse(stream) for stream in streams]
+            costed = [lower_for_reuse(stream) for stream in streams]
         count_work("repro_insts_lowered_total",
-                   sum(len(stream) for stream, form in zip(streams, timed)
-                       if form is not stream), self.name)
-        with span("energy.price", path=self.name):
-            events = [EnergyModel.events(stream) for stream in streams]
+                   sum(len(stream) for stream, (timed, _) in
+                       zip(streams, costed) if timed is not stream),
+                   self.name)
         count_work("repro_insts_priced_total",
                    sum(len(stream) for stream in streams), self.name)
-        return list(zip(timed, events))
+        return costed

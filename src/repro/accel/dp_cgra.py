@@ -16,7 +16,7 @@ for in-order completion.  A small configuration cache inserts a
 """
 
 from repro.isa.opcodes import Opcode
-from repro.accel.base import BSAModel
+from repro.accel.base import BSAModel, remap
 from repro.analysis.slicing import ROLE_EXECUTE, ROLE_CONTROL
 from repro.tdg.engine import AccelResources
 
@@ -126,7 +126,7 @@ class DPCGRAModel(BSAModel):
                 for span_start, span_end in group:
                     for i in range(span_start, span_end):
                         stream.append(
-                            _remap(trace[i], seq_map))
+                            remap(trace[i], seq_map))
                 break
             first_cgra, last_cgra = self._emit_group(
                 trace, group, loop, slice_info, dep, lanes, stream,
@@ -169,7 +169,7 @@ class DPCGRAModel(BSAModel):
                 dyn = trace[i]
                 uid = dyn.uid
                 if uid is None or uid not in loop_uids:
-                    stream.append(_remap(dyn, seq_map))
+                    stream.append(remap(dyn, seq_map))
                     continue
                 instances.setdefault(uid, []).append(dyn)
                 if len(instances[uid]) == 1:
@@ -306,10 +306,3 @@ def _map_deps(dyn, seq_map, own_seq):
             deps.append(mapped)
     return tuple(deps)
 
-
-def _remap(dyn, seq_map):
-    if any(d in seq_map for d in dyn.src_deps) or dyn.mem_dep in seq_map:
-        return dyn.clone(
-            src_deps=tuple(seq_map.get(d, d) for d in dyn.src_deps),
-            mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
-    return dyn

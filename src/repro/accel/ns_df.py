@@ -17,8 +17,10 @@ The core pipeline is power-gated while NS-DF runs (energy side), which
 is why NS-DF's energy gain exceeds its time gain in paper Fig. 13.
 """
 
-from repro.isa.opcodes import Opcode, is_compute
-from repro.accel.base import BSAModel, CFUFolder, apply_dataflow_latency
+from repro.isa.opcodes import Opcode
+from repro.accel.base import (
+    BSAModel, CFUFolder, apply_dataflow_latency, map_deps, remap,
+)
 from repro.analysis.cfu import schedule_cfus
 from repro.tdg.engine import AccelResources
 
@@ -121,6 +123,10 @@ class NSDataflowModel(BSAModel):
         seq_map = {}
         folder = CFUFolder(schedule, self.name, seq_alloc, seq_map)
         last_switch = None
+        # Locals: on Python 3.11 an ``Opcode.X`` read costs ~10x a
+        # local one, and this loop runs once per trace instruction.
+        BR, JMP, SWITCH = Opcode.BR, Opcode.JMP, Opcode.SWITCH
+        moves = (Opcode.MOV, Opcode.LI)
 
         for index in range(start, end):
             dyn = trace[index]
@@ -129,22 +135,22 @@ class NSDataflowModel(BSAModel):
             if uid is None or uid not in loop_uids:
                 # Stray instruction (shouldn't happen for call-free
                 # nests): keep on core.
-                stream.append(_remap(dyn, seq_map))
+                stream.append(remap(dyn, seq_map))
                 continue
-            mapped = _map_deps(dyn, seq_map)
+            mapped = map_deps(dyn, seq_map)
             control_edge = ((last_switch, self.switch_latency),) \
                 if last_switch is not None else ()
 
-            if opcode is Opcode.BR:
+            if opcode is BR:
                 seq = seq_alloc.next()
                 inst = dyn.clone(
-                    seq=seq, opcode=Opcode.SWITCH, accel=self.name,
+                    seq=seq, opcode=SWITCH, accel=self.name,
                     src_deps=mapped, extra_deps=control_edge,
                     mispredicted=False, icache_lat=0, lat_override=1)
                 stream.append(inst)
                 seq_map[dyn.seq] = seq
                 last_switch = seq
-            elif opcode is Opcode.JMP:
+            elif opcode is JMP:
                 # Unconditional control is free in dataflow.
                 continue
             elif dyn.mem_addr is not None:
@@ -155,24 +161,12 @@ class NSDataflowModel(BSAModel):
                     mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
                 stream.append(inst)
                 seq_map[dyn.seq] = seq
-            elif is_compute(opcode) or opcode in (Opcode.MOV, Opcode.LI):
+            elif opcode.is_compute or opcode in moves:
                 inst = folder.process(dyn, mapped)
                 if inst is not None:
                     inst.extra_deps = inst.extra_deps + control_edge
                     stream.append(inst)
             else:
-                stream.append(_remap(dyn, seq_map))
+                stream.append(remap(dyn, seq_map))
         latency = DATAFLOW_EDGE_LATENCY + (1 if self.detailed else 0)
         return apply_dataflow_latency(stream, latency)
-
-
-def _map_deps(dyn, seq_map):
-    return tuple(seq_map.get(d, d) for d in dyn.src_deps)
-
-
-def _remap(dyn, seq_map):
-    if any(d in seq_map for d in dyn.src_deps) or dyn.mem_dep in seq_map:
-        return dyn.clone(
-            src_deps=tuple(seq_map.get(d, d) for d in dyn.src_deps),
-            mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
-    return dyn

@@ -22,7 +22,7 @@ import math
 from repro.isa.opcodes import (
     Opcode, is_compute, vector_opcode_for,
 )
-from repro.accel.base import BSAModel
+from repro.accel.base import BSAModel, remap
 
 #: Memory-level severity order for remapping the group's worst latency.
 _LEVEL_RANK = {None: 0, "l1": 1, "l2": 2, "dram": 3}
@@ -108,7 +108,7 @@ class SIMDModel(BSAModel):
                 for span_start, span_end in group:
                     for i in range(span_start, span_end):
                         dyn = trace[i]
-                        stream.append(self._remap_scalar(dyn, seq_map))
+                        stream.append(remap(dyn, seq_map))
                 break
             self._vectorize_group(
                 trace, group, loop_uids, latch_uids, dep, vector_len,
@@ -134,16 +134,6 @@ class SIMDModel(BSAModel):
         return stream
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _remap_scalar(dyn, seq_map):
-        if any(d in seq_map for d in dyn.src_deps) \
-                or (dyn.mem_dep in seq_map):
-            return dyn.clone(
-                src_deps=tuple(seq_map.get(d, d) for d in dyn.src_deps),
-                mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep),
-            )
-        return dyn
-
     def _vectorize_group(self, trace, group, loop_uids, latch_uids, dep,
                          vector_len, stream, seq_map, seq_alloc,
                          reduction_tail, body_uids):
@@ -156,7 +146,7 @@ class SIMDModel(BSAModel):
                 uid = dyn.uid
                 if uid is None or uid not in loop_uids:
                     # Stray (callee) instruction: keep scalar.
-                    stream.append(self._remap_scalar(dyn, seq_map))
+                    stream.append(remap(dyn, seq_map))
                     continue
                 if uid not in instances:
                     instances[uid] = []

@@ -13,8 +13,10 @@ replayed on the general core behind a flush penalty, and the trace
 engine restarts.
 """
 
-from repro.isa.opcodes import Opcode, is_compute
-from repro.accel.base import BSAModel, CFUFolder, apply_dataflow_latency
+from repro.isa.opcodes import Opcode
+from repro.accel.base import (
+    BSAModel, CFUFolder, apply_dataflow_latency, map_deps, remap,
+)
 from repro.analysis.cfu import schedule_cfus
 from repro.analysis.memdep import iteration_spans
 from repro.tdg.engine import AccelResources
@@ -132,6 +134,10 @@ class TraceProcessorModel(BSAModel):
         seq_map = {}
         last_accel_seq = None
         restart_edge = None   # (seq, latency) after a mispeculation
+        # Locals: on Python 3.11 an ``Opcode.X`` read costs ~10x a
+        # local one, and this loop runs once per trace instruction.
+        BR, JMP, SWITCH = Opcode.BR, Opcode.JMP, Opcode.SWITCH
+        moves = (Opcode.MOV, Opcode.LI)
 
         for span_start, span_end in spans:
             path = _iteration_path(trace, span_start, span_end, loop)
@@ -145,22 +151,22 @@ class TraceProcessorModel(BSAModel):
                     uid = dyn.uid
                     opcode = dyn.opcode
                     if uid is None or uid not in loop_uids:
-                        stream.append(_remap(dyn, seq_map))
+                        stream.append(remap(dyn, seq_map))
                         continue
-                    mapped = _map_deps(dyn, seq_map)
+                    mapped = map_deps(dyn, seq_map)
                     entry_edge = ()
                     if first_in_iter and restart_edge is not None:
                         entry_edge = (restart_edge,)
                         restart_edge = None
                     first_in_iter = False
-                    if opcode is Opcode.JMP:
+                    if opcode is JMP:
                         continue
-                    if opcode is Opcode.BR:
+                    if opcode is BR:
                         # Speculative: branch is a cheap verify op with
                         # no control dependence.
                         seq = seq_alloc.next()
                         stream.append(dyn.clone(
-                            seq=seq, opcode=Opcode.SWITCH,
+                            seq=seq, opcode=SWITCH,
                             accel=self.name, src_deps=mapped,
                             extra_deps=entry_edge, mispredicted=False,
                             icache_lat=0, lat_override=1))
@@ -175,8 +181,7 @@ class TraceProcessorModel(BSAModel):
                                                 dyn.mem_dep)))
                         seq_map[dyn.seq] = seq
                         last_accel_seq = seq
-                    elif is_compute(opcode) or opcode in (Opcode.MOV,
-                                                          Opcode.LI):
+                    elif opcode.is_compute or opcode in moves:
                         inst = folder.process(dyn, mapped)
                         if inst is not None:
                             inst.extra_deps = inst.extra_deps \
@@ -184,7 +189,7 @@ class TraceProcessorModel(BSAModel):
                             stream.append(inst)
                             last_accel_seq = inst.seq
                     else:
-                        stream.append(_remap(dyn, seq_map))
+                        stream.append(remap(dyn, seq_map))
             else:
                 # Trace mispeculation: replay the iteration on the
                 # general core behind the flush penalty.
@@ -192,7 +197,7 @@ class TraceProcessorModel(BSAModel):
                 last_core_seq = None
                 for index in range(span_start, span_end):
                     dyn = trace[index]
-                    inst = _remap(dyn, seq_map)
+                    inst = remap(dyn, seq_map)
                     if first and last_accel_seq is not None:
                         inst = inst.clone(extra_deps=inst.extra_deps + (
                             (last_accel_seq, self.mispec_penalty),))
@@ -221,15 +226,3 @@ def _iteration_path(trace, start, end, loop):
             if not path or path[-1] != block.label:
                 path.append(block.label)
     return path
-
-
-def _map_deps(dyn, seq_map):
-    return tuple(seq_map.get(d, d) for d in dyn.src_deps)
-
-
-def _remap(dyn, seq_map):
-    if any(d in seq_map for d in dyn.src_deps) or dyn.mem_dep in seq_map:
-        return dyn.clone(
-            src_deps=tuple(seq_map.get(d, d) for d in dyn.src_deps),
-            mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
-    return dyn

@@ -8,6 +8,8 @@ single-use chains are fused into one compound op up to a size limit,
 which is exactly the size-based approximation the paper validates.
 """
 
+import functools
+
 from repro.isa.opcodes import Opcode, is_compute
 
 
@@ -24,6 +26,13 @@ class CFUSchedule:
     @property
     def key(self):
         return self.loop.key
+
+    @functools.cached_property
+    def slots(self):
+        """uid -> (cfu index, position in its chain, chain length)."""
+        return {uid: (index, self.cfus[index].index(uid),
+                      len(self.cfus[index]))
+                for uid, index in self.cfu_of.items()}
 
     @property
     def compound_count(self):

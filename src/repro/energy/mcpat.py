@@ -15,7 +15,7 @@ import functools
 import math
 import operator
 
-from repro.isa.opcodes import Opcode, OpClass, is_vector, op_class
+from repro.isa.opcodes import OpClass
 from repro.energy.cacti import (
     L1D_SRAM, L1I_SRAM, L2_SRAM, DRAM_ACCESS_PJ,
 )
@@ -35,10 +35,6 @@ _FU_PJ = {
 
 #: Vector lanes share control overhead: per-lane discount.
 _VECTOR_LANE_FACTOR = 0.65
-
-#: Per opcode: (FU pJ per scalar op, is a vector opcode).
-_FU_OF = {opcode: (_FU_PJ[op_class(opcode)], is_vector(opcode))
-          for opcode in Opcode}
 
 #: Accelerator-side coefficients (pJ), from the publications the paper
 #: cites (DySER / SEED / BERET energy tables), rounded.
@@ -160,83 +156,12 @@ class EnergyModel:
 
     @staticmethod
     def events(stream):
-        """Core-independent :class:`EnergyEvents` of *stream*.
-
-        One pass over the instructions; the result can be priced for
-        any number of core configurations with :meth:`price`.
-        """
-        components = {}
-        regfile = []
-        core_insts = branches = core_mem = 0
-        fu_of = _FU_OF
-        for inst in stream:
-            opcode = inst.opcode
-            accel = inst.accel
-            if accel is not None:
-                op_pj = _ACCEL_OP_PJ.get(accel, 4.0)
-                if opcode is Opcode.CFU:
-                    name = f"{accel}_cfu"
-                    picojoules = op_pj + _CFU_EXTRA_OP_PJ \
-                        * (max(inst.vector_width, 1) - 1)
-                elif opcode is Opcode.CFG:
-                    name, picojoules = "accel_config", _CONFIG_PJ
-                else:
-                    name, picojoules = f"{accel}_op", op_pj
-                components[name] = components.get(name, 0.0) + picojoules
-                name = f"{accel}_net"
-                components[name] = components.get(name, 0.0) \
-                    + _ACCEL_NETWORK_PJ.get(accel, 2.0)
-                if inst.mem_addr is not None:
-                    _memory_events(components, L1D_SRAM.access_energy_pj,
-                                   inst.mem_level)
-                    if accel == "trace_p" and opcode is Opcode.ST:
-                        components["store_buffer"] = components.get(
-                            "store_buffer", 0.0) + _STORE_BUFFER_PJ
-                continue
-            # ---- core pipeline events, in charging order ------------
-            static = inst.static
-            category = 2 * len(inst.src_deps) + (
-                static is not None and static.dest is not None)
-            regfile.append(category)
-            if not core_insts:
-                components.update(dict.fromkeys(_FRONTEND))
-                if category:
-                    components["regfile"] = None
-                components.update(dict.fromkeys(_BACKEND))
-            elif category and "regfile" not in components:
-                components["regfile"] = None
-            core_insts += 1
-            picojoules, vector = fu_of[opcode]
-            lanes = inst.vector_width
-            if lanes > 1 or vector:
-                name = "simd_fu"
-                picojoules = picojoules * max(lanes, 1) \
-                    * _VECTOR_LANE_FACTOR
-            else:
-                name = "fu"
-            if picojoules:
-                components[name] = components.get(name, 0.0) + picojoules
-            if opcode is Opcode.BR:
-                branches += 1
-                components.setdefault("bpred")
-            elif opcode is Opcode.SEND or opcode is Opcode.RECV:
-                components["accel_comm"] = components.get(
-                    "accel_comm", 0.0) + _SEND_RECV_PJ
-            elif opcode is Opcode.CFG:
-                components["accel_config"] = components.get(
-                    "accel_config", 0.0) + _CONFIG_PJ
-            if inst.mem_addr is not None:
-                core_mem += 1
-                components.setdefault("lsq")
-                lanes = max(inst.vector_width, 1)
-                _memory_events(
-                    components,
-                    L1D_SRAM.access_energy_pj * (1 + 0.3 * (lanes - 1)),
-                    inst.mem_level)
-        counts = dict.fromkeys(_FRONTEND + _BACKEND, core_insts)
-        counts["bpred"] = branches
-        counts["lsq"] = core_mem
-        return EnergyEvents(components, counts, regfile)
+        """Core-independent :class:`EnergyEvents` of *stream*, to price
+        for any number of cores with :meth:`price`.  The event rule
+        lives in the walk that also lowers streams for the kernel
+        (:mod:`repro.tdg.fastpath`, which imports this module)."""
+        from repro.tdg.fastpath import stream_events
+        return stream_events(stream)
 
     def price(self, events, cycles, core_active=True, active_accels=()):
         """Price *events* on this core over *cycles* cycles.
@@ -296,15 +221,6 @@ _BACKEND = ("bypass", "commit")
 
 #: Components only an out-of-order core pays for.
 _OUT_OF_ORDER = frozenset(("rename", "iq", "rob"))
-
-
-def _memory_events(components, l1d_pj, level):
-    components["l1d"] = components.get("l1d", 0.0) + l1d_pj
-    if level == "l2" or level == "dram":
-        components["l2"] = components.get("l2", 0.0) \
-            + L2_SRAM.access_energy_pj
-    if level == "dram":
-        components["dram"] = components.get("dram", 0.0) + DRAM_ACCESS_PJ
 
 
 class EnergyEvents:

@@ -3,18 +3,17 @@
 This is the expensive step the TDG makes tractable: the trace is
 simulated once, then every (core, BSA, region) combination is costed by
 transforming and re-timing only the affected trace slices.  Each
-region is transformed, lowered and reduced to energy events once per
-BSA; only the timing-engine run and the pricing of those events repeat
-for every core.
+region is transformed once per BSA, then lowered and reduced to energy
+events in one walk; only the timing-engine run and the pricing of
+those events repeat for every core.
 """
 
 from repro.accel import BSA_REGISTRY, AnalysisContext
 from repro.accel.base import count_work
 from repro.analysis.regions import attribute_baseline
 from repro.core_model import core_by_name
-from repro.energy.mcpat import EnergyModel
 from repro.obs import counter, span
-from repro.tdg.fastpath import lower_for_reuse, make_engine
+from repro.tdg.fastpath import lower_for_reuse, make_engine, stream_events
 
 
 class CoreBaseline:
@@ -87,17 +86,17 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         configs = [core_by_name(core_name) for core_name in core_names]
 
         # ---- baselines --------------------------------------------------
-        # The trace and each loop's spans are lowered and reduced to
-        # energy events once, then timed and priced on every core.
+        # The trace is lowered and reduced to energy events in one
+        # walk, each loop's spans to events alone; both are then timed
+        # and priced on every core.
         with span("tdg.lower", path="baseline"):
-            baseline_stream = lower_for_reuse(trace)
+            baseline_stream, trace_events = lower_for_reuse(trace)
         count_work("repro_insts_lowered_total",
                    len(trace) if baseline_stream is not trace else 0,
                    "baseline")
         with span("energy.price", path="baseline"):
-            trace_events = EnergyModel.events(trace)
             loop_events = {
-                key: EnergyModel.events(_concat(trace, spans))
+                key: stream_events(_concat(trace, spans))
                 for key, spans in ctx.intervals.items() if spans
             }
         count_work("repro_insts_priced_total", len(trace) + sum(

@@ -162,14 +162,36 @@ for _s, _v in _SCALAR_TO_VECTOR.items():
         FU_LATENCY[_v] = FU_LATENCY[_s]
 
 
+#: Opcodes whose FU is unpipelined (occupies the unit for its latency).
+UNPIPELINED = frozenset((
+    Opcode.DIV, Opcode.REM, Opcode.FDIV, Opcode.FSQRT, Opcode.VFDIV,
+))
+
+# Per-opcode facts, set once as member attributes: hot loops read
+# ``opcode.latency`` with no dict probe, since every probe of a dict
+# keyed by an Enum member calls the Python-level ``Enum.__hash__``.
+# ``class_id`` is the op class's position in ``tuple(OpClass)``.
+_OP_CLASSES = tuple(OpClass)
+for _op in Opcode:
+    _op.op_class = _OP_CLASS[_op]
+    _op.class_id = _OP_CLASSES.index(_op.op_class)
+    _op.latency = FU_LATENCY.get(_op, 1)
+    _op.is_store = _op.op_class is OpClass.MEM_ST
+    _op.is_compute = _op.op_class in (
+        OpClass.ALU, OpClass.MUL, OpClass.FP, OpClass.FP_DIV)
+    _op.is_vector = _op in _VECTOR_TO_SCALAR or _op in (
+        Opcode.VBLEND, Opcode.VMOVMSK)
+    _op.unpipelined = _op in UNPIPELINED
+
+
 def op_class(opcode):
     """Return the :class:`OpClass` of *opcode*."""
-    return _OP_CLASS[opcode]
+    return opcode.op_class
 
 
 def fu_latency(opcode):
     """Nominal execute latency of *opcode* (1 cycle unless listed)."""
-    return FU_LATENCY.get(opcode, 1)
+    return opcode.latency
 
 
 def is_branch(opcode):
@@ -179,38 +201,34 @@ def is_branch(opcode):
 
 def is_control(opcode):
     """True for any control-flow opcode, conditional or not."""
-    return _OP_CLASS[opcode] in (OpClass.BRANCH, OpClass.CONTROL) and (
+    return opcode.op_class in (OpClass.BRANCH, OpClass.CONTROL) and (
         opcode is not Opcode.NOP
     )
 
 
 def is_memory(opcode):
-    return _OP_CLASS[opcode] in (OpClass.MEM_LD, OpClass.MEM_ST)
+    return opcode.op_class in (OpClass.MEM_LD, OpClass.MEM_ST)
 
 
 def is_load(opcode):
-    return _OP_CLASS[opcode] is OpClass.MEM_LD
+    return opcode.op_class is OpClass.MEM_LD
 
 
 def is_store(opcode):
-    return _OP_CLASS[opcode] is OpClass.MEM_ST
+    return opcode.is_store
 
 
 def is_compute(opcode):
     """True for value-producing ALU/MUL/FP work (not memory or control)."""
-    return _OP_CLASS[opcode] in (
-        OpClass.ALU, OpClass.MUL, OpClass.FP, OpClass.FP_DIV,
-    )
+    return opcode.is_compute
 
 
 def is_fp(opcode):
-    return _OP_CLASS[opcode] in (OpClass.FP, OpClass.FP_DIV)
+    return opcode.op_class in (OpClass.FP, OpClass.FP_DIV)
 
 
 def is_vector(opcode):
-    return opcode in _VECTOR_TO_SCALAR or opcode in (
-        Opcode.VBLEND, Opcode.VMOVMSK,
-    )
+    return opcode.is_vector
 
 
 def vector_opcode_for(opcode):

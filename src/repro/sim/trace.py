@@ -7,7 +7,8 @@ outcome/misprediction.  A :class:`Trace` is the ordered stream plus
 summary statistics.
 """
 
-from repro.isa.opcodes import op_class, fu_latency
+#: Default of every :meth:`DynInst.clone` argument: keep the field.
+_KEEP = object()
 
 
 class DynInst:
@@ -43,24 +44,44 @@ class DynInst:
         self.lat_override = lat_override      # transform-set latency
         self.vector_width = vector_width      # lanes (energy accounting)
 
-    def clone(self, **overrides):
-        """Copy with field overrides (used by TDG transforms)."""
-        fields = dict(
-            seq=self.seq, static=self.static, opcode=self.opcode,
-            src_deps=self.src_deps, mem_dep=self.mem_dep,
-            mem_addr=self.mem_addr, mem_lat=self.mem_lat,
-            mem_level=self.mem_level, taken=self.taken,
-            mispredicted=self.mispredicted, icache_lat=self.icache_lat,
-            accel=self.accel, extra_deps=self.extra_deps,
-            lat_override=self.lat_override,
-            vector_width=self.vector_width,
-        )
-        fields.update(overrides)
-        return DynInst(**fields)
+    def clone(self, seq=_KEEP, static=_KEEP, opcode=_KEEP,
+              src_deps=_KEEP, mem_dep=_KEEP, mem_addr=_KEEP,
+              mem_lat=_KEEP, mem_level=_KEEP, taken=_KEEP,
+              mispredicted=_KEEP, icache_lat=_KEEP, accel=_KEEP,
+              extra_deps=_KEEP, lat_override=_KEEP, vector_width=_KEEP):
+        """Copy with field overrides (used by TDG transforms).
+
+        Copies the slots directly, with no keyword dict or constructor
+        call; dependence overrides become tuples, as in the
+        constructor."""
+        inst = object.__new__(DynInst)
+        inst.seq = self.seq if seq is _KEEP else seq
+        inst.static = self.static if static is _KEEP else static
+        inst.opcode = self.opcode if opcode is _KEEP else opcode
+        inst.src_deps = self.src_deps if src_deps is _KEEP \
+            else tuple(src_deps)
+        inst.mem_dep = self.mem_dep if mem_dep is _KEEP else mem_dep
+        inst.mem_addr = self.mem_addr if mem_addr is _KEEP else mem_addr
+        inst.mem_lat = self.mem_lat if mem_lat is _KEEP else mem_lat
+        inst.mem_level = self.mem_level if mem_level is _KEEP \
+            else mem_level
+        inst.taken = self.taken if taken is _KEEP else taken
+        inst.mispredicted = self.mispredicted if mispredicted is _KEEP \
+            else mispredicted
+        inst.icache_lat = self.icache_lat if icache_lat is _KEEP \
+            else icache_lat
+        inst.accel = self.accel if accel is _KEEP else accel
+        inst.extra_deps = self.extra_deps if extra_deps is _KEEP \
+            else tuple(extra_deps)
+        inst.lat_override = self.lat_override if lat_override is _KEEP \
+            else lat_override
+        inst.vector_width = self.vector_width if vector_width is _KEEP \
+            else vector_width
+        return inst
 
     @property
     def op_class(self):
-        return op_class(self.opcode)
+        return self.opcode.op_class
 
     @property
     def latency(self):
@@ -70,7 +91,7 @@ class DynInst:
             return self.lat_override
         if self.mem_addr is not None and self.mem_lat:
             return self.mem_lat
-        return fu_latency(self.opcode)
+        return self.opcode.latency
 
     @property
     def uid(self):

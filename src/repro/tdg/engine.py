@@ -22,14 +22,9 @@ O(n) — this is the paper's "windowed approach".
 
 import heapq
 
-from repro.isa.opcodes import Opcode, OpClass, is_store
+from repro.isa.opcodes import OpClass
 from repro.obs import counter, is_enabled, span
 from repro.tdg.mudg import EdgeKind
-
-#: Opcodes whose FU is unpipelined (occupies the unit for its latency).
-_UNPIPELINED = {
-    Opcode.DIV, Opcode.REM, Opcode.FDIV, Opcode.FSQRT, Opcode.VFDIV,
-}
 
 
 class ResourceTable:
@@ -298,7 +293,7 @@ class TimingEngine:
                 if t > ready:
                     ready = t
                     bind = EdgeKind.DATA_DEP
-            if inst.mem_dep is not None and not is_store(opcode):
+            if inst.mem_dep is not None and not opcode.is_store:
                 t = complete_of.get(inst.mem_dep, start_time)
                 if t > ready:
                     ready = t
@@ -314,7 +309,7 @@ class TimingEngine:
 
             # Structural hazards: issue bandwidth, then FU / D$ port.
             latency = inst.latency
-            occupancy = latency if opcode in _UNPIPELINED else 1
+            occupancy = latency if opcode.unpipelined else 1
             slot = issue_table.reserve(ready)
             if slot > ready:
                 ready = slot

@@ -8,12 +8,14 @@ every reservation is a dict probe.  That costs ~3.5 µs per instruction.
 This module restructures the same computation into flat parallel
 arrays evaluated by a compiled kernel:
 
-- :class:`LoweredStream` lowers an instruction stream **once** into
-  ``array('q')`` int64 buffers (latency, occupancy, FU table id,
-  dependence CSR, accelerator tag ids, ...).  Producer references are
-  resolved from seq ids to stream positions at lowering time, so the
-  hot loop indexes a dense ``complete[]`` array instead of probing a
-  dict.
+- :func:`lower_stream` lowers an instruction stream **once** into a
+  :class:`LoweredStream` of ``array('q')`` int64 buffers (latency,
+  occupancy, FU table id, dependence CSR, accelerator tag ids, ...).
+  Producer references are resolved from seq ids to stream positions
+  at lowering time, so the hot loop indexes a dense ``complete[]``
+  array instead of probing a dict.  The same walk (:func:`_walk`)
+  counts the stream's core-independent energy events, so a
+  transformed stream is read once for both.
 - :class:`FastTimingEngine` evaluates a lowered stream with the exact
   edge rules of the object engine in a C kernel (``_KERNEL_SOURCE``,
   built once per source digest and loaded through ctypes).  Its
@@ -46,32 +48,31 @@ import array
 import ctypes
 import hashlib
 import os
+import struct
 import subprocess
 import tempfile
 import threading
 from pathlib import Path
 
-from repro.isa.opcodes import (
-    Opcode, OpClass, fu_latency, is_store, op_class,
+from repro.energy.cacti import DRAM_ACCESS_PJ, L1D_SRAM, L2_SRAM
+from repro.energy.mcpat import (
+    EnergyEvents, _ACCEL_NETWORK_PJ, _ACCEL_OP_PJ, _BACKEND,
+    _CFU_EXTRA_OP_PJ, _CONFIG_PJ, _FRONTEND, _FU_PJ, _SEND_RECV_PJ,
+    _STORE_BUFFER_PJ, _VECTOR_LANE_FACTOR,
 )
+from repro.isa.opcodes import Opcode, OpClass
 from repro.obs import counter, is_enabled, span
-from repro.tdg.engine import (
-    AccelResources, TimingEngine, TimingResult, _UNPIPELINED,
-)
+from repro.tdg.engine import AccelResources, TimingEngine, TimingResult
 from repro.tdg.mudg import EdgeKind
 
-#: Table ids: one per OpClass, then the shared D-cache port table.
+#: Table ids: one per OpClass (``Opcode.class_id``), then the shared
+#: D-cache port table.
 _OP_CLASSES = tuple(OpClass)
-_OP_INDEX = {cls: i for i, cls in enumerate(_OP_CLASSES)}
 PORT_TABLE = len(_OP_CLASSES)
 _N_TABLES = PORT_TABLE + 1
 
-#: Per-opcode lookups hoisted out of the lowering loop (the DynInst
-#: ``latency``/``op_class`` properties cost a function call plus dict
-#: probes per instruction; these flatten both to one dict hit).
-_FU_LAT = {opcode: fu_latency(opcode) for opcode in Opcode}
-_TAB_OF = {opcode: _OP_INDEX[op_class(opcode)] for opcode in Opcode}
-_IS_STORE = {opcode: is_store(opcode) for opcode in Opcode}
+#: FU op energy (pJ per scalar op) by ``Opcode.class_id``.
+_FU_PJ_BY_CLASS = tuple(_FU_PJ[cls] for cls in _OP_CLASSES)
 
 #: Critical-edge bind codes of the C kernel's histogram slots.
 _BIND_KINDS = (
@@ -87,31 +88,26 @@ class LoweringError(Exception):
 
 
 def _int_array(values):
-    """C-contiguous int64 buffer.
+    """C-contiguous int64 buffer of a sequence of ints (or bools).
 
-    Non-integer values raise ``TypeError`` and out-of-range ones
-    ``OverflowError`` instead of being coerced: a stream carrying
-    float latencies must take the object path, where float arithmetic
-    is modeled exactly.
+    Packed with :mod:`struct`, which converts about twice as fast as
+    the array constructor.  Non-integer and out-of-range values raise
+    ``struct.error`` instead of being coerced: a stream carrying float
+    latencies must take the object path, where float arithmetic is
+    modeled exactly.
     """
-    return array.array("q", values)
+    return array.array("q", struct.pack(f"{len(values)}q", *values))
 
 
 class LoweredStream:
-    """One instruction stream as parallel int64 arrays.
+    """One instruction stream as parallel int64 arrays, plus its
+    core-independent energy events (both from one :func:`_walk`).
 
     Lower once, evaluate many times: the per-benchmark baseline path
     runs the same trace under four core configs, so the evaluator
     lowers the trace a single time and hands the ``LoweredStream`` to
     each engine run.
     """
-
-    __slots__ = (
-        "n", "is_accel", "lat", "occ", "tab", "is_mem", "is_store",
-        "memdep", "dep_ptr", "dep_idx", "extra_ptr", "extra_idx",
-        "extra_lat", "mispred", "icache", "accel_tag", "accel_tags",
-        "has_accel", "_addrs",
-    )
 
     #: Kernel argument order of the per-instruction arrays.
     FIELDS = (
@@ -120,115 +116,20 @@ class LoweredStream:
         "extra_lat", "mispred", "icache", "accel_tag",
     )
 
-    def __init__(self, stream):
-        seqpos = {}
-        tag_ids = {}
-        is_accel = []
-        lat = []
-        occ = []
-        tab = []
-        is_mem = []
-        is_st = []
-        memdep = []
-        dep_ptr = [0]
-        dep_idx = []
-        extra_ptr = [0]
-        extra_idx = []
-        extra_lat = []
-        mispred = []
-        icache = []
-        accel_tag = []
-        # Bound methods / hoisted lookups: this loop runs once per
-        # dynamic instruction and is itself perf-sensitive.
-        fu_lat = _FU_LAT
-        tab_of = _TAB_OF
-        store_of = _IS_STORE
-        unpipelined = _UNPIPELINED
-        seqpos_get = seqpos.get
-        lat_append = lat.append
-        occ_append = occ.append
-        tab_append = tab.append
-        is_mem_append = is_mem.append
-        is_st_append = is_st.append
-        memdep_append = memdep.append
-        dep_ptr_append = dep_ptr.append
-        dep_idx_append = dep_idx.append
-        extra_ptr_append = extra_ptr.append
-        mispred_append = mispred.append
-        icache_append = icache.append
-        accel_append = accel_tag.append
-        is_accel_append = is_accel.append
-        i = 0
-        for inst in stream:
-            opcode = inst.opcode
-            # Inlined DynInst.latency (override -> observed memory
-            # latency -> nominal FU latency).
-            latency = inst.lat_override
-            mem = inst.mem_addr is not None
-            if latency is None:
-                mem_lat = inst.mem_lat
-                latency = mem_lat if mem and mem_lat \
-                    else fu_lat[opcode]
-            lat_append(latency)
-            occ_append(latency if opcode in unpipelined else 1)
-            if mem:
-                is_mem_append(1)
-                tab_append(PORT_TABLE)
-            else:
-                is_mem_append(0)
-                tab_append(tab_of[opcode])
-            is_st_append(1 if store_of[opcode] else 0)
-            md = inst.mem_dep
-            memdep_append(seqpos_get(md, -1) if md is not None else -1)
-            for dep in inst.src_deps:
-                # Live-in producers resolve to start_time, which can
-                # never exceed the running ready time — drop them.
-                pos = seqpos_get(dep, -1)
-                if pos >= 0:
-                    dep_idx_append(pos)
-            dep_ptr_append(len(dep_idx))
-            for dep, extra in inst.extra_deps:
-                # Live-in extra deps still charge latency on top of
-                # start_time, so they are kept with position -1.
-                extra_idx.append(seqpos_get(dep, -1))
-                extra_lat.append(extra)
-            extra_ptr_append(len(extra_idx))
-            mispred_append(1 if inst.mispredicted else 0)
-            icache_append(inst.icache_lat)
-            accel = inst.accel
-            if accel is None:
-                is_accel_append(0)
-                accel_append(-1)
-            else:
-                is_accel_append(1)
-                tid = tag_ids.get(accel)
-                if tid is None:
-                    tid = tag_ids[accel] = len(tag_ids)
-                accel_append(tid)
-            seqpos[inst.seq] = i
-            i += 1
+    __slots__ = FIELDS + ("n", "accel_tags", "has_accel", "events",
+                          "_addrs")
+
+    def __init__(self, columns, accel_tags, events):
         try:
-            self.is_accel = _int_array(is_accel)
-            self.lat = _int_array(lat)
-            self.occ = _int_array(occ)
-            self.tab = _int_array(tab)
-            self.is_mem = _int_array(is_mem)
-            self.is_store = _int_array(is_st)
-            self.memdep = _int_array(memdep)
-            self.dep_ptr = _int_array(dep_ptr)
-            self.dep_idx = _int_array(dep_idx)
-            self.extra_ptr = _int_array(extra_ptr)
-            self.extra_idx = _int_array(extra_idx)
-            self.extra_lat = _int_array(extra_lat)
-            self.mispred = _int_array(mispred)
-            self.icache = _int_array(icache)
-            self.accel_tag = _int_array(accel_tag)
-        except (TypeError, OverflowError) as exc:
+            for field, values in zip(self.FIELDS, columns):
+                setattr(self, field, _int_array(values))
+        except struct.error as exc:
             raise LoweringError(f"stream is not int64-lowerable: {exc}") \
                 from exc
-        self.n = len(lat)
-        self.accel_tags = tuple(tag_ids)
-        self.has_accel = bool(tag_ids)
+        self.n = len(self.lat)
+        self.accel_tags = accel_tags
+        self.has_accel = bool(accel_tags)
+        self.events = events
         self._addrs = None
 
     def addrs(self):
@@ -247,31 +148,212 @@ class LoweredStream:
         return self.n
 
 
-def lower_stream(stream):
-    """Lower *stream* (a list of DynInst) into a :class:`LoweredStream`.
+def _walk(stream, lower):
+    """The one pass over an instruction stream, and the one place both
+    per-instruction rules live: lowering and energy-event counting.
 
-    Idempotent: an already-lowered stream is returned as-is, so call
-    sites can lower eagerly where reuse is known (the evaluator's
-    baseline loop) and pass either form everywhere else.
+    Returns ``(columns, accel_tags, events)``: the kernel's columns in
+    :attr:`LoweredStream.FIELDS` order (None unless *lower*), the
+    accelerator tags in first-use order, and the stream's
+    :class:`~repro.energy.mcpat.EnergyEvents`, charged in stream order
+    so that pricing them equals pricing one instruction at a time.
+    """
+    components = {}
+    regfile = []
+    regfile_append = regfile.append
+    core_insts = branches = core_mem = 0
+    l1d_pj = L1D_SRAM.access_energy_pj
+    l2_pj = L2_SRAM.access_energy_pj
+    # accel tag -> (tag id, op, cfu and network component names, op
+    # and network pJ); insertion order is the kernel's tag order.
+    accel_charges = {}
+    seqpos = {}
+    lat = []
+    occ = []
+    tab = []
+    is_st = []
+    memdep = []
+    dep_ptr = [0]
+    dep_idx = []
+    extra_ptr = [0]
+    extra_idx = []
+    extra_lat = []
+    mispred = []
+    icache = []
+    accel_tag = []
+    # Locals for everything the loop reads per dynamic instruction;
+    # on Python 3.11 even ``Opcode.BR`` costs ~10x a local read.
+    CFU, CFG, BR, SEND, RECV, ST = (
+        Opcode.CFU, Opcode.CFG, Opcode.BR, Opcode.SEND, Opcode.RECV,
+        Opcode.ST)
+    seqpos_get = seqpos.get
+    lat_append = lat.append
+    occ_append = occ.append
+    tab_append = tab.append
+    is_st_append = is_st.append
+    memdep_append = memdep.append
+    dep_ptr_append = dep_ptr.append
+    dep_idx_append = dep_idx.append
+    extra_ptr_append = extra_ptr.append
+    extra_idx_append = extra_idx.append
+    extra_lat_append = extra_lat.append
+    mispred_append = mispred.append
+    icache_append = icache.append
+    accel_tag_append = accel_tag.append
+    for i, inst in enumerate(stream):
+        opcode = inst.opcode
+        accel = inst.accel
+        mem = inst.mem_addr is not None
+        if accel is not None:
+            charges = accel_charges.get(accel)
+            if charges is None:
+                charges = accel_charges[accel] = (
+                    len(accel_charges), f"{accel}_op", f"{accel}_cfu",
+                    f"{accel}_net", _ACCEL_OP_PJ.get(accel, 4.0),
+                    _ACCEL_NETWORK_PJ.get(accel, 2.0))
+        if lower:
+            # Inlined DynInst.latency (override -> observed memory
+            # latency -> nominal FU latency).
+            latency = inst.lat_override
+            if latency is None:
+                mem_lat = inst.mem_lat
+                latency = mem_lat if mem and mem_lat else opcode.latency
+            lat_append(latency)
+            occ_append(latency if opcode.unpipelined else 1)
+            tab_append(PORT_TABLE if mem else opcode.class_id)
+            is_st_append(opcode.is_store)
+            md = inst.mem_dep
+            memdep_append(seqpos_get(md, -1) if md is not None else -1)
+            for dep in inst.src_deps:
+                # Live-in producers resolve to start_time, which can
+                # never exceed the running ready time — drop them.
+                pos = seqpos_get(dep, -1)
+                if pos >= 0:
+                    dep_idx_append(pos)
+            dep_ptr_append(len(dep_idx))
+            for dep, extra in inst.extra_deps:
+                # Live-in extra deps still charge latency on top of
+                # start_time, so they are kept with position -1.
+                extra_idx_append(seqpos_get(dep, -1))
+                extra_lat_append(extra)
+            extra_ptr_append(len(extra_idx))
+            mispred_append(1 if inst.mispredicted else 0)
+            icache_append(inst.icache_lat)
+            accel_tag_append(-1 if accel is None else charges[0])
+            seqpos[inst.seq] = i
+        if accel is not None:
+            # ---- accelerator events --------------------------------
+            _, op_name, cfu_name, net_name, op_pj, net_pj = charges
+            if opcode is CFU:
+                name = cfu_name
+                picojoules = op_pj + _CFU_EXTRA_OP_PJ \
+                    * (max(inst.vector_width, 1) - 1)
+            elif opcode is CFG:
+                name, picojoules = "accel_config", _CONFIG_PJ
+            else:
+                name, picojoules = op_name, op_pj
+            components[name] = components.get(name, 0.0) + picojoules
+            components[net_name] = components.get(net_name, 0.0) \
+                + net_pj
+            if mem:
+                l1d = l1d_pj
+        else:
+            # ---- core pipeline events, in charging order -----------
+            static = inst.static
+            category = 2 * len(inst.src_deps) + (
+                static is not None and static.dest is not None)
+            regfile_append(category)
+            if not core_insts:
+                components.update(dict.fromkeys(_FRONTEND))
+                if category:
+                    components["regfile"] = None
+                components.update(dict.fromkeys(_BACKEND))
+            elif category and "regfile" not in components:
+                components["regfile"] = None
+            core_insts += 1
+            picojoules = _FU_PJ_BY_CLASS[opcode.class_id]
+            lanes = inst.vector_width
+            if lanes > 1 or opcode.is_vector:
+                name = "simd_fu"
+                picojoules = picojoules * max(lanes, 1) \
+                    * _VECTOR_LANE_FACTOR
+            else:
+                name = "fu"
+            if picojoules:
+                components[name] = components.get(name, 0.0) + picojoules
+            if opcode is BR:
+                branches += 1
+                components.setdefault("bpred")
+            elif opcode is SEND or opcode is RECV:
+                components["accel_comm"] = components.get(
+                    "accel_comm", 0.0) + _SEND_RECV_PJ
+            elif opcode is CFG:
+                components["accel_config"] = components.get(
+                    "accel_config", 0.0) + _CONFIG_PJ
+            if mem:
+                core_mem += 1
+                components.setdefault("lsq")
+                l1d = l1d_pj * (1 + 0.3 * (max(lanes, 1) - 1))
+        if mem:
+            level = inst.mem_level
+            components["l1d"] = components.get("l1d", 0.0) + l1d
+            if level == "l2" or level == "dram":
+                components["l2"] = components.get("l2", 0.0) + l2_pj
+            if level == "dram":
+                components["dram"] = components.get("dram", 0.0) \
+                    + DRAM_ACCESS_PJ
+            if accel == "trace_p" and opcode is ST:
+                components["store_buffer"] = components.get(
+                    "store_buffer", 0.0) + _STORE_BUFFER_PJ
+    counts = dict.fromkeys(_FRONTEND + _BACKEND, core_insts)
+    counts["bpred"] = branches
+    counts["lsq"] = core_mem
+    columns = ([tag >= 0 for tag in accel_tag], lat, occ, tab,
+               [table == PORT_TABLE for table in tab], is_st, memdep,
+               dep_ptr, dep_idx, extra_ptr, extra_idx, extra_lat, mispred,
+               icache, accel_tag) if lower else None
+    return (columns, tuple(accel_charges),
+            EnergyEvents(components, counts, regfile))
+
+
+def stream_events(stream):
+    """Core-independent energy events of *stream*: the walk, without
+    lowering."""
+    return _walk(stream, False)[2]
+
+
+def lower_stream(stream):
+    """Lower *stream* (a list of DynInst) into a :class:`LoweredStream`,
+    counting its energy events in the same walk.
+
+    Raises :class:`LoweringError` when the stream is not
+    int64-lowerable.  Idempotent: an already-lowered stream is
+    returned as-is, so call sites can lower eagerly where reuse is
+    known and pass either form everywhere else.
     """
     if isinstance(stream, LoweredStream):
         return stream
-    return LoweredStream(stream)
+    return LoweredStream(*_walk(stream, True))
 
 
 def lower_for_reuse(stream):
-    """*stream* in the form to time under several core configs.
+    """``(timed, events)``: *stream* in the form to time under several
+    core configs, and its energy events.
 
-    Lowered once when the kernel will time it; unchanged without a
-    kernel, or when the stream is not int64-lowerable (each run then
-    takes the object engine, exactly as an unlowered stream would).
+    *timed* is the lowered stream when the kernel will time it; it is
+    *stream* unchanged without a kernel, or when the stream is not
+    int64-lowerable (each run then takes the object engine, exactly as
+    an unlowered stream would), and the walk then counts the events
+    alone.
     """
-    if not kernel_available():
-        return stream
-    try:
-        return lower_stream(stream)
-    except LoweringError:
-        return stream
+    if kernel_available():
+        try:
+            lowered = lower_stream(stream)
+        except LoweringError:
+            pass
+        else:
+            return lowered, lowered.events
+    return stream, stream_events(stream)
 
 
 # ---------------------------------------------------------------------------
