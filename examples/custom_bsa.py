@@ -10,14 +10,16 @@ built-in BSAs, following the appendix's three steps:
 1. **Analysis**: find counted inner loops with a single hot path and
    derive the II from the loop body's resource needs.
 2. **Transformation**: rewrite each iteration's µDG into engine
-   operations chained by II edges.
+   operations chained by II edges, with the rewrite rules the built-in
+   dataflow BSAs share.
 3. **Scheduling**: give the Amdahl tree a static speedup estimate.
 
 Run:  python examples/custom_bsa.py
 """
 
 from repro.accel import AnalysisContext, BSA_REGISTRY
-from repro.accel.base import BSAModel, SeqAllocator
+from repro.accel.base import BSAModel, CFUFolder, offload_dataflow
+from repro.analysis.cfu import schedule_cfus
 from repro.core_model import OOO2
 from repro.tdg import TimingEngine
 from repro.tdg.engine import AccelResources
@@ -60,8 +62,10 @@ class LoopEngineModel(BSAModel):
                      // ENGINE_MEM_LANES,
                      (body_alu + ENGINE_ALU_LANES - 1)
                      // ENGINE_ALU_LANES)
+            # One compute op per engine FU: no compound fusion.
+            schedule = schedule_cfus(loop, max_cfu_size=1)
             plans[loop.key] = {"loop": loop, "ii": ii,
-                               "profile": profile}
+                               "profile": profile, "schedule": schedule}
         return plans
 
     # -- step 2: transformation ------------------------------------------
@@ -69,36 +73,26 @@ class LoopEngineModel(BSAModel):
                            seq_alloc):
         # The loop engine is scalar, so vector_len goes unused.
         loop = plan["loop"]
-        ii = plan["ii"]
         trace = ctx.tdg.trace.instructions
-        loop_uids = {inst.uid for inst in loop.instructions()}
         stream = []
         seq_map = {}
+        folder = CFUFolder(plan["schedule"], self.name, seq_alloc,
+                           seq_map)
         prev_iter_head = None
         for span_start, span_end in ctx.spans_of(loop, interval):
             iter_head = None
             for index in range(span_start, span_end):
-                dyn = trace[index]
-                if dyn.uid not in loop_uids:
-                    continue
-                if dyn.opcode.value in ("br", "jmp"):
-                    continue   # control is free: counted loop
-                seq = seq_alloc.next()
-                extra = ()
+                edges = ()
                 if iter_head is None and prev_iter_head is not None:
                     # Modulo schedule: iterations start II apart.
-                    extra = ((prev_iter_head, ii),)
-                inst = dyn.clone(
-                    seq=seq, accel=self.name,
-                    src_deps=tuple(seq_map.get(d, d)
-                                   for d in dyn.src_deps),
-                    extra_deps=extra, icache_lat=0,
-                    mispredicted=False,
-                    mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
-                stream.append(inst)
-                seq_map[dyn.seq] = seq
-                if iter_head is None:
-                    iter_head = seq
+                    edges = ((prev_iter_head, plan["ii"]),)
+                # Branches become switch ops, jumps are dropped, memory
+                # and compute run on the engine, strays stay on core.
+                inst = offload_dataflow(
+                    trace[index], loop.uids, self.name, edges, folder,
+                    seq_map, seq_alloc, stream)
+                if inst is not None and iter_head is None:
+                    iter_head = inst.seq
             if iter_head is not None:
                 prev_iter_head = iter_head
         return stream

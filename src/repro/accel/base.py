@@ -69,6 +69,126 @@ def remap(dyn, seq_map):
                      mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
 
 
+# The per-instruction rewrite rules the BSA transforms share.  Module
+# globals, not ``Opcode.X`` reads: on Python 3.11 a class-attribute
+# read on an Enum costs ~10x a global one, and these rules run once
+# per trace instruction.
+_BR, _JMP, _MOV, _LI = Opcode.BR, Opcode.JMP, Opcode.MOV, Opcode.LI
+_SWITCH, _VLD, _VST = Opcode.SWITCH, Opcode.VLD, Opcode.VST
+
+
+def offload_dataflow(dyn, loop_uids, accel, edges, folder, seq_map,
+                     seq_alloc, stream):
+    """Rewrite one trace instruction of a dataflow region (NS-DF,
+    Trace-P) and append the result to *stream*.
+
+    A stray instruction (uid outside *loop_uids*) stays on the core.
+    A branch becomes a one-cycle accelerator ``switch``, a jump is
+    dropped (unconditional control is free in dataflow), a memory op
+    issues from the accelerator, and compute/MOV/LI fold into
+    compound FUs through *folder* (a :class:`CFUFolder`).  Every
+    accelerator instruction carries *edges*, the ``(seq, latency)``
+    control or entry edges its model charges.  Anything else stays on
+    the core.
+
+    Returns the accelerator instruction appended, or None (stray,
+    dropped, folded into a pending compound, or kept on the core).
+    """
+    if dyn.uid not in loop_uids:
+        stream.append(remap(dyn, seq_map))
+        return None
+    opcode = dyn.opcode
+    if opcode is _JMP:
+        return None
+    mapped = map_deps(dyn, seq_map)
+    if opcode is _BR:
+        inst = dyn.clone(
+            seq=seq_alloc.next(), opcode=_SWITCH, accel=accel,
+            src_deps=mapped, extra_deps=edges, mispredicted=False,
+            icache_lat=0, lat_override=1)
+        seq_map[dyn.seq] = inst.seq
+    elif dyn.mem_addr is not None:
+        inst = dyn.clone(
+            seq=seq_alloc.next(), accel=accel, src_deps=mapped,
+            extra_deps=edges, icache_lat=0,
+            mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
+        seq_map[dyn.seq] = inst.seq
+    elif opcode.is_compute or opcode is _MOV or opcode is _LI:
+        inst = folder.process(dyn, mapped)
+        if inst is None:
+            return None
+        inst.extra_deps = inst.extra_deps + edges
+    else:
+        stream.append(remap(dyn, seq_map))
+        return None
+    stream.append(inst)
+    return inst
+
+
+def iteration_groups(trace, spans, group_len, seq_map, stream):
+    """Yield the iteration *spans* in full groups of *group_len*.
+
+    The leftover iterations, fewer than *group_len*, stay scalar: once
+    the last group has been consumed, they are appended to *stream*
+    with their deps remapped.
+    """
+    full = len(spans) - len(spans) % group_len
+    for index in range(0, full, group_len):
+        yield spans[index:index + group_len]
+    for span_start, span_end in spans[full:]:
+        for index in range(span_start, span_end):
+            stream.append(remap(trace[index], seq_map))
+
+
+def gather_instances(trace, group, loop_uids, seq_map, stream):
+    """Each loop instruction's instances across one iteration group.
+
+    Returns ``({uid: [DynInst, ...]}, uids)``, the uids sorted by
+    static program position so emission is deterministic.  A stray
+    (callee) instruction stays scalar: it is appended to *stream*
+    with its deps remapped.
+    """
+    instances = {}
+    for span_start, span_end in group:
+        for index in range(span_start, span_end):
+            dyn = trace[index]
+            uid = dyn.uid
+            if uid not in loop_uids:
+                stream.append(remap(dyn, seq_map))
+            elif uid in instances:
+                instances[uid].append(dyn)
+            else:
+                instances[uid] = [dyn]
+    order = sorted(instances, key=lambda uid: (
+        instances[uid][0].static.block.index,
+        instances[uid][0].static.index))
+    return instances, order
+
+
+def _mem_lat(dyn):
+    return dyn.mem_lat
+
+
+def emit_vector_access(group_insts, seq, width, extra_latency, seq_map,
+                       stream):
+    """One contiguous-stride vector load/store (``vld``/``vst``) for a
+    group's instances of one memory op.
+
+    The group's worst latency, plus *extra_latency*, is remapped onto
+    the vector access (paper: "memory latency information is re-mapped
+    onto the vectorized iteration"); every instance maps to *seq*.
+    """
+    rep = group_insts[0]
+    worst = max(group_insts, key=_mem_lat)
+    stream.append(rep.clone(
+        seq=seq, opcode=_VLD if rep.static.is_load else _VST,
+        vector_width=width, mem_lat=worst.mem_lat + extra_latency,
+        mem_level=worst.mem_level, src_deps=map_deps(rep, seq_map),
+        mem_dep=seq_map.get(rep.mem_dep, rep.mem_dep)))
+    for dyn in group_insts:
+        seq_map[dyn.seq] = seq
+
+
 def apply_dataflow_latency(stream, latency):
     """Charge *latency* cycles on accelerator-internal dataflow edges.
 

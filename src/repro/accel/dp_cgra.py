@@ -16,8 +16,12 @@ for in-order completion.  A small configuration cache inserts a
 """
 
 from repro.isa.opcodes import Opcode
-from repro.accel.base import BSAModel, remap
+from repro.accel.base import (
+    BSAModel, emit_vector_access, gather_instances, iteration_groups,
+    map_deps,
+)
 from repro.analysis.slicing import ROLE_EXECUTE, ROLE_CONTROL
+from repro.sim.trace import DynInst
 from repro.tdg.engine import AccelResources
 
 #: CGRA functional units (paper: "Its design point has 64 FUs").
@@ -119,22 +123,14 @@ class DPCGRAModel(BSAModel):
 
         prev_first_cgra = None
         prev_last_cgra = None
-        index = 0
-        while index < len(spans):
-            group = spans[index:index + group_len]
-            if vectorizable and len(group) < group_len:
-                for span_start, span_end in group:
-                    for i in range(span_start, span_end):
-                        stream.append(
-                            remap(trace[i], seq_map))
-                break
+        for group in iteration_groups(trace, spans, group_len, seq_map,
+                                      stream):
             first_cgra, last_cgra = self._emit_group(
                 trace, group, loop, slice_info, dep, lanes, stream,
                 seq_map, seq_alloc, prev_first_cgra, prev_last_cgra)
             if first_cgra is not None:
                 prev_first_cgra = first_cgra
                 prev_last_cgra = last_cgra
-            index += group_len
         return stream
 
     def _maybe_configure(self, plan, loop, stream, seq_alloc, trace,
@@ -147,12 +143,9 @@ class DPCGRAModel(BSAModel):
         cache.append(loop.key)
         if len(cache) > CONFIG_CACHE_ENTRIES:
             cache.pop(0)
-        template = trace[interval[0]]
-        stream.append(template.clone(
-            seq=seq_alloc.next(), opcode=Opcode.CFG, src_deps=(),
-            mem_dep=None, mem_addr=None, mem_lat=0, mem_level=None,
-            taken=None, mispredicted=False, icache_lat=0,
-            lat_override=self.config_latency, vector_width=1))
+        stream.append(DynInst(
+            seq_alloc.next(), trace[interval[0]].static, Opcode.CFG,
+            lat_override=self.config_latency))
 
     def _emit_group(self, trace, group, loop, slice_info, dep, lanes,
                     stream, seq_map, seq_alloc, prev_first, prev_last):
@@ -160,23 +153,12 @@ class DPCGRAModel(BSAModel):
 
         Memory/control stay on the core (vectorized when profitable);
         compute goes to the CGRA with routing-delayed dataflow edges.
+        Returns the group's first CGRA seq and last CGRA instruction
+        (None, None without CGRA work); *prev_first*/*prev_last* are
+        the previous such group's.
         """
-        loop_uids = {inst.uid for inst in loop.instructions()}
-        instances = {}
-        order = []
-        for span_start, span_end in group:
-            for i in range(span_start, span_end):
-                dyn = trace[i]
-                uid = dyn.uid
-                if uid is None or uid not in loop_uids:
-                    stream.append(remap(dyn, seq_map))
-                    continue
-                instances.setdefault(uid, []).append(dyn)
-                if len(instances[uid]) == 1:
-                    order.append(uid)
-        order.sort(key=lambda u: (instances[u][0].static.block.index,
-                                  instances[u][0].static.index))
-
+        instances, order = gather_instances(trace, group, loop.uids,
+                                            seq_map, stream)
         vector_mode = lanes > 1
         first_cgra = None
         last_cgra = None
@@ -203,12 +185,9 @@ class DPCGRAModel(BSAModel):
                 if needs_send:
                     # Core -> CGRA operand transfer.
                     send_seq = seq_alloc.next()
-                    stream.append(rep.clone(
-                        seq=send_seq, opcode=Opcode.SEND, accel=None,
-                        src_deps=tuple(deps), mem_dep=None,
-                        mem_addr=None, mem_lat=0, mem_level=None,
-                        taken=None, mispredicted=False, icache_lat=0,
-                        lat_override=1, vector_width=1))
+                    stream.append(DynInst(send_seq, rep.static,
+                                          Opcode.SEND, src_deps=deps,
+                                          lat_override=1))
                     deps = [send_seq]
                 if prev_first is not None and first_cgra is None:
                     extra.append((prev_first, PIPELINE_DEPTH))
@@ -221,24 +200,21 @@ class DPCGRAModel(BSAModel):
                 cgra_seqs.add(new_seq)
                 if first_cgra is None:
                     first_cgra = new_seq
-                last_cgra = new_seq
+                last_cgra = inst
             elif rep.mem_addr is not None:
-                self._emit_memory(uid, group_insts, dep, lanes,
-                                  vector_mode, stream, seq_map,
-                                  seq_alloc, new_seq, cgra_seqs)
+                self._emit_memory(uid, group_insts, dep, vector_mode,
+                                  stream, seq_map, seq_alloc, new_seq)
                 continue
             elif role == ROLE_CONTROL or uid in dep.induction_uids \
                     or rep.opcode is Opcode.BR:
                 last = group_insts[-1]
                 stream.append(last.clone(
-                    seq=new_seq,
-                    src_deps=_map_deps(last, seq_map, new_seq)))
+                    seq=new_seq, src_deps=map_deps(last, seq_map)))
             else:
                 # Core-side scalar (address computation etc.): once per
                 # group when vectorized (index math is shared).
                 stream.append(rep.clone(
-                    seq=new_seq,
-                    src_deps=_map_deps(rep, seq_map, new_seq),
+                    seq=new_seq, src_deps=map_deps(rep, seq_map),
                     vector_width=1))
             for dyn in group_insts:
                 seq_map[dyn.seq] = new_seq
@@ -253,56 +229,27 @@ class DPCGRAModel(BSAModel):
             if mapped is None:
                 continue
             recv_seq = seq_alloc.next()
-            stream.append(reps[0].clone(
-                seq=recv_seq, opcode=Opcode.RECV, accel=None,
-                src_deps=(mapped,), mem_dep=None, mem_addr=None,
-                mem_lat=0, mem_level=None, taken=None,
-                mispredicted=False, icache_lat=0, lat_override=1,
-                vector_width=1))
+            stream.append(DynInst(recv_seq, reps[0].static, Opcode.RECV,
+                                  src_deps=(mapped,), lat_override=1))
             for dyn in instances[uid]:
                 seq_map[dyn.seq] = recv_seq
         if prev_last is not None and last_cgra is not None:
             # In-order completion between computation instances.
-            for inst in reversed(stream):
-                if inst.seq == last_cgra:
-                    inst.extra_deps = inst.extra_deps \
-                        + ((prev_last, 0),)
-                    break
+            last_cgra.extra_deps = last_cgra.extra_deps \
+                + ((prev_last.seq, 0),)
         return first_cgra, last_cgra
 
     @staticmethod
-    def _emit_memory(uid, group_insts, dep, lanes, vector_mode, stream,
-                     seq_map, seq_alloc, new_seq, cgra_seqs):
-        rep = group_insts[0]
-        stride = dep.stride_of(uid)
-        if vector_mode and stride == 1:
-            worst = max(group_insts, key=lambda d: d.mem_lat)
-            vop = Opcode.VLD if rep.static.is_load else Opcode.VST
-            stream.append(rep.clone(
-                seq=new_seq, opcode=vop, vector_width=len(group_insts),
-                mem_lat=worst.mem_lat, mem_level=worst.mem_level,
-                src_deps=_map_deps(rep, seq_map, new_seq),
-                mem_dep=seq_map.get(rep.mem_dep, rep.mem_dep)))
-            for dyn in group_insts:
-                seq_map[dyn.seq] = new_seq
+    def _emit_memory(uid, group_insts, dep, vector_mode, stream, seq_map,
+                     seq_alloc, new_seq):
+        if vector_mode and dep.stride_of(uid) == 1:
+            emit_vector_access(group_insts, new_seq, len(group_insts), 0,
+                               seq_map, stream)
             return
-        last_seq = new_seq
         for lane, dyn in enumerate(group_insts):
             lane_seq = new_seq if lane == 0 else seq_alloc.next()
             stream.append(dyn.clone(
-                seq=lane_seq,
-                src_deps=_map_deps(dyn, seq_map, lane_seq),
+                seq=lane_seq, src_deps=map_deps(dyn, seq_map),
                 mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep)))
             seq_map[dyn.seq] = lane_seq
-            last_seq = lane_seq
-        del last_seq
-
-
-def _map_deps(dyn, seq_map, own_seq):
-    deps = []
-    for d in dyn.src_deps:
-        mapped = seq_map.get(d, d)
-        if mapped != own_seq:
-            deps.append(mapped)
-    return tuple(deps)
 

@@ -19,7 +19,7 @@ is why NS-DF's energy gain exceeds its time gain in paper Fig. 13.
 
 from repro.isa.opcodes import Opcode
 from repro.accel.base import (
-    BSAModel, CFUFolder, apply_dataflow_latency, map_deps, remap,
+    BSAModel, CFUFolder, apply_dataflow_latency, offload_dataflow,
 )
 from repro.analysis.cfu import schedule_cfus
 from repro.tdg.engine import AccelResources
@@ -117,56 +117,19 @@ class NSDataflowModel(BSAModel):
         schedule = plan["schedule"]
         trace = ctx.tdg.trace.instructions
         start, end = interval
-        loop_uids = {inst.uid for inst in loop.instructions()}
-
         stream = []
         seq_map = {}
         folder = CFUFolder(schedule, self.name, seq_alloc, seq_map)
-        last_switch = None
-        # Locals: on Python 3.11 an ``Opcode.X`` read costs ~10x a
-        # local one, and this loop runs once per trace instruction.
-        BR, JMP, SWITCH = Opcode.BR, Opcode.JMP, Opcode.SWITCH
-        moves = (Opcode.MOV, Opcode.LI)
-
+        # Non-speculative: every accelerator instruction waits for the
+        # latest switch.  (Stray instructions, which a call-free nest
+        # should not have, stay on the core.)
+        control_edge = ()
+        SWITCH = Opcode.SWITCH
         for index in range(start, end):
-            dyn = trace[index]
-            uid = dyn.uid
-            opcode = dyn.opcode
-            if uid is None or uid not in loop_uids:
-                # Stray instruction (shouldn't happen for call-free
-                # nests): keep on core.
-                stream.append(remap(dyn, seq_map))
-                continue
-            mapped = map_deps(dyn, seq_map)
-            control_edge = ((last_switch, self.switch_latency),) \
-                if last_switch is not None else ()
-
-            if opcode is BR:
-                seq = seq_alloc.next()
-                inst = dyn.clone(
-                    seq=seq, opcode=SWITCH, accel=self.name,
-                    src_deps=mapped, extra_deps=control_edge,
-                    mispredicted=False, icache_lat=0, lat_override=1)
-                stream.append(inst)
-                seq_map[dyn.seq] = seq
-                last_switch = seq
-            elif opcode is JMP:
-                # Unconditional control is free in dataflow.
-                continue
-            elif dyn.mem_addr is not None:
-                seq = seq_alloc.next()
-                inst = dyn.clone(
-                    seq=seq, accel=self.name, src_deps=mapped,
-                    extra_deps=control_edge, icache_lat=0,
-                    mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
-                stream.append(inst)
-                seq_map[dyn.seq] = seq
-            elif opcode.is_compute or opcode in moves:
-                inst = folder.process(dyn, mapped)
-                if inst is not None:
-                    inst.extra_deps = inst.extra_deps + control_edge
-                    stream.append(inst)
-            else:
-                stream.append(remap(dyn, seq_map))
+            inst = offload_dataflow(
+                trace[index], loop.uids, self.name, control_edge, folder,
+                seq_map, seq_alloc, stream)
+            if inst is not None and inst.opcode is SWITCH:
+                control_edge = ((inst.seq, self.switch_latency),)
         latency = DATAFLOW_EDGE_LATENCY + (1 if self.detailed else 0)
         return apply_dataflow_latency(stream, latency)

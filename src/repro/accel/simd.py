@@ -22,10 +22,11 @@ import math
 from repro.isa.opcodes import (
     Opcode, is_compute, vector_opcode_for,
 )
-from repro.accel.base import BSAModel, remap
-
-#: Memory-level severity order for remapping the group's worst latency.
-_LEVEL_RANK = {None: 0, "l1": 1, "l2": 2, "dram": 3}
+from repro.accel.base import (
+    BSAModel, emit_vector_access, gather_instances, iteration_groups,
+    map_deps,
+)
+from repro.sim.trace import DynInst
 
 #: If-converted body may be at most this factor of the dynamic
 #: instructions per iteration (paper: "more than twice the original").
@@ -83,7 +84,6 @@ class SIMDModel(BSAModel):
         dep = plan["dep"]
         trace = ctx.tdg.trace.instructions
         spans = ctx.spans_of(loop, interval)
-        loop_uids = {inst.uid for inst in loop.instructions()}
         latch_uids = {
             inst.uid for inst in loop.instructions()
             if inst.opcode is Opcode.BR and inst.target == loop.header
@@ -100,21 +100,12 @@ class SIMDModel(BSAModel):
         seq_map = {}
         reduction_tail = {}   # reduction uid -> last vector seq
 
-        index = 0
-        while index < len(spans):
-            group = spans[index:index + vector_len]
-            if len(group) < vector_len:
-                # Leftover iterations stay scalar, deps remapped.
-                for span_start, span_end in group:
-                    for i in range(span_start, span_end):
-                        dyn = trace[i]
-                        stream.append(remap(dyn, seq_map))
-                break
+        for group in iteration_groups(trace, spans, vector_len, seq_map,
+                                      stream):
             self._vectorize_group(
-                trace, group, loop_uids, latch_uids, dep, vector_len,
+                trace, group, loop.uids, latch_uids, dep, vector_len,
                 stream, seq_map, seq_alloc, reduction_tail, body_uids,
             )
-            index += vector_len
 
         # Horizontal reductions after the loop.
         steps = max(1, int(math.log2(vector_len)))
@@ -123,13 +114,8 @@ class SIMDModel(BSAModel):
             prev = tail_seq
             for _ in range(steps):
                 seq = seq_alloc.next()
-                stream.append(trace[0].clone(
-                    seq=seq, static=static, opcode=static.opcode,
-                    src_deps=(prev,), mem_dep=None, mem_addr=None,
-                    mem_lat=0, mem_level=None, taken=None,
-                    mispredicted=False, icache_lat=0,
-                    vector_width=1, extra_deps=(), lat_override=None,
-                ))
+                stream.append(DynInst(seq, static, static.opcode,
+                                      src_deps=(prev,)))
                 prev = seq
         return stream
 
@@ -137,33 +123,8 @@ class SIMDModel(BSAModel):
     def _vectorize_group(self, trace, group, loop_uids, latch_uids, dep,
                          vector_len, stream, seq_map, seq_alloc,
                          reduction_tail, body_uids):
-        # Gather instances per static uid across the group.
-        instances = {}
-        order = []
-        for span_start, span_end in group:
-            for i in range(span_start, span_end):
-                dyn = trace[i]
-                uid = dyn.uid
-                if uid is None or uid not in loop_uids:
-                    # Stray (callee) instruction: keep scalar.
-                    stream.append(remap(dyn, seq_map))
-                    continue
-                if uid not in instances:
-                    instances[uid] = []
-                    order.append(uid)
-                instances[uid].append(dyn)
-        # Emit in static program order for determinism.
-        order.sort(key=lambda u: (instances[u][0].static.block.index,
-                                  instances[u][0].static.index))
-
-        def map_deps(dyn, new_seq):
-            deps = []
-            for d in dyn.src_deps:
-                mapped = seq_map.get(d, d)
-                if mapped != new_seq:
-                    deps.append(mapped)
-            return tuple(deps)
-
+        instances, order = gather_instances(trace, group, loop_uids,
+                                            seq_map, stream)
         for uid in order:
             group_insts = instances[uid]
             rep = group_insts[0]
@@ -175,14 +136,14 @@ class SIMDModel(BSAModel):
                 # One back-branch per vector group.
                 last = group_insts[-1]
                 inst = last.clone(
-                    seq=new_seq, src_deps=map_deps(last, new_seq))
+                    seq=new_seq, src_deps=map_deps(last, seq_map))
                 stream.append(inst)
             elif opcode is Opcode.BR:
                 # If-converted: branch becomes a mask-merge (vblend).
                 inst = rep.clone(
                     seq=new_seq, opcode=Opcode.VBLEND, taken=None,
                     mispredicted=False, vector_width=vector_len,
-                    src_deps=map_deps(rep, new_seq))
+                    src_deps=map_deps(rep, seq_map))
                 stream.append(inst)
                 if self.detailed:
                     # Reference model: separate mask-maintenance op.
@@ -192,19 +153,19 @@ class SIMDModel(BSAModel):
                 # One induction update per group (stride folded).
                 last = group_insts[-1]
                 inst = last.clone(
-                    seq=new_seq, src_deps=map_deps(last, new_seq))
+                    seq=new_seq, src_deps=map_deps(last, seq_map))
                 stream.append(inst)
             elif rep.mem_addr is not None:
                 self._vectorize_memory(
                     uid, group_insts, dep, vector_len, stream,
-                    seq_map, seq_alloc, new_seq, map_deps)
+                    seq_map, seq_alloc, new_seq)
                 continue   # seq_map handled inside
             elif uid in dep.reduction_uids and static is not None \
                     and static.opcode is not Opcode.MOV:
                 vop = vector_opcode_for(opcode) or opcode
                 inst = rep.clone(
                     seq=new_seq, opcode=vop, vector_width=vector_len,
-                    src_deps=map_deps(rep, new_seq))
+                    src_deps=map_deps(rep, seq_map))
                 stream.append(inst)
                 reduction_tail[uid] = new_seq
             elif is_compute(opcode) or opcode is Opcode.MOV:
@@ -213,7 +174,7 @@ class SIMDModel(BSAModel):
                     inst = rep.clone(
                         seq=new_seq, opcode=vop or opcode,
                         vector_width=vector_len,
-                        src_deps=map_deps(rep, new_seq))
+                        src_deps=map_deps(rep, seq_map))
                     stream.append(inst)
                 else:
                     # No vector twin (div/sqrt/...): scalar expansion.
@@ -223,7 +184,7 @@ class SIMDModel(BSAModel):
                             else seq_alloc.next()
                         clone = inst.clone(
                             seq=lane_seq,
-                            src_deps=map_deps(inst, lane_seq))
+                            src_deps=map_deps(inst, seq_map))
                         stream.append(clone)
                         prev_seq = lane_seq
                     for inst in group_insts:
@@ -232,7 +193,7 @@ class SIMDModel(BSAModel):
             else:
                 # jmp / other control: once per group.
                 inst = rep.clone(seq=new_seq,
-                                 src_deps=map_deps(rep, new_seq))
+                                 src_deps=map_deps(rep, seq_map))
                 stream.append(inst)
 
             for dyn in group_insts:
@@ -240,53 +201,35 @@ class SIMDModel(BSAModel):
 
         # Masking penalty: body ops from not-taken paths still occupy
         # vector lanes after if-conversion (Table 2: "masking/
-        # predicated inst penalty").  One masked op per absent static.
-        template = None
-        for span_start, span_end in group:
-            if span_end > span_start:
-                template = trace[span_start]
-                break
-        if template is not None:
-            for uid in body_uids:
-                if uid in instances:
-                    continue
-                stream.append(template.clone(
-                    seq=seq_alloc.next(), opcode=Opcode.VBLEND,
-                    src_deps=(), mem_dep=None, mem_addr=None,
-                    mem_lat=0, mem_level=None, taken=None,
-                    mispredicted=False, icache_lat=0, extra_deps=(),
+        # predicated inst penalty").  One masked op per absent static,
+        # attributed to the group's first instruction (spans are never
+        # empty).
+        pad_static = trace[group[0][0]].static
+        for uid in body_uids:
+            if uid not in instances:
+                stream.append(DynInst(
+                    seq_alloc.next(), pad_static, Opcode.VBLEND,
                     lat_override=1, vector_width=vector_len))
 
     def _vectorize_memory(self, uid, group_insts, dep, vector_len,
-                          stream, seq_map, seq_alloc, new_seq,
-                          map_deps):
+                          stream, seq_map, seq_alloc, new_seq):
         rep = group_insts[0]
         stride = dep.stride_of(uid)
         if stride == 1:
-            # Contiguous: a single vector load/store with the group's
-            # worst latency remapped on (paper: "memory latency
-            # information is re-mapped onto the vectorized iteration").
-            # The detailed reference model charges an extra cycle for
-            # the wide access (bank conflicts); the fast model is
-            # optimistic, as the paper's SIMD model deliberately is.
-            worst = max(group_insts, key=lambda d: d.mem_lat)
-            vop = Opcode.VLD if rep.static.is_load else Opcode.VST
-            extra = 1 if self.detailed else 0
-            inst = rep.clone(
-                seq=new_seq, opcode=vop, vector_width=vector_len,
-                mem_lat=worst.mem_lat + extra, mem_level=worst.mem_level,
-                src_deps=map_deps(rep, new_seq),
-                mem_dep=seq_map.get(rep.mem_dep, rep.mem_dep))
-            stream.append(inst)
-            for dyn in group_insts:
-                seq_map[dyn.seq] = new_seq
+            # Contiguous: a single vector load/store.  The detailed
+            # reference model charges an extra cycle for the wide
+            # access (bank conflicts); the fast model is optimistic,
+            # as the paper's SIMD model deliberately is.
+            emit_vector_access(group_insts, new_seq, vector_len,
+                               1 if self.detailed else 0, seq_map,
+                               stream)
             return
         # Non-contiguous: scalar expansion plus a pack/unpack op.
         lane_seqs = []
         for lane, dyn in enumerate(group_insts):
             lane_seq = new_seq if lane == 0 else seq_alloc.next()
             stream.append(dyn.clone(
-                seq=lane_seq, src_deps=map_deps(dyn, lane_seq),
+                seq=lane_seq, src_deps=map_deps(dyn, seq_map),
                 mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep)))
             lane_seqs.append(lane_seq)
         pack_seq = seq_alloc.next()

@@ -15,10 +15,9 @@ engine restarts.
 
 from repro.isa.opcodes import Opcode
 from repro.accel.base import (
-    BSAModel, CFUFolder, apply_dataflow_latency, map_deps, remap,
+    BSAModel, CFUFolder, apply_dataflow_latency, offload_dataflow, remap,
 )
 from repro.analysis.cfu import schedule_cfus
-from repro.analysis.memdep import iteration_spans
 from repro.tdg.engine import AccelResources
 
 #: Minimum loop-back probability (paper: "higher than 80%").
@@ -128,68 +127,33 @@ class TraceProcessorModel(BSAModel):
         hot_path = plan["hot_path"]
         trace = ctx.tdg.trace.instructions
         spans = ctx.spans_of(loop, interval)
-        loop_uids = {inst.uid for inst in loop.instructions()}
+        loop_uids = loop.uids
 
         stream = []
         seq_map = {}
         last_accel_seq = None
         restart_edge = None   # (seq, latency) after a mispeculation
-        # Locals: on Python 3.11 an ``Opcode.X`` read costs ~10x a
-        # local one, and this loop runs once per trace instruction.
-        BR, JMP, SWITCH = Opcode.BR, Opcode.JMP, Opcode.SWITCH
-        moves = (Opcode.MOV, Opcode.LI)
 
         for span_start, span_end in spans:
             path = _iteration_path(trace, span_start, span_end, loop)
             on_trace = tuple(path) == hot_path
             if on_trace:
+                # Speculative: branches become cheap verify ops with no
+                # control dependence; only the iteration's first loop
+                # instruction waits, behind a replay's restart edge.
                 folder = CFUFolder(schedule, self.name, seq_alloc,
                                    seq_map)
-                first_in_iter = True
                 for index in range(span_start, span_end):
                     dyn = trace[index]
-                    uid = dyn.uid
-                    opcode = dyn.opcode
-                    if uid is None or uid not in loop_uids:
-                        stream.append(remap(dyn, seq_map))
-                        continue
-                    mapped = map_deps(dyn, seq_map)
                     entry_edge = ()
-                    if first_in_iter and restart_edge is not None:
+                    if restart_edge is not None and dyn.uid in loop_uids:
                         entry_edge = (restart_edge,)
                         restart_edge = None
-                    first_in_iter = False
-                    if opcode is JMP:
-                        continue
-                    if opcode is BR:
-                        # Speculative: branch is a cheap verify op with
-                        # no control dependence.
-                        seq = seq_alloc.next()
-                        stream.append(dyn.clone(
-                            seq=seq, opcode=SWITCH,
-                            accel=self.name, src_deps=mapped,
-                            extra_deps=entry_edge, mispredicted=False,
-                            icache_lat=0, lat_override=1))
-                        seq_map[dyn.seq] = seq
-                        last_accel_seq = seq
-                    elif dyn.mem_addr is not None:
-                        seq = seq_alloc.next()
-                        stream.append(dyn.clone(
-                            seq=seq, accel=self.name, src_deps=mapped,
-                            extra_deps=entry_edge, icache_lat=0,
-                            mem_dep=seq_map.get(dyn.mem_dep,
-                                                dyn.mem_dep)))
-                        seq_map[dyn.seq] = seq
-                        last_accel_seq = seq
-                    elif opcode.is_compute or opcode in moves:
-                        inst = folder.process(dyn, mapped)
-                        if inst is not None:
-                            inst.extra_deps = inst.extra_deps \
-                                + entry_edge
-                            stream.append(inst)
-                            last_accel_seq = inst.seq
-                    else:
-                        stream.append(remap(dyn, seq_map))
+                    inst = offload_dataflow(
+                        dyn, loop_uids, self.name, entry_edge, folder,
+                        seq_map, seq_alloc, stream)
+                    if inst is not None:
+                        last_accel_seq = inst.seq
             else:
                 # Trace mispeculation: replay the iteration on the
                 # general core behind the flush penalty.

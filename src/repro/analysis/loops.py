@@ -17,6 +17,7 @@ class Loop:
     function: owning Function
     header: header block label
     blocks: set of member block labels
+    uids: frozenset of the member static instructions' uids
     parent / children: nesting links
     """
 
@@ -24,6 +25,7 @@ class Loop:
         self.function = function
         self.header = header
         self.blocks = set(blocks)
+        self.uids = frozenset(inst.uid for inst in self.instructions())
         self.parent = None
         self.children = []
 
@@ -59,11 +61,6 @@ class Loop:
 
     def static_size(self):
         return sum(len(self.function.block(b)) for b in self.blocks)
-
-    def contains_uid(self, uid, program):
-        inst = program.instruction(uid)
-        return (inst.block.function is self.function
-                and inst.block.label in self.blocks)
 
     def descendants(self):
         """All loops nested inside (not including self)."""

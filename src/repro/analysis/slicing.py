@@ -10,7 +10,7 @@ The slice is computed from dynamic sample iterations (the TDG carries
 the dynamic DFG), then expressed per static instruction.
 """
 
-from repro.isa.opcodes import Opcode, is_compute, is_memory
+from repro.isa.opcodes import Opcode, is_compute
 from repro.analysis.memdep import iteration_spans
 
 #: Roles a static instruction can take in the slice.
@@ -70,8 +70,6 @@ def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
     function_name = loop.function.name
     blocks = loop.blocks
 
-    loop_uids = {inst.uid for inst in loop.instructions()}
-
     # Seed roles from static properties.
     for inst in loop.instructions():
         if inst.is_memory:
@@ -101,7 +99,7 @@ def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
         for index in range(span_start, span_end):
             dyn = trace[index]
             static = dyn.static
-            if static is None or static.uid not in loop_uids:
+            if static is None or static.uid not in loop.uids:
                 continue
             producers[dyn.seq] = dyn
             if dyn.mem_addr is not None and dyn.src_deps:
@@ -124,7 +122,7 @@ def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
             if dyn is None:
                 continue
             uid = dyn.static.uid if dyn.static else None
-            if uid in loop_uids and info.roles.get(uid) == ROLE_EXECUTE:
+            if uid in loop.uids and info.roles.get(uid) == ROLE_EXECUTE:
                 info.roles[uid] = ROLE_ACCESS
             for dep in dyn.src_deps:
                 if dep not in on_core:
@@ -137,7 +135,7 @@ def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
         dyn_by_seq = {}
         for index in range(span_start, span_end):
             dyn = trace[index]
-            if dyn.static is not None and dyn.static.uid in loop_uids:
+            if dyn.static is not None and dyn.static.uid in loop.uids:
                 dyn_by_seq[dyn.seq] = dyn
         for dyn in dyn_by_seq.values():
             uid = dyn.static.uid

@@ -721,9 +721,18 @@ class EvaluationService:
             self._stop_event.set()
 
     def request_stop_threadsafe(self):
-        """Begin shutdown from another thread (tests, embedding)."""
-        if self._loop is not None:
+        """Begin shutdown from another thread (tests, embedding).
+
+        A no-op once the service has stopped and its loop is closed.
+        """
+        if self._loop is None:
+            return
+        try:
             self._loop.call_soon_threadsafe(self.request_stop)
+        except RuntimeError:
+            # The loop closed (``asyncio.run`` returned) before this
+            # call, or while it was being made: nothing left to stop.
+            pass
 
     async def wait_stopped(self):
         await self._stop_event.wait()

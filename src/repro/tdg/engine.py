@@ -26,6 +26,26 @@ from repro.isa.opcodes import OpClass
 from repro.obs import counter, is_enabled, span
 from repro.tdg.mudg import EdgeKind
 
+#: Critical-edge kinds by bind code.  Both engines count binds in a
+#: list indexed by code (the C kernel's histogram slots) and name the
+#: kinds once per run: a dict keyed by EdgeKind members would call the
+#: Python-level ``Enum.__hash__`` per instruction.
+BIND_KINDS = (
+    EdgeKind.ISSUE, EdgeKind.DATA_DEP, EdgeKind.MEM_DEP,
+    EdgeKind.ACCEL_DEP, EdgeKind.INORDER_ISSUE,
+    EdgeKind.PORT_CONTENTION, EdgeKind.FU_CONTENTION,
+    EdgeKind.ACCEL_RESOURCE,
+)
+(_ISSUE, _DATA_DEP, _MEM_DEP, _ACCEL_DEP, _INORDER_ISSUE,
+ _PORT_CONTENTION, _FU_CONTENTION, _ACCEL_RESOURCE) = range(
+    len(BIND_KINDS))
+
+
+def bind_histogram(counts):
+    """``{EdgeKind: count}`` of the non-zero per-code bind *counts*."""
+    return {kind: count for kind, count in zip(BIND_KINDS, counts)
+            if count}
+
 
 class ResourceTable:
     """Windowed cycle-indexed reservation table (paper section 2.7).
@@ -175,16 +195,16 @@ class TimingEngine:
         # seq -> complete time, for data/memory/extra deps.
         complete_of = {}
 
-        # FU / port / issue-bandwidth reservation tables.
-        fu_tables = {}
-        for op_class in OpClass:
-            fu_tables[op_class] = ResourceTable(config.fu_count(op_class))
+        # FU / port / issue-bandwidth reservation tables; the FU tables
+        # are indexed by ``Opcode.class_id``.
+        fu_tables = [ResourceTable(config.fu_count(op_class))
+                     for op_class in OpClass]
         port_table = ResourceTable(config.dcache_ports)
         issue_table = ResourceTable(width)
 
         accel = self.accel_resources
         accel_history = {}   # tag -> complete times (window limit)
-        crit_histogram = {}
+        bind_counts = [0] * len(BIND_KINDS)
         all_commit_times = [] if collect_commits else None
 
         redirect_time = 0     # earliest fetch after a mispredict
@@ -206,17 +226,17 @@ class TimingEngine:
                     t = complete_of.get(dep, start_time)
                     if t > ready:
                         ready = t
-                        kind = EdgeKind.DATA_DEP
+                        kind = _DATA_DEP
                 if inst.mem_dep is not None:
                     t = complete_of.get(inst.mem_dep, start_time)
                     if t > ready:
                         ready = t
-                        kind = EdgeKind.MEM_DEP
+                        kind = _MEM_DEP
                 for dep, lat in inst.extra_deps:
                     t = complete_of.get(dep, start_time) + lat
                     if t > ready:
                         ready = t
-                        kind = EdgeKind.ACCEL_DEP
+                        kind = _ACCEL_DEP
                 start = ready
                 if accel is not None:
                     window = accel.windows.get(inst.accel)
@@ -227,18 +247,18 @@ class TimingEngine:
                             slot_free = history[-window]
                             if slot_free > start:
                                 start = slot_free
-                                kind = EdgeKind.ACCEL_RESOURCE
+                                kind = _ACCEL_RESOURCE
                     if inst.accel in accel.tables:
                         start = accel.reserve(inst.accel, start)
                         if start > ready:
-                            kind = EdgeKind.ACCEL_RESOURCE
+                            kind = _ACCEL_RESOURCE
                 if inst.mem_addr is not None:
                     # Accelerators share the cache; memory ops still
                     # contend for D-cache ports (paper Fig. 7).
                     port_start = port_table.reserve(start)
                     if port_start > start:
                         start = port_start
-                        kind = EdgeKind.PORT_CONTENTION
+                        kind = _PORT_CONTENTION
                 complete = start + inst.latency
                 complete_of[seq] = complete
                 if accel is not None and accel.windows.get(inst.accel):
@@ -247,7 +267,7 @@ class TimingEngine:
                 if complete > final_time:
                     final_time = complete
                 if kind is not None:
-                    crit_histogram[kind] = crit_histogram.get(kind, 0) + 1
+                    bind_counts[kind] += 1
                 if collect_commits:
                     all_commit_times.append(complete)
                 continue
@@ -287,25 +307,25 @@ class TimingEngine:
 
             # Operand readiness
             ready = dispatch + 1
-            bind = EdgeKind.ISSUE
+            bind = _ISSUE
             for dep in inst.src_deps:
                 t = complete_of.get(dep, start_time)
                 if t > ready:
                     ready = t
-                    bind = EdgeKind.DATA_DEP
+                    bind = _DATA_DEP
             if inst.mem_dep is not None and not opcode.is_store:
                 t = complete_of.get(inst.mem_dep, start_time)
                 if t > ready:
                     ready = t
-                    bind = EdgeKind.MEM_DEP
+                    bind = _MEM_DEP
             for dep, lat in inst.extra_deps:
                 t = complete_of.get(dep, start_time) + lat
                 if t > ready:
                     ready = t
-                    bind = EdgeKind.ACCEL_DEP
+                    bind = _ACCEL_DEP
             if in_order and last_e > ready:
                 ready = last_e
-                bind = EdgeKind.INORDER_ISSUE
+                bind = _INORDER_ISSUE
 
             # Structural hazards: issue bandwidth, then FU / D$ port.
             latency = inst.latency
@@ -313,15 +333,16 @@ class TimingEngine:
             slot = issue_table.reserve(ready)
             if slot > ready:
                 ready = slot
-                bind = EdgeKind.ISSUE
+                bind = _ISSUE
             if inst.mem_addr is not None:
                 issue = port_table.reserve(ready, occupancy)
                 if issue > ready:
-                    bind = EdgeKind.PORT_CONTENTION
+                    bind = _PORT_CONTENTION
             else:
-                issue = fu_tables[inst.op_class].reserve(ready, occupancy)
+                issue = fu_tables[opcode.class_id].reserve(ready,
+                                                           occupancy)
                 if issue > ready:
-                    bind = EdgeKind.FU_CONTENTION
+                    bind = _FU_CONTENTION
             if not in_order and iq_size is not None:
                 heapq.heappush(iq_slots, issue)
             last_e = issue
@@ -349,7 +370,7 @@ class TimingEngine:
                 if penalty > redirect_time:
                     redirect_time = penalty
 
-            crit_histogram[bind] = crit_histogram.get(bind, 0) + 1
+            bind_counts[bind] += 1
             n_core += 1
 
         cycles = final_time - start_time
@@ -358,5 +379,5 @@ class TimingEngine:
             instructions=n_uops,
             committed_uops=n_uops,
             commit_times=all_commit_times,
-            crit_histogram=crit_histogram,
+            crit_histogram=bind_histogram(bind_counts),
         )

@@ -62,8 +62,9 @@ from repro.energy.mcpat import (
 )
 from repro.isa.opcodes import Opcode, OpClass
 from repro.obs import counter, is_enabled, span
-from repro.tdg.engine import AccelResources, TimingEngine, TimingResult
-from repro.tdg.mudg import EdgeKind
+from repro.tdg.engine import (
+    AccelResources, TimingEngine, TimingResult, bind_histogram,
+)
 
 #: Table ids: one per OpClass (``Opcode.class_id``), then the shared
 #: D-cache port table.
@@ -73,14 +74,6 @@ _N_TABLES = PORT_TABLE + 1
 
 #: FU op energy (pJ per scalar op) by ``Opcode.class_id``.
 _FU_PJ_BY_CLASS = tuple(_FU_PJ[cls] for cls in _OP_CLASSES)
-
-#: Critical-edge bind codes of the C kernel's histogram slots.
-_BIND_KINDS = (
-    EdgeKind.ISSUE, EdgeKind.DATA_DEP, EdgeKind.MEM_DEP,
-    EdgeKind.ACCEL_DEP, EdgeKind.INORDER_ISSUE,
-    EdgeKind.PORT_CONTENTION, EdgeKind.FU_CONTENTION,
-    EdgeKind.ACCEL_RESOURCE,
-)
 
 
 class LoweringError(Exception):
@@ -833,15 +826,11 @@ class FastTimingEngine:
         return caps, windows
 
     def _result(self, cycles, lowered, commits, hist_counts):
-        histogram = {}
-        for code, kind in enumerate(_BIND_KINDS):
-            if hist_counts[code]:
-                histogram[kind] = hist_counts[code]
         n = lowered.n
         return TimingResult(
             cycles=cycles, instructions=n, committed_uops=n,
             commit_times=None if commits is None else list(commits),
-            crit_histogram=histogram,
+            crit_histogram=bind_histogram(hist_counts),
         )
 
     # ------------------------------------------------------------------

@@ -479,6 +479,24 @@ class TestGracefulDrain:
             assert response["source"] == "computed"
         # context exit asserts the service thread terminated cleanly
 
+    def test_stop_after_the_service_loop_closed_is_a_noop(self):
+        """A stop request that arrives after ``asyncio.run`` closed
+        the service's loop has nothing left to stop."""
+        service = EvaluationService(
+            ServiceConfig(port=0, workers=1, pool_mode="thread",
+                          use_cache=False),
+            evaluator=StubEvaluator())
+
+        async def go():
+            await service.start(warm=False)
+            await service.shutdown()
+
+        thread = threading.Thread(target=asyncio.run, args=(go(),))
+        thread.start()
+        thread.join(30)
+        assert not thread.is_alive(), "service failed to shut down"
+        service.request_stop_threadsafe()
+
 
 class TestSigterm:
     def test_sigterm_drains_and_exits_zero(self, tmp_path):
