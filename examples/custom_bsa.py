@@ -18,7 +18,7 @@ Run:  python examples/custom_bsa.py
 """
 
 from repro.accel import AnalysisContext, BSA_REGISTRY
-from repro.accel.base import BSAModel, CFUFolder, offload_dataflow
+from repro.accel.base import BSAModel, offload_dataflow
 from repro.analysis.cfu import schedule_cfus
 from repro.core_model import OOO2
 from repro.tdg import TimingEngine
@@ -70,14 +70,13 @@ class LoopEngineModel(BSAModel):
 
     # -- step 2: transformation ------------------------------------------
     def transform_interval(self, ctx, plan, interval, vector_len,
-                           seq_alloc):
+                           seq_alloc, out):
         # The loop engine is scalar, so vector_len goes unused.
         loop = plan["loop"]
         trace = ctx.tdg.trace.instructions
-        stream = []
+        slots = plan["schedule"].slots
         seq_map = {}
-        folder = CFUFolder(plan["schedule"], self.name, seq_alloc,
-                           seq_map)
+        chains = {}
         prev_iter_head = None
         for span_start, span_end in ctx.spans_of(loop, interval):
             iter_head = None
@@ -88,14 +87,13 @@ class LoopEngineModel(BSAModel):
                     edges = ((prev_iter_head, plan["ii"]),)
                 # Branches become switch ops, jumps are dropped, memory
                 # and compute run on the engine, strays stay on core.
-                inst = offload_dataflow(
-                    trace[index], loop.uids, self.name, edges, folder,
-                    seq_map, seq_alloc, stream)
-                if inst is not None and iter_head is None:
-                    iter_head = inst.seq
+                seq = offload_dataflow(
+                    trace[index], loop.uids, self.name, edges, slots,
+                    chains, seq_map, seq_alloc, out)
+                if seq is not None and iter_head is None:
+                    iter_head = seq
             if iter_head is not None:
                 prev_iter_head = iter_head
-        return stream
 
     # -- step 3: scheduling hook ------------------------------------------
     def estimate_speedup(self, ctx, plan, core_config):

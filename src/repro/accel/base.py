@@ -15,7 +15,10 @@ from repro.analysis.slicing import slice_loop_body
 from repro.energy.mcpat import EnergyModel
 from repro.isa.opcodes import Opcode
 from repro.obs import counter, span
-from repro.tdg.fastpath import lower_for_reuse, make_engine
+from repro.tdg.fastpath import (
+    SYNTHESIZED_SEQ_BASE, LoweringError, StreamBuilder, kernel_available,
+    make_engine,
+)
 
 
 #: Deterministic work counters, labeled ``path=`` (``baseline`` or a
@@ -37,11 +40,12 @@ def count_work(name, amount, path):
 class SeqAllocator:
     """Fresh sequence ids for transform-synthesized instructions.
 
-    Ids start far above any original trace seq so live-in references to
-    original producers never collide.
+    Ids start far above any original trace seq
+    (:data:`~repro.tdg.fastpath.SYNTHESIZED_SEQ_BASE`) so live-in
+    references to original producers never collide.
     """
 
-    _BASE = 1 << 40
+    _BASE = SYNTHESIZED_SEQ_BASE
 
     def __init__(self):
         self._next = SeqAllocator._BASE
@@ -59,14 +63,17 @@ def map_deps(dyn, seq_map):
     return tuple(map(seq_map.get, deps, deps))
 
 
-def remap(dyn, seq_map):
-    """*dyn* unchanged, or a clone whose register and memory deps name
-    transformed producers (see :func:`map_deps`)."""
-    if seq_map.keys().isdisjoint(dyn.src_deps) \
+def remap(dyn, seq_map, out, edges=()):
+    """Add *dyn* to *out* (a :class:`~repro.tdg.fastpath.StreamBuilder`)
+    with its register and memory deps renamed to transformed producers
+    (see :func:`map_deps`) and *edges*, ``(seq, latency)`` pairs, after
+    its own; kept as it is when nothing changes.  Returns its row."""
+    if not edges and seq_map.keys().isdisjoint(dyn.src_deps) \
             and dyn.mem_dep not in seq_map:
-        return dyn
-    return dyn.clone(src_deps=map_deps(dyn, seq_map),
-                     mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
+        return out.keep(dyn)
+    return out.emit(dyn, src_deps=map_deps(dyn, seq_map),
+                    mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep),
+                    extra_deps=dyn.extra_deps + edges)
 
 
 # The per-instruction rewrite rules the BSA transforms share.  Module
@@ -74,79 +81,102 @@ def remap(dyn, seq_map):
 # read on an Enum costs ~10x a global one, and these rules run once
 # per trace instruction.
 _BR, _JMP, _MOV, _LI = Opcode.BR, Opcode.JMP, Opcode.MOV, Opcode.LI
-_SWITCH, _VLD, _VST = Opcode.SWITCH, Opcode.VLD, Opcode.VST
+_CFU, _SWITCH, _VLD, _VST = Opcode.CFU, Opcode.SWITCH, Opcode.VLD, Opcode.VST
 
 
-def offload_dataflow(dyn, loop_uids, accel, edges, folder, seq_map,
-                     seq_alloc, stream):
+def offload_dataflow(dyn, loop_uids, accel, edges, slots, chains,
+                     seq_map, seq_alloc, out):
     """Rewrite one trace instruction of a dataflow region (NS-DF,
-    Trace-P) and append the result to *stream*.
+    Trace-P) into *out*.
 
     A stray instruction (uid outside *loop_uids*) stays on the core.
     A branch becomes a one-cycle accelerator ``switch``, a jump is
-    dropped (unconditional control is free in dataflow), a memory op
-    issues from the accelerator, and compute/MOV/LI fold into
-    compound FUs through *folder* (a :class:`CFUFolder`).  Every
-    accelerator instruction carries *edges*, the ``(seq, latency)``
-    control or entry edges its model charges.  Anything else stays on
-    the core.
+    dropped (unconditional control is free in dataflow), and a memory
+    op issues from the accelerator.  Compute/MOV/LI fuse into compound
+    FUs (``cfu``): *slots* maps a uid to its ``(chain, position,
+    length)`` in the region's CFU schedule
+    (:attr:`~repro.analysis.cfu.CFUSchedule.slots`), and *chains* holds
+    the open chains, ``{chain: (row, seq, next position)}``.  A chain
+    head, or an instance out of chain order, opens a fresh compound op;
+    the next member in order folds into it
+    (:meth:`~repro.tdg.fastpath.StreamBuilder.fold`).  The caller owns
+    *chains* and starts it empty wherever fusion must not continue.
+    Every new accelerator instruction carries *edges*, the ``(seq,
+    latency)`` control or entry edges its model charges.  Anything
+    else stays on the core.
 
-    Returns the accelerator instruction appended, or None (stray,
-    dropped, folded into a pending compound, or kept on the core).
+    Returns the seq of the accelerator instruction added, or None
+    (stray, dropped, folded into an open compound op, or kept on the
+    core).
     """
-    if dyn.uid not in loop_uids:
-        stream.append(remap(dyn, seq_map))
+    uid = dyn.uid
+    if uid not in loop_uids:
+        remap(dyn, seq_map, out)
         return None
     opcode = dyn.opcode
     if opcode is _JMP:
         return None
     mapped = map_deps(dyn, seq_map)
     if opcode is _BR:
-        inst = dyn.clone(
-            seq=seq_alloc.next(), opcode=_SWITCH, accel=accel,
-            src_deps=mapped, extra_deps=edges, mispredicted=False,
-            icache_lat=0, lat_override=1)
-        seq_map[dyn.seq] = inst.seq
+        seq = seq_alloc.next()
+        out.emit(dyn, seq=seq, opcode=_SWITCH, accel=accel,
+                 src_deps=mapped, extra_deps=edges, mispredicted=False,
+                 icache_lat=0, lat_override=1)
     elif dyn.mem_addr is not None:
-        inst = dyn.clone(
-            seq=seq_alloc.next(), accel=accel, src_deps=mapped,
-            extra_deps=edges, icache_lat=0,
-            mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
-        seq_map[dyn.seq] = inst.seq
+        seq = seq_alloc.next()
+        out.emit(dyn, seq=seq, accel=accel, src_deps=mapped,
+                 extra_deps=edges, icache_lat=0,
+                 mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
     elif opcode.is_compute or opcode is _MOV or opcode is _LI:
-        inst = folder.process(dyn, mapped)
-        if inst is None:
-            return None
-        inst.extra_deps = inst.extra_deps + edges
+        slot = slots.get(uid)
+        if slot is not None:
+            chain, position, length = slot
+            pending = chains.get(chain) if position else None
+            if pending is not None and pending[2] == position:
+                row, seq, _ = pending
+                out.fold(row, dyn, mapped)
+                if position + 1 < length:
+                    chains[chain] = (row, seq, position + 1)
+                else:
+                    del chains[chain]
+                seq_map[dyn.seq] = seq
+                return None
+        seq = seq_alloc.next()
+        row = out.emit(dyn, seq=seq, opcode=_CFU, accel=accel,
+                       src_deps=mapped, extra_deps=dyn.extra_deps + edges,
+                       lat_override=dyn.latency, vector_width=1,
+                       mispredicted=False, icache_lat=0)
+        if slot is not None and length > 1 and not position:
+            chains[chain] = (row, seq, 1)
     else:
-        stream.append(remap(dyn, seq_map))
+        remap(dyn, seq_map, out)
         return None
-    stream.append(inst)
-    return inst
+    seq_map[dyn.seq] = seq
+    return seq
 
 
-def iteration_groups(trace, spans, group_len, seq_map, stream):
+def iteration_groups(trace, spans, group_len, seq_map, out):
     """Yield the iteration *spans* in full groups of *group_len*.
 
     The leftover iterations, fewer than *group_len*, stay scalar: once
-    the last group has been consumed, they are appended to *stream*
-    with their deps remapped.
+    the last group has been consumed, they are added to *out* with
+    their deps remapped.
     """
     full = len(spans) - len(spans) % group_len
     for index in range(0, full, group_len):
         yield spans[index:index + group_len]
     for span_start, span_end in spans[full:]:
         for index in range(span_start, span_end):
-            stream.append(remap(trace[index], seq_map))
+            remap(trace[index], seq_map, out)
 
 
-def gather_instances(trace, group, loop_uids, seq_map, stream):
+def gather_instances(trace, group, loop_uids, seq_map, out):
     """Each loop instruction's instances across one iteration group.
 
     Returns ``({uid: [DynInst, ...]}, uids)``, the uids sorted by
     static program position so emission is deterministic.  A stray
-    (callee) instruction stays scalar: it is appended to *stream*
-    with its deps remapped.
+    (callee) instruction stays scalar: it is added to *out* with its
+    deps remapped.
     """
     instances = {}
     for span_start, span_end in group:
@@ -154,7 +184,7 @@ def gather_instances(trace, group, loop_uids, seq_map, stream):
             dyn = trace[index]
             uid = dyn.uid
             if uid not in loop_uids:
-                stream.append(remap(dyn, seq_map))
+                remap(dyn, seq_map, out)
             elif uid in instances:
                 instances[uid].append(dyn)
             else:
@@ -170,7 +200,7 @@ def _mem_lat(dyn):
 
 
 def emit_vector_access(group_insts, seq, width, extra_latency, seq_map,
-                       stream):
+                       out):
     """One contiguous-stride vector load/store (``vld``/``vst``) for a
     group's instances of one memory op.
 
@@ -180,93 +210,12 @@ def emit_vector_access(group_insts, seq, width, extra_latency, seq_map,
     """
     rep = group_insts[0]
     worst = max(group_insts, key=_mem_lat)
-    stream.append(rep.clone(
-        seq=seq, opcode=_VLD if rep.static.is_load else _VST,
-        vector_width=width, mem_lat=worst.mem_lat + extra_latency,
-        mem_level=worst.mem_level, src_deps=map_deps(rep, seq_map),
-        mem_dep=seq_map.get(rep.mem_dep, rep.mem_dep)))
+    out.emit(rep, seq=seq, opcode=_VLD if rep.static.is_load else _VST,
+             vector_width=width, mem_lat=worst.mem_lat + extra_latency,
+             mem_level=worst.mem_level, src_deps=map_deps(rep, seq_map),
+             mem_dep=seq_map.get(rep.mem_dep, rep.mem_dep))
     for dyn in group_insts:
         seq_map[dyn.seq] = seq
-
-
-def apply_dataflow_latency(stream, latency):
-    """Charge *latency* cycles on accelerator-internal dataflow edges.
-
-    Distributed dataflow fabrics (SEED-style writeback bus + tag match)
-    do not forward operands for free the way a core's bypass network
-    does; deps whose producer is itself a transform-synthesized
-    instruction (seq above the allocator base) become delayed edges.
-    """
-    if not latency:
-        return stream
-    base = SeqAllocator._BASE
-    for inst in stream:
-        deps = inst.src_deps
-        if inst.accel is None or not deps or max(deps) < base:
-            continue
-        inst.src_deps = tuple(d for d in deps if d < base)
-        inst.extra_deps = inst.extra_deps + tuple(
-            (d, latency) for d in deps if d >= base)
-    return stream
-
-
-class CFUFolder:
-    """Folds dynamic instruction instances into compound-FU instances.
-
-    Built from a :class:`~repro.analysis.cfu.CFUSchedule`; feed it
-    dynamic compute instructions in trace order and it either returns a
-    fresh accelerator CFU instruction (chain head) or folds the
-    instruction into the pending compound op (returns None) —
-    accumulating latency (serialized compound execution, as in BERET)
-    and merging external dependences.
-    """
-
-    def __init__(self, schedule, accel_name, seq_alloc, seq_map):
-        self.schedule = schedule
-        self.accel_name = accel_name
-        self.seq_alloc = seq_alloc
-        self.seq_map = seq_map
-        self._pending = {}   # cfu index -> (inst, next member position)
-
-    def process(self, dyn, mapped_deps):
-        """Handle one dynamic compute instruction.
-
-        *mapped_deps* are its already-remapped source deps.  Returns a
-        new accel DynInst to append, or None if folded into a pending
-        compound instruction.
-        """
-        slot = self.schedule.slots.get(dyn.uid)
-        if slot is not None:
-            cfu_index, position, size = slot
-            if position:
-                pending = self._pending.get(cfu_index)
-                if pending is not None and pending[1] == position:
-                    inst = pending[0]
-                    external = tuple(
-                        d for d in mapped_deps
-                        if d != inst.seq and d not in inst.src_deps
-                    )
-                    inst.src_deps = inst.src_deps + external
-                    inst.lat_override = (inst.lat_override or 0) \
-                        + dyn.latency
-                    inst.vector_width += 1
-                    if position + 1 < size:
-                        self._pending[cfu_index] = (inst, position + 1)
-                    else:
-                        del self._pending[cfu_index]
-                    self.seq_map[dyn.seq] = inst.seq
-                    return None
-        # Chain head (or out-of-order instance): fresh compound inst.
-        seq = self.seq_alloc.next()
-        inst = dyn.clone(
-            seq=seq, opcode=Opcode.CFU, accel=self.accel_name,
-            src_deps=mapped_deps, lat_override=dyn.latency,
-            vector_width=1, mispredicted=False, icache_lat=0,
-        )
-        if slot is not None and size > 1 and not position:
-            self._pending[cfu_index] = (inst, 1)
-        self.seq_map[dyn.seq] = seq
-        return inst
 
 
 class AnalysisContext:
@@ -338,8 +287,8 @@ class BSAModel:
     """Base class: one behavior-specialized accelerator model.
 
     Subclasses set :attr:`name`, implement :meth:`find_candidates`
-    (returns {loop_key: plan}) and :meth:`transform_interval` (returns
-    the transformed instruction stream for one invocation, given the
+    (returns {loop_key: plan}) and :meth:`transform_interval` (emits
+    the transformed instruction stream of one invocation, given the
     core's ``vector_len``), and may override the resource/energy
     hooks.
     """
@@ -354,6 +303,10 @@ class BSAModel:
     #: Whether the BSA powers down the core pipeline while active.
     power_gates_core = False
 
+    #: Cycles charged on accelerator-internal dataflow edges (see
+    #: :class:`~repro.tdg.fastpath.StreamBuilder`); 0 forwards for free.
+    dataflow_latency = 0
+
     #: Fast mode uses the paper's approximations; detailed mode is the
     #: validation reference (finer contention, exact latencies).
     def __init__(self, detailed=False):
@@ -366,9 +319,9 @@ class BSAModel:
 
     # -- transformer -----------------------------------------------------
     def transform_interval(self, ctx, plan, interval, vector_len,
-                           seq_alloc):
-        """Rewrite one invocation's trace slice; returns the new
-        stream (list of DynInst).
+                           seq_alloc, out):
+        """Rewrite one invocation's trace slice into *out*, a
+        :class:`~repro.tdg.fastpath.StreamBuilder`.
 
         *vector_len* is the host core's SIMD width, the only core
         parameter a transform may depend on: the result is timed and
@@ -470,24 +423,36 @@ class BSAModel:
         return estimates
 
     def _transform_region(self, ctx, plan, evaluated, vector_len):
-        """Transform each evaluated interval, then lower it and reduce
-        it to energy events in one walk; returns
-        ``[(timed stream, EnergyEvents), ...]``."""
+        """Transform each evaluated interval into a
+        :class:`~repro.tdg.fastpath.StreamBuilder`, which lowers it and
+        reduces it to energy events in one walk; returns
+        ``[(timed stream, EnergyEvents), ...]``.
+
+        The timed stream is the lowered one with the kernel.  Without
+        it, or for a stream with a non-integer latency (which int64
+        columns cannot hold), it is the stream's DynInst rows, which
+        the object engine times exactly.
+        """
+        record = not kernel_available()
         seq_alloc = SeqAllocator()
+        costed = []
+        emitted = lowered = 0
         with span("accel.transform", bsa=self.name):
-            streams = [
+            for interval in evaluated:
+                out = StreamBuilder(self.dataflow_latency, record=record,
+                                    lower=not record)
                 self.transform_interval(ctx, plan, interval, vector_len,
-                                        seq_alloc)
-                for interval in evaluated
-            ]
+                                        seq_alloc, out)
+                try:
+                    timed, events = out.finish()
+                except LoweringError:
+                    timed, events = out.rows, out.events()
+                else:
+                    lowered += 0 if record else len(out)
+                costed.append((timed, events))
+                emitted += len(out)
         count_work("repro_insts_transformed_total",
                    sum(end - start for start, end in evaluated), self.name)
-        with span("tdg.lower", path=self.name):
-            costed = [lower_for_reuse(stream) for stream in streams]
-        count_work("repro_insts_lowered_total",
-                   sum(len(stream) for stream, (timed, _) in
-                       zip(streams, costed) if timed is not stream),
-                   self.name)
-        count_work("repro_insts_priced_total",
-                   sum(len(stream) for stream in streams), self.name)
+        count_work("repro_insts_lowered_total", lowered, self.name)
+        count_work("repro_insts_priced_total", emitted, self.name)
         return costed

@@ -21,7 +21,6 @@ from repro.accel.base import (
     map_deps,
 )
 from repro.analysis.slicing import ROLE_EXECUTE, ROLE_CONTROL
-from repro.sim.trace import DynInst
 from repro.tdg.engine import AccelResources
 
 #: CGRA functional units (paper: "Its design point has 64 FUs").
@@ -39,6 +38,9 @@ CONFIG_CACHE_ENTRIES = 4
 
 #: Cycles to load a configuration on a config-cache miss.
 CONFIG_LATENCY = 32
+
+# Module globals for the group loop (an ``Opcode.X`` read costs ~10x).
+_BR, _CFG, _SEND, _RECV = Opcode.BR, Opcode.CFG, Opcode.SEND, Opcode.RECV
 
 
 class DPCGRAModel(BSAModel):
@@ -102,7 +104,7 @@ class DPCGRAModel(BSAModel):
 
     # ------------------------------------------------------------------
     def transform_interval(self, ctx, plan, interval, vector_len,
-                           seq_alloc):
+                           seq_alloc, out):
         loop = plan["loop"]
         dep = plan["dep"]
         slice_info = plan["slice"]
@@ -116,24 +118,21 @@ class DPCGRAModel(BSAModel):
         clone_limit = max(1, CGRA_FUS // offloaded)
         lanes = min(group_len, clone_limit) if vectorizable else 1
 
-        stream = []
         seq_map = {}
-        self._maybe_configure(plan, loop, stream, seq_alloc, trace,
-                              interval)
+        self._maybe_configure(plan, loop, out, seq_alloc, trace, interval)
 
         prev_first_cgra = None
         prev_last_cgra = None
         for group in iteration_groups(trace, spans, group_len, seq_map,
-                                      stream):
+                                      out):
             first_cgra, last_cgra = self._emit_group(
-                trace, group, loop, slice_info, dep, lanes, stream,
+                trace, group, loop, slice_info, dep, lanes, out,
                 seq_map, seq_alloc, prev_first_cgra, prev_last_cgra)
             if first_cgra is not None:
                 prev_first_cgra = first_cgra
                 prev_last_cgra = last_cgra
-        return stream
 
-    def _maybe_configure(self, plan, loop, stream, seq_alloc, trace,
+    def _maybe_configure(self, plan, loop, out, seq_alloc, trace,
                          interval):
         cache = plan["config_cache"]
         if loop.key in cache:
@@ -143,22 +142,21 @@ class DPCGRAModel(BSAModel):
         cache.append(loop.key)
         if len(cache) > CONFIG_CACHE_ENTRIES:
             cache.pop(0)
-        stream.append(DynInst(
-            seq_alloc.next(), trace[interval[0]].static, Opcode.CFG,
-            lat_override=self.config_latency))
+        out.synthesize(seq_alloc.next(), trace[interval[0]].static, _CFG,
+                       lat_override=self.config_latency)
 
     def _emit_group(self, trace, group, loop, slice_info, dep, lanes,
-                    stream, seq_map, seq_alloc, prev_first, prev_last):
+                    out, seq_map, seq_alloc, prev_first, prev_last):
         """Emit one (possibly vector) group of iterations.
 
         Memory/control stay on the core (vectorized when profitable);
         compute goes to the CGRA with routing-delayed dataflow edges.
-        Returns the group's first CGRA seq and last CGRA instruction
-        (None, None without CGRA work); *prev_first*/*prev_last* are
-        the previous such group's.
+        Returns the group's first CGRA seq and last CGRA ``(row,
+        seq)`` (None, None without CGRA work); *prev_first*/*prev_last*
+        are the previous such group's.
         """
         instances, order = gather_instances(trace, group, loop.uids,
-                                            seq_map, stream)
+                                            seq_map, out)
         vector_mode = lanes > 1
         first_cgra = None
         last_cgra = None
@@ -185,37 +183,34 @@ class DPCGRAModel(BSAModel):
                 if needs_send:
                     # Core -> CGRA operand transfer.
                     send_seq = seq_alloc.next()
-                    stream.append(DynInst(send_seq, rep.static,
-                                          Opcode.SEND, src_deps=deps,
-                                          lat_override=1))
+                    out.synthesize(send_seq, rep.static, _SEND,
+                                   src_deps=deps, lat_override=1)
                     deps = [send_seq]
                 if prev_first is not None and first_cgra is None:
                     extra.append((prev_first, PIPELINE_DEPTH))
-                inst = rep.clone(
-                    seq=new_seq, accel=self.name,
-                    src_deps=tuple(deps), extra_deps=tuple(extra),
+                row = out.emit(
+                    rep, seq=new_seq, accel=self.name,
+                    src_deps=deps, extra_deps=extra,
                     taken=None, mispredicted=False, icache_lat=0,
                     vector_width=lanes if vector_mode else 1)
-                stream.append(inst)
                 cgra_seqs.add(new_seq)
                 if first_cgra is None:
                     first_cgra = new_seq
-                last_cgra = inst
+                last_cgra = (row, new_seq)
             elif rep.mem_addr is not None:
                 self._emit_memory(uid, group_insts, dep, vector_mode,
-                                  stream, seq_map, seq_alloc, new_seq)
+                                  out, seq_map, seq_alloc, new_seq)
                 continue
             elif role == ROLE_CONTROL or uid in dep.induction_uids \
-                    or rep.opcode is Opcode.BR:
+                    or rep.opcode is _BR:
                 last = group_insts[-1]
-                stream.append(last.clone(
-                    seq=new_seq, src_deps=map_deps(last, seq_map)))
+                out.emit(last, seq=new_seq,
+                         src_deps=map_deps(last, seq_map))
             else:
                 # Core-side scalar (address computation etc.): once per
                 # group when vectorized (index math is shared).
-                stream.append(rep.clone(
-                    seq=new_seq, src_deps=map_deps(rep, seq_map),
-                    vector_width=1))
+                out.emit(rep, seq=new_seq, src_deps=map_deps(rep, seq_map),
+                         vector_width=1)
             for dyn in group_insts:
                 seq_map[dyn.seq] = new_seq
 
@@ -229,27 +224,24 @@ class DPCGRAModel(BSAModel):
             if mapped is None:
                 continue
             recv_seq = seq_alloc.next()
-            stream.append(DynInst(recv_seq, reps[0].static, Opcode.RECV,
-                                  src_deps=(mapped,), lat_override=1))
+            out.synthesize(recv_seq, reps[0].static, _RECV,
+                           src_deps=(mapped,), lat_override=1)
             for dyn in instances[uid]:
                 seq_map[dyn.seq] = recv_seq
         if prev_last is not None and last_cgra is not None:
             # In-order completion between computation instances.
-            last_cgra.extra_deps = last_cgra.extra_deps \
-                + ((prev_last.seq, 0),)
+            out.add_edge(last_cgra[0], prev_last[1], 0)
         return first_cgra, last_cgra
 
     @staticmethod
-    def _emit_memory(uid, group_insts, dep, vector_mode, stream, seq_map,
+    def _emit_memory(uid, group_insts, dep, vector_mode, out, seq_map,
                      seq_alloc, new_seq):
         if vector_mode and dep.stride_of(uid) == 1:
             emit_vector_access(group_insts, new_seq, len(group_insts), 0,
-                               seq_map, stream)
+                               seq_map, out)
             return
         for lane, dyn in enumerate(group_insts):
             lane_seq = new_seq if lane == 0 else seq_alloc.next()
-            stream.append(dyn.clone(
-                seq=lane_seq, src_deps=map_deps(dyn, seq_map),
-                mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep)))
+            out.emit(dyn, seq=lane_seq, src_deps=map_deps(dyn, seq_map),
+                     mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
             seq_map[dyn.seq] = lane_seq
-

@@ -18,9 +18,7 @@ is why NS-DF's energy gain exceeds its time gain in paper Fig. 13.
 """
 
 from repro.isa.opcodes import Opcode
-from repro.accel.base import (
-    BSAModel, CFUFolder, apply_dataflow_latency, offload_dataflow,
-)
+from repro.accel.base import BSAModel, offload_dataflow
 from repro.analysis.cfu import schedule_cfus
 from repro.tdg.engine import AccelResources
 
@@ -44,6 +42,8 @@ MAX_CFU_SIZE = 4
 #: arbitration + tag match; SEED-style distributed fabric).
 DATAFLOW_EDGE_LATENCY = 2
 
+_BR = Opcode.BR
+
 
 class NSDataflowModel(BSAModel):
     """Non-speculative dataflow offload BSA."""
@@ -55,6 +55,10 @@ class NSDataflowModel(BSAModel):
         # Operand storage bounds the in-flight dataflow window.
         return AccelResources({self.name: WRITEBACK_BUS},
                               windows={self.name: OPERAND_STORAGE})
+
+    @property
+    def dataflow_latency(self):
+        return DATAFLOW_EDGE_LATENCY + (1 if self.detailed else 0)
 
     @property
     def switch_latency(self):
@@ -112,24 +116,22 @@ class NSDataflowModel(BSAModel):
 
     # ------------------------------------------------------------------
     def transform_interval(self, ctx, plan, interval, vector_len,
-                           seq_alloc):
+                           seq_alloc, out):
         loop = plan["loop"]
-        schedule = plan["schedule"]
+        slots = plan["schedule"].slots
         trace = ctx.tdg.trace.instructions
         start, end = interval
-        stream = []
         seq_map = {}
-        folder = CFUFolder(schedule, self.name, seq_alloc, seq_map)
+        chains = {}
         # Non-speculative: every accelerator instruction waits for the
         # latest switch.  (Stray instructions, which a call-free nest
         # should not have, stay on the core.)
         control_edge = ()
-        SWITCH = Opcode.SWITCH
+        switch_latency = self.switch_latency
         for index in range(start, end):
-            inst = offload_dataflow(
-                trace[index], loop.uids, self.name, control_edge, folder,
-                seq_map, seq_alloc, stream)
-            if inst is not None and inst.opcode is SWITCH:
-                control_edge = ((inst.seq, self.switch_latency),)
-        latency = DATAFLOW_EDGE_LATENCY + (1 if self.detailed else 0)
-        return apply_dataflow_latency(stream, latency)
+            dyn = trace[index]
+            seq = offload_dataflow(
+                dyn, loop.uids, self.name, control_edge, slots, chains,
+                seq_map, seq_alloc, out)
+            if seq is not None and dyn.opcode is _BR:
+                control_edge = ((seq, switch_latency),)

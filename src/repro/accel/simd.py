@@ -19,18 +19,19 @@ vector length stay scalar.
 
 import math
 
-from repro.isa.opcodes import (
-    Opcode, is_compute, vector_opcode_for,
-)
+from repro.isa.opcodes import Opcode, vector_opcode_for
 from repro.accel.base import (
     BSAModel, emit_vector_access, gather_instances, iteration_groups,
     map_deps,
 )
-from repro.sim.trace import DynInst
 
 #: If-converted body may be at most this factor of the dynamic
 #: instructions per iteration (paper: "more than twice the original").
 _IF_CONVERT_LIMIT = 2.0
+
+# Module globals for the group loop (an ``Opcode.X`` read costs ~10x).
+_BR, _JMP, _MOV, _LI, _VBLEND = (
+    Opcode.BR, Opcode.JMP, Opcode.MOV, Opcode.LI, Opcode.VBLEND)
 
 
 class SIMDModel(BSAModel):
@@ -79,32 +80,31 @@ class SIMDModel(BSAModel):
 
     # ------------------------------------------------------------------
     def transform_interval(self, ctx, plan, interval, vector_len,
-                           seq_alloc):
+                           seq_alloc, out):
         loop = plan["loop"]
         dep = plan["dep"]
         trace = ctx.tdg.trace.instructions
         spans = ctx.spans_of(loop, interval)
         latch_uids = {
             inst.uid for inst in loop.instructions()
-            if inst.opcode is Opcode.BR and inst.target == loop.header
+            if inst.opcode is _BR and inst.target == loop.header
         }
 
         # If-conversion executes every path: static body ops with no
         # instance in a group are emitted as masked (pad) vector ops.
         body_uids = {
             inst.uid for inst in loop.instructions()
-            if inst.opcode not in (Opcode.BR, Opcode.JMP)
+            if inst.opcode is not _BR and inst.opcode is not _JMP
         }
 
-        stream = []
         seq_map = {}
         reduction_tail = {}   # reduction uid -> last vector seq
 
         for group in iteration_groups(trace, spans, vector_len, seq_map,
-                                      stream):
+                                      out):
             self._vectorize_group(
                 trace, group, loop.uids, latch_uids, dep, vector_len,
-                stream, seq_map, seq_alloc, reduction_tail, body_uids,
+                out, seq_map, seq_alloc, reduction_tail, body_uids,
             )
 
         # Horizontal reductions after the loop.
@@ -114,17 +114,15 @@ class SIMDModel(BSAModel):
             prev = tail_seq
             for _ in range(steps):
                 seq = seq_alloc.next()
-                stream.append(DynInst(seq, static, static.opcode,
-                                      src_deps=(prev,)))
+                out.synthesize(seq, static, static.opcode, src_deps=(prev,))
                 prev = seq
-        return stream
 
     # ------------------------------------------------------------------
     def _vectorize_group(self, trace, group, loop_uids, latch_uids, dep,
-                         vector_len, stream, seq_map, seq_alloc,
+                         vector_len, out, seq_map, seq_alloc,
                          reduction_tail, body_uids):
         instances, order = gather_instances(trace, group, loop_uids,
-                                            seq_map, stream)
+                                            seq_map, out)
         for uid in order:
             group_insts = instances[uid]
             rep = group_insts[0]
@@ -135,66 +133,57 @@ class SIMDModel(BSAModel):
             if uid in latch_uids:
                 # One back-branch per vector group.
                 last = group_insts[-1]
-                inst = last.clone(
-                    seq=new_seq, src_deps=map_deps(last, seq_map))
-                stream.append(inst)
-            elif opcode is Opcode.BR:
+                out.emit(last, seq=new_seq,
+                         src_deps=map_deps(last, seq_map))
+            elif opcode is _BR:
                 # If-converted: branch becomes a mask-merge (vblend).
-                inst = rep.clone(
-                    seq=new_seq, opcode=Opcode.VBLEND, taken=None,
-                    mispredicted=False, vector_width=vector_len,
-                    src_deps=map_deps(rep, seq_map))
-                stream.append(inst)
+                out.emit(rep, seq=new_seq, opcode=_VBLEND, taken=None,
+                         mispredicted=False, vector_width=vector_len,
+                         src_deps=map_deps(rep, seq_map))
                 if self.detailed:
                     # Reference model: separate mask-maintenance op.
-                    stream.append(inst.clone(seq=seq_alloc.next(),
-                                             src_deps=(new_seq,)))
+                    out.emit(rep, seq=seq_alloc.next(), opcode=_VBLEND,
+                             taken=None, mispredicted=False,
+                             vector_width=vector_len, src_deps=(new_seq,))
             elif uid in dep.induction_uids:
                 # One induction update per group (stride folded).
                 last = group_insts[-1]
-                inst = last.clone(
-                    seq=new_seq, src_deps=map_deps(last, seq_map))
-                stream.append(inst)
+                out.emit(last, seq=new_seq,
+                         src_deps=map_deps(last, seq_map))
             elif rep.mem_addr is not None:
                 self._vectorize_memory(
-                    uid, group_insts, dep, vector_len, stream,
+                    uid, group_insts, dep, vector_len, out,
                     seq_map, seq_alloc, new_seq)
                 continue   # seq_map handled inside
             elif uid in dep.reduction_uids and static is not None \
-                    and static.opcode is not Opcode.MOV:
+                    and static.opcode is not _MOV:
                 vop = vector_opcode_for(opcode) or opcode
-                inst = rep.clone(
-                    seq=new_seq, opcode=vop, vector_width=vector_len,
-                    src_deps=map_deps(rep, seq_map))
-                stream.append(inst)
+                out.emit(rep, seq=new_seq, opcode=vop,
+                         vector_width=vector_len,
+                         src_deps=map_deps(rep, seq_map))
                 reduction_tail[uid] = new_seq
-            elif is_compute(opcode) or opcode is Opcode.MOV:
+            elif opcode.is_compute or opcode is _MOV:
                 vop = vector_opcode_for(opcode)
-                if vop is not None or opcode in (Opcode.MOV, Opcode.LI):
-                    inst = rep.clone(
-                        seq=new_seq, opcode=vop or opcode,
-                        vector_width=vector_len,
-                        src_deps=map_deps(rep, seq_map))
-                    stream.append(inst)
+                if vop is not None or opcode is _MOV or opcode is _LI:
+                    out.emit(rep, seq=new_seq, opcode=vop or opcode,
+                             vector_width=vector_len,
+                             src_deps=map_deps(rep, seq_map))
                 else:
                     # No vector twin (div/sqrt/...): scalar expansion.
                     prev_seq = None
                     for lane, inst in enumerate(group_insts):
                         lane_seq = new_seq if lane == 0 \
                             else seq_alloc.next()
-                        clone = inst.clone(
-                            seq=lane_seq,
-                            src_deps=map_deps(inst, seq_map))
-                        stream.append(clone)
+                        out.emit(inst, seq=lane_seq,
+                                 src_deps=map_deps(inst, seq_map))
                         prev_seq = lane_seq
                     for inst in group_insts:
                         seq_map[inst.seq] = prev_seq
                     continue
             else:
                 # jmp / other control: once per group.
-                inst = rep.clone(seq=new_seq,
-                                 src_deps=map_deps(rep, seq_map))
-                stream.append(inst)
+                out.emit(rep, seq=new_seq,
+                         src_deps=map_deps(rep, seq_map))
 
             for dyn in group_insts:
                 seq_map[dyn.seq] = new_seq
@@ -207,12 +196,11 @@ class SIMDModel(BSAModel):
         pad_static = trace[group[0][0]].static
         for uid in body_uids:
             if uid not in instances:
-                stream.append(DynInst(
-                    seq_alloc.next(), pad_static, Opcode.VBLEND,
-                    lat_override=1, vector_width=vector_len))
+                out.synthesize(seq_alloc.next(), pad_static, _VBLEND,
+                               lat_override=1, vector_width=vector_len)
 
     def _vectorize_memory(self, uid, group_insts, dep, vector_len,
-                          stream, seq_map, seq_alloc, new_seq):
+                          out, seq_map, seq_alloc, new_seq):
         rep = group_insts[0]
         stride = dep.stride_of(uid)
         if stride == 1:
@@ -221,22 +209,19 @@ class SIMDModel(BSAModel):
             # access (bank conflicts); the fast model is optimistic,
             # as the paper's SIMD model deliberately is.
             emit_vector_access(group_insts, new_seq, vector_len,
-                               1 if self.detailed else 0, seq_map,
-                               stream)
+                               1 if self.detailed else 0, seq_map, out)
             return
         # Non-contiguous: scalar expansion plus a pack/unpack op.
         lane_seqs = []
         for lane, dyn in enumerate(group_insts):
             lane_seq = new_seq if lane == 0 else seq_alloc.next()
-            stream.append(dyn.clone(
-                seq=lane_seq, src_deps=map_deps(dyn, seq_map),
-                mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep)))
+            out.emit(dyn, seq=lane_seq, src_deps=map_deps(dyn, seq_map),
+                     mem_dep=seq_map.get(dyn.mem_dep, dyn.mem_dep))
             lane_seqs.append(lane_seq)
         pack_seq = seq_alloc.next()
-        stream.append(rep.clone(
-            seq=pack_seq, opcode=Opcode.VBLEND, mem_addr=None,
-            mem_lat=0, mem_level=None, vector_width=vector_len,
-            src_deps=tuple(lane_seqs), mem_dep=None))
+        out.emit(rep, seq=pack_seq, opcode=_VBLEND, mem_addr=None,
+                 mem_lat=0, mem_level=None, vector_width=vector_len,
+                 src_deps=tuple(lane_seqs), mem_dep=None)
         target = pack_seq if rep.static.is_load else lane_seqs[-1]
         for dyn in group_insts:
             seq_map[dyn.seq] = target

@@ -14,9 +14,7 @@ engine restarts.
 """
 
 from repro.isa.opcodes import Opcode
-from repro.accel.base import (
-    BSAModel, CFUFolder, apply_dataflow_latency, offload_dataflow, remap,
-)
+from repro.accel.base import BSAModel, offload_dataflow, remap
 from repro.analysis.cfu import schedule_cfus
 from repro.tdg.engine import AccelResources
 
@@ -57,6 +55,10 @@ class TraceProcessorModel(BSAModel):
         # Half of NS-DF's operand storage (paper section 3.1).
         return AccelResources({self.name: WRITEBACK_BUS},
                               windows={self.name: OPERAND_STORAGE})
+
+    @property
+    def dataflow_latency(self):
+        return DATAFLOW_EDGE_LATENCY + (1 if self.detailed else 0)
 
     @property
     def mispec_penalty(self):
@@ -121,15 +123,14 @@ class TraceProcessorModel(BSAModel):
 
     # ------------------------------------------------------------------
     def transform_interval(self, ctx, plan, interval, vector_len,
-                           seq_alloc):
+                           seq_alloc, out):
         loop = plan["loop"]
-        schedule = plan["schedule"]
+        slots = plan["schedule"].slots
         hot_path = plan["hot_path"]
         trace = ctx.tdg.trace.instructions
         spans = ctx.spans_of(loop, interval)
         loop_uids = loop.uids
 
-        stream = []
         seq_map = {}
         last_accel_seq = None
         restart_edge = None   # (seq, latency) after a mispeculation
@@ -141,37 +142,28 @@ class TraceProcessorModel(BSAModel):
                 # Speculative: branches become cheap verify ops with no
                 # control dependence; only the iteration's first loop
                 # instruction waits, behind a replay's restart edge.
-                folder = CFUFolder(schedule, self.name, seq_alloc,
-                                   seq_map)
+                # Compound ops do not fuse across iterations.
+                chains = {}
                 for index in range(span_start, span_end):
                     dyn = trace[index]
                     entry_edge = ()
                     if restart_edge is not None and dyn.uid in loop_uids:
                         entry_edge = (restart_edge,)
                         restart_edge = None
-                    inst = offload_dataflow(
-                        dyn, loop_uids, self.name, entry_edge, folder,
-                        seq_map, seq_alloc, stream)
-                    if inst is not None:
-                        last_accel_seq = inst.seq
-            else:
+                    seq = offload_dataflow(
+                        dyn, loop_uids, self.name, entry_edge, slots,
+                        chains, seq_map, seq_alloc, out)
+                    if seq is not None:
+                        last_accel_seq = seq
+            elif span_end > span_start:
                 # Trace mispeculation: replay the iteration on the
                 # general core behind the flush penalty.
-                first = True
-                last_core_seq = None
+                penalty = () if last_accel_seq is None \
+                    else ((last_accel_seq, self.mispec_penalty),)
                 for index in range(span_start, span_end):
-                    dyn = trace[index]
-                    inst = remap(dyn, seq_map)
-                    if first and last_accel_seq is not None:
-                        inst = inst.clone(extra_deps=inst.extra_deps + (
-                            (last_accel_seq, self.mispec_penalty),))
-                    first = False
-                    stream.append(inst)
-                    last_core_seq = inst.seq
-                if last_core_seq is not None:
-                    restart_edge = (last_core_seq, 2)
-        latency = DATAFLOW_EDGE_LATENCY + (1 if self.detailed else 0)
-        return apply_dataflow_latency(stream, latency)
+                    remap(trace[index], seq_map, out, penalty)
+                    penalty = ()
+                restart_edge = (trace[span_end - 1].seq, 2)
 
 
 def _iteration_path(trace, start, end, loop):

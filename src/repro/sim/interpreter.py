@@ -16,6 +16,22 @@ from repro.sim.trace import DynInst, Trace
 #: Hard cap on memory image growth (words).
 MAX_MEMORY_WORDS = 1 << 24
 
+# Opcodes as module globals, not ``Opcode.X`` reads: on Python 3.11
+# every class-attribute read on an Enum goes through
+# ``EnumType.__getattr__`` (~10x a global read), and the interpreter
+# tests each executed instruction against these.
+_HALT, _NOP, _JMP, _CALL, _RET, _BR, _LD, _ST = (
+    Opcode.HALT, Opcode.NOP, Opcode.JMP, Opcode.CALL, Opcode.RET,
+    Opcode.BR, Opcode.LD, Opcode.ST)
+(_LI, _MOV, _ADD, _SUB, _MUL, _DIV, _REM, _AND, _OR, _XOR, _SHL, _SHR,
+ _SLT, _SEQ, _MIN, _MAX, _FADD, _FSUB, _FMUL, _FDIV, _FMIN, _FMAX,
+ _FSLT, _FSQRT, _FCVT) = (
+    Opcode.LI, Opcode.MOV, Opcode.ADD, Opcode.SUB, Opcode.MUL,
+    Opcode.DIV, Opcode.REM, Opcode.AND, Opcode.OR, Opcode.XOR,
+    Opcode.SHL, Opcode.SHR, Opcode.SLT, Opcode.SEQ, Opcode.MIN,
+    Opcode.MAX, Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
+    Opcode.FMIN, Opcode.FMAX, Opcode.FSLT, Opcode.FSQRT, Opcode.FCVT)
+
 
 class ExecutionError(RuntimeError):
     """Raised on runtime faults (bad address, missing halt, ...)."""
@@ -95,22 +111,22 @@ class Interpreter:
             )
 
             # ---- control flow --------------------------------------
-            if opcode is Opcode.HALT:
+            if opcode is _HALT:
                 dyn_instructions.append(dyn)
                 break
-            if opcode is Opcode.NOP:
+            if opcode is _NOP:
                 dyn_instructions.append(dyn)
                 seq += 1
                 inst_index += 1
                 continue
-            if opcode is Opcode.JMP:
+            if opcode is _JMP:
                 dyn_instructions.append(dyn)
                 seq += 1
                 block = function.block(inst.target)
                 inst_index = 0
                 trace.record_block(function.name, block.label)
                 continue
-            if opcode is Opcode.CALL:
+            if opcode is _CALL:
                 call_stack.append((function, block, inst_index + 1))
                 dyn_instructions.append(dyn)
                 seq += 1
@@ -119,14 +135,14 @@ class Interpreter:
                 inst_index = 0
                 trace.record_block(function.name, block.label)
                 continue
-            if opcode is Opcode.RET:
+            if opcode is _RET:
                 if not call_stack:
                     raise ExecutionError("ret with empty call stack")
                 dyn_instructions.append(dyn)
                 seq += 1
                 function, block, inst_index = call_stack.pop()
                 continue
-            if opcode is Opcode.BR:
+            if opcode is _BR:
                 cond_reg = inst.srcs[0]
                 value = registers[cond_reg] if cond_reg else 0
                 taken = bool(value)
@@ -147,7 +163,7 @@ class Interpreter:
                 continue
 
             # ---- memory --------------------------------------------
-            if opcode is Opcode.LD or opcode is Opcode.ST:
+            if opcode is _LD or opcode is _ST:
                 base_reg = inst.srcs[0]
                 addr = (registers[base_reg] if base_reg else 0) \
                     + (inst.imm or 0)
@@ -166,7 +182,7 @@ class Interpreter:
                 deps = []
                 if base_reg and last_writer[base_reg] is not None:
                     deps.append(last_writer[base_reg])
-                if opcode is Opcode.LD:
+                if opcode is _LD:
                     if addr in last_store:
                         dyn.mem_dep = last_store[addr]
                     registers[inst.dest] = memory[addr]
@@ -218,58 +234,58 @@ class Interpreter:
         else:
             b = inst.imm
 
-        if opcode is Opcode.LI:
+        if opcode is _LI:
             return inst.imm
-        if opcode is Opcode.MOV:
+        if opcode is _MOV:
             return a
-        if opcode is Opcode.ADD:
+        if opcode is _ADD:
             return a + b
-        if opcode is Opcode.SUB:
+        if opcode is _SUB:
             return a - b
-        if opcode is Opcode.MUL:
+        if opcode is _MUL:
             return a * b
-        if opcode is Opcode.DIV:
+        if opcode is _DIV:
             if b == 0:
                 return 0
             return int(a / b) if isinstance(a, int) and isinstance(b, int) \
                 else a / b
-        if opcode is Opcode.REM:
+        if opcode is _REM:
             return 0 if b == 0 else int(a) % int(b)
-        if opcode is Opcode.AND:
+        if opcode is _AND:
             return int(a) & int(b)
-        if opcode is Opcode.OR:
+        if opcode is _OR:
             return int(a) | int(b)
-        if opcode is Opcode.XOR:
+        if opcode is _XOR:
             return int(a) ^ int(b)
-        if opcode is Opcode.SHL:
+        if opcode is _SHL:
             return int(a) << int(b)
-        if opcode is Opcode.SHR:
+        if opcode is _SHR:
             return int(a) >> int(b)
-        if opcode is Opcode.SLT:
+        if opcode is _SLT:
             return 1 if a < b else 0
-        if opcode is Opcode.SEQ:
+        if opcode is _SEQ:
             return 1 if a == b else 0
-        if opcode is Opcode.MIN:
+        if opcode is _MIN:
             return min(a, b)
-        if opcode is Opcode.MAX:
+        if opcode is _MAX:
             return max(a, b)
-        if opcode is Opcode.FADD:
+        if opcode is _FADD:
             return float(a) + float(b)
-        if opcode is Opcode.FSUB:
+        if opcode is _FSUB:
             return float(a) - float(b)
-        if opcode is Opcode.FMUL:
+        if opcode is _FMUL:
             return float(a) * float(b)
-        if opcode is Opcode.FDIV:
+        if opcode is _FDIV:
             return 0.0 if b == 0 else float(a) / float(b)
-        if opcode is Opcode.FMIN:
+        if opcode is _FMIN:
             return min(float(a), float(b))
-        if opcode is Opcode.FMAX:
+        if opcode is _FMAX:
             return max(float(a), float(b))
-        if opcode is Opcode.FSLT:
+        if opcode is _FSLT:
             return 1 if float(a) < float(b) else 0
-        if opcode is Opcode.FSQRT:
+        if opcode is _FSQRT:
             return math.sqrt(abs(float(a)))
-        if opcode is Opcode.FCVT:
+        if opcode is _FCVT:
             return int(a)   # float -> int truncation (int -> float is
             #                 implicit in the fp ops)
         raise ExecutionError(f"interpreter cannot execute {opcode}")

@@ -7,7 +7,8 @@ outcome/misprediction.  A :class:`Trace` is the ordered stream plus
 summary statistics.
 """
 
-#: Default of every :meth:`DynInst.clone` argument: keep the field.
+#: Default of every :meth:`DynInst.clone` argument (and of
+#: :meth:`~repro.tdg.fastpath.StreamBuilder.emit`'s): keep the field.
 _KEEP = object()
 
 

@@ -8,14 +8,15 @@ every reservation is a dict probe.  That costs ~3.5 µs per instruction.
 This module restructures the same computation into flat parallel
 arrays evaluated by a compiled kernel:
 
-- :func:`lower_stream` lowers an instruction stream **once** into a
-  :class:`LoweredStream` of ``array('q')`` int64 buffers (latency,
-  occupancy, FU table id, dependence CSR, accelerator tag ids, ...).
-  Producer references are resolved from seq ids to stream positions
-  at lowering time, so the hot loop indexes a dense ``complete[]``
-  array instead of probing a dict.  The same walk (:func:`_walk`)
-  counts the stream's core-independent energy events, so a
-  transformed stream is read once for both.
+- A :class:`StreamBuilder` collects an instruction stream (BSA
+  transforms emit into one; :func:`lower_stream` fills one from a
+  DynInst list) and lowers it **once** into a :class:`LoweredStream`
+  of ``array('q')`` int64 buffers (latency, occupancy, FU table id,
+  dependence CSR, accelerator tag ids, ...).  Producer references are
+  resolved from seq ids to stream positions at lowering time, so the
+  hot loop indexes a dense ``complete[]`` array instead of probing a
+  dict.  The same walk (:func:`_walk`) counts the stream's
+  core-independent energy events, so a stream is read once for both.
 - :class:`FastTimingEngine` evaluates a lowered stream with the exact
   edge rules of the object engine in a C kernel (``_KERNEL_SOURCE``,
   built once per source digest and loaded through ctypes).  Its
@@ -62,6 +63,7 @@ from repro.energy.mcpat import (
 )
 from repro.isa.opcodes import Opcode, OpClass
 from repro.obs import counter, is_enabled, span
+from repro.sim.trace import _KEEP, DynInst
 from repro.tdg.engine import (
     AccelResources, TimingEngine, TimingResult, bind_histogram,
 )
@@ -141,15 +143,187 @@ class LoweredStream:
         return self.n
 
 
-def _walk(stream, lower):
-    """The one pass over an instruction stream, and the one place both
+#: Seqs at and above this name transform-synthesized instructions
+#: (:class:`~repro.accel.base.SeqAllocator` starts here), far above any
+#: trace seq.
+SYNTHESIZED_SEQ_BASE = 1 << 40
+
+# Module globals for the opcodes the walk tests per row: on Python
+# 3.11 even ``Opcode.BR`` costs ~10x a global read.
+_CFU, _CFG, _BR, _SEND, _RECV, _ST = (
+    Opcode.CFU, Opcode.CFG, Opcode.BR, Opcode.SEND, Opcode.RECV, Opcode.ST)
+
+#: Where the patched fields sit in an emitted row, a list of the
+#: :class:`~repro.sim.trace.DynInst` fields in slot order.
+_SEQ, _SRC_DEPS, _EXTRA_DEPS, _LAT_OVERRIDE, _VECTOR_WIDTH = map(
+    DynInst.__slots__.index,
+    ("seq", "src_deps", "extra_deps", "lat_override", "vector_width"))
+
+
+class StreamBuilder:
+    """One instruction stream, built row by row, then lowered and
+    reduced to energy events in one walk.
+
+    BSA transforms add rows (:meth:`emit`, :meth:`keep`,
+    :meth:`synthesize`) and patch rows added earlier (:meth:`fold`,
+    :meth:`add_edge`); :meth:`extend` keeps every instruction of a
+    list (the baseline trace, DSL streams).  A kept instruction is the
+    caller's own :class:`~repro.sim.trace.DynInst`, unchanged; an
+    emitted row is a plain list of the DynInst fields, so building a
+    transformed stream constructs no DynInst.  :meth:`finish` walks
+    the rows (:func:`_walk`, the one place both per-instruction rules
+    live) for the kernel's columns and the core-independent energy
+    events.  The walk runs once, at the first of :meth:`finish`,
+    :meth:`events` or :attr:`rows`; add no row after that.
+
+    *dataflow_latency*, when non-zero, charges fabric forwarding on
+    accelerator-internal edges: an accelerator row's deps on
+    synthesized producers (seq at or above
+    :data:`SYNTHESIZED_SEQ_BASE`) become ``(seq, latency)`` edges after
+    the row's own.  *lower* builds the columns; without it the walk
+    counts events alone.  *record* has the same walk also list the
+    stream as DynInst objects (:attr:`rows`), for the object engine and
+    for tests.
+    """
+
+    __slots__ = ("dataflow_latency", "lower", "record", "_rows",
+                 "_walked")
+
+    def __init__(self, dataflow_latency=0, record=False, lower=True):
+        self.dataflow_latency = dataflow_latency
+        self.lower = lower
+        self.record = record
+        self._rows = []
+        self._walked = None
+
+    def __len__(self):
+        return len(self._rows)
+
+    # -- rows --------------------------------------------------------------
+    def keep(self, dyn):
+        """Add *dyn* as it is; returns its row index."""
+        self._rows.append(dyn)
+        return len(self._rows) - 1
+
+    def extend(self, stream):
+        """Keep every instruction of *stream* (a DynInst list)."""
+        self._rows += stream
+
+    def emit(self, dyn, seq=_KEEP, static=_KEEP, opcode=_KEEP,
+             src_deps=_KEEP, mem_dep=_KEEP, mem_addr=_KEEP, mem_lat=_KEEP,
+             mem_level=_KEEP, taken=_KEEP, mispredicted=_KEEP,
+             icache_lat=_KEEP, accel=_KEEP, extra_deps=_KEEP,
+             lat_override=_KEEP, vector_width=_KEEP):
+        """Add *dyn* with the given fields replaced (the arguments of
+        :meth:`~repro.sim.trace.DynInst.clone`); returns its row
+        index."""
+        self._rows.append([
+            dyn.seq if seq is _KEEP else seq,
+            dyn.static if static is _KEEP else static,
+            dyn.opcode if opcode is _KEEP else opcode,
+            dyn.src_deps if src_deps is _KEEP else tuple(src_deps),
+            dyn.mem_dep if mem_dep is _KEEP else mem_dep,
+            dyn.mem_addr if mem_addr is _KEEP else mem_addr,
+            dyn.mem_lat if mem_lat is _KEEP else mem_lat,
+            dyn.mem_level if mem_level is _KEEP else mem_level,
+            dyn.taken if taken is _KEEP else taken,
+            dyn.mispredicted if mispredicted is _KEEP else mispredicted,
+            dyn.icache_lat if icache_lat is _KEEP else icache_lat,
+            dyn.accel if accel is _KEEP else accel,
+            dyn.extra_deps if extra_deps is _KEEP else tuple(extra_deps),
+            dyn.lat_override if lat_override is _KEEP else lat_override,
+            dyn.vector_width if vector_width is _KEEP else vector_width])
+        return len(self._rows) - 1
+
+    def synthesize(self, seq, static, opcode, src_deps=(),
+                   lat_override=None, vector_width=1):
+        """Add a fresh plumbing instruction (configuration, transfer,
+        mask): the :class:`~repro.sim.trace.DynInst` constructor's
+        defaults, with no memory access, branch outcome or I-cache
+        stall of its own; returns its row index."""
+        self._rows.append([seq, static, opcode, tuple(src_deps), None,
+                           None, 0, None, None, False, 0, None, (),
+                           lat_override, vector_width])
+        return len(self._rows) - 1
+
+    # -- patches -----------------------------------------------------------
+    def fold(self, row, dyn, mapped_deps):
+        """Fold compute instruction *dyn* into the compound op emitted
+        at *row*: its latency adds on (serialized compound execution,
+        as in BERET), the op counts one more fused lane, and its deps
+        *mapped_deps* (already renamed) merge in.
+
+        A dep joins unless it is the compound's own seq or already one
+        of its deps; the member's deps are not deduplicated among
+        themselves.  The walk resolves them at *row*, like the
+        compound's own: a producer added after it is a live-in.
+        """
+        fields = self._rows[row]
+        head_seq = fields[_SEQ]
+        deps = fields[_SRC_DEPS]
+        external = []
+        for dep in mapped_deps:
+            if dep != head_seq and dep not in deps:
+                external.append(dep)
+        if external:
+            fields[_SRC_DEPS] = deps + tuple(external)
+        fields[_LAT_OVERRIDE] = (fields[_LAT_OVERRIDE] or 0) + dyn.latency
+        fields[_VECTOR_WIDTH] += 1
+
+    def add_edge(self, row, seq, latency):
+        """Append the edge ``(seq, latency)`` to the row emitted at
+        *row*."""
+        fields = self._rows[row]
+        fields[_EXTRA_DEPS] += ((seq, latency),)
+
+    # -- results -----------------------------------------------------------
+    def _walk(self):
+        if self._walked is None:
+            self._walked = _walk(self._rows, self.lower,
+                                 self.dataflow_latency, self.record)
+        return self._walked
+
+    @property
+    def rows(self):
+        """The stream as DynInst objects: recorded by the walk, or,
+        without *record*, by a second walk."""
+        rows = self._walk()[3]
+        if rows is None:
+            rows = _walk(self._rows, False, self.dataflow_latency, True)[3]
+        return rows
+
+    def events(self):
+        """The stream's :class:`~repro.energy.mcpat.EnergyEvents`."""
+        return self._walk()[2]
+
+    def finish(self):
+        """``(timed, events)``: the stream as the timing engine takes it
+        (a :class:`LoweredStream` when lowering, else the recorded
+        rows, or None) and its energy events.
+
+        Raises :class:`LoweringError` when the columns are not
+        int64-lowerable; :meth:`events` and :attr:`rows` still serve
+        the stream without another transform.
+        """
+        columns, accel_tags, events, rows = self._walk()
+        if not self.lower:
+            return rows, events
+        return LoweredStream(columns, accel_tags, events), events
+
+
+def _walk(rows, lower, forward, record):
+    """The one pass over a stream's rows, and the one place both
     per-instruction rules live: lowering and energy-event counting.
 
-    Returns ``(columns, accel_tags, events)``: the kernel's columns in
-    :attr:`LoweredStream.FIELDS` order (None unless *lower*), the
-    accelerator tags in first-use order, and the stream's
-    :class:`~repro.energy.mcpat.EnergyEvents`, charged in stream order
-    so that pricing them equals pricing one instruction at a time.
+    *rows* holds DynInst objects and emitted field lists
+    (:class:`StreamBuilder`).  Returns ``(columns, accel_tags, events,
+    recorded)``: the kernel's columns in :attr:`LoweredStream.FIELDS`
+    order (None unless *lower*), the accelerator tags in first-use
+    order, the stream's :class:`~repro.energy.mcpat.EnergyEvents`,
+    charged in stream order so that pricing them equals pricing one
+    instruction at a time, and the rows as DynInst objects (None unless
+    *record*).  *forward* is the dataflow latency (see
+    :class:`StreamBuilder`).
     """
     components = {}
     regfile = []
@@ -160,6 +334,7 @@ def _walk(stream, lower):
     # accel tag -> (tag id, op, cfu and network component names, op
     # and network pJ); insertion order is the kernel's tag order.
     accel_charges = {}
+    recorded = [] if record else None
     seqpos = {}
     lat = []
     occ = []
@@ -174,11 +349,6 @@ def _walk(stream, lower):
     mispred = []
     icache = []
     accel_tag = []
-    # Locals for everything the loop reads per dynamic instruction;
-    # on Python 3.11 even ``Opcode.BR`` costs ~10x a local read.
-    CFU, CFG, BR, SEND, RECV, ST = (
-        Opcode.CFU, Opcode.CFG, Opcode.BR, Opcode.SEND, Opcode.RECV,
-        Opcode.ST)
     seqpos_get = seqpos.get
     lat_append = lat.append
     occ_append = occ.append
@@ -193,10 +363,28 @@ def _walk(stream, lower):
     mispred_append = mispred.append
     icache_append = icache.append
     accel_tag_append = accel_tag.append
-    for i, inst in enumerate(stream):
-        opcode = inst.opcode
-        accel = inst.accel
-        mem = inst.mem_addr is not None
+    for i, inst in enumerate(rows):
+        if inst.__class__ is list:
+            (seq, static, opcode, src_deps, mem_dep, mem_addr, mem_lat,
+             mem_level, taken, mispredicted, icache_lat, accel, extra_deps,
+             lat_override, vector_width) = inst
+        else:
+            opcode = inst.opcode
+            accel = inst.accel
+            src_deps = inst.src_deps
+            extra_deps = inst.extra_deps
+            mem_addr = inst.mem_addr
+            mem_level = inst.mem_level
+            static = inst.static
+            vector_width = inst.vector_width
+            if lower:
+                seq = inst.seq
+                mem_dep = inst.mem_dep
+                mem_lat = inst.mem_lat
+                mispredicted = inst.mispredicted
+                icache_lat = inst.icache_lat
+                lat_override = inst.lat_override
+        mem = mem_addr is not None
         if accel is not None:
             charges = accel_charges.get(accel)
             if charges is None:
@@ -204,44 +392,65 @@ def _walk(stream, lower):
                     len(accel_charges), f"{accel}_op", f"{accel}_cfu",
                     f"{accel}_net", _ACCEL_OP_PJ.get(accel, 4.0),
                     _ACCEL_NETWORK_PJ.get(accel, 2.0))
+            if forward and src_deps \
+                    and max(src_deps) >= SYNTHESIZED_SEQ_BASE:
+                # Fabric forwarding: a dep on a synthesized producer
+                # becomes an edge charging *forward* cycles, after the
+                # row's own edges.
+                real = []
+                edges = list(extra_deps)
+                for dep in src_deps:
+                    if dep < SYNTHESIZED_SEQ_BASE:
+                        real.append(dep)
+                    else:
+                        edges.append((dep, forward))
+                src_deps = tuple(real)
+                extra_deps = tuple(edges)
+                if record and inst.__class__ is not list:
+                    inst = inst.clone(src_deps=src_deps,
+                                      extra_deps=extra_deps)
+        if record:
+            recorded.append(inst if inst.__class__ is not list else DynInst(
+                seq, static, opcode, src_deps, mem_dep, mem_addr, mem_lat,
+                mem_level, taken, mispredicted, icache_lat, accel,
+                extra_deps, lat_override, vector_width))
         if lower:
             # Inlined DynInst.latency (override -> observed memory
             # latency -> nominal FU latency).
-            latency = inst.lat_override
+            latency = lat_override
             if latency is None:
-                mem_lat = inst.mem_lat
                 latency = mem_lat if mem and mem_lat else opcode.latency
             lat_append(latency)
             occ_append(latency if opcode.unpipelined else 1)
             tab_append(PORT_TABLE if mem else opcode.class_id)
             is_st_append(opcode.is_store)
-            md = inst.mem_dep
-            memdep_append(seqpos_get(md, -1) if md is not None else -1)
-            for dep in inst.src_deps:
+            memdep_append(seqpos_get(mem_dep, -1) if mem_dep is not None
+                          else -1)
+            for dep in src_deps:
                 # Live-in producers resolve to start_time, which can
-                # never exceed the running ready time — drop them.
+                # never exceed the running ready time: drop them.
                 pos = seqpos_get(dep, -1)
                 if pos >= 0:
                     dep_idx_append(pos)
             dep_ptr_append(len(dep_idx))
-            for dep, extra in inst.extra_deps:
+            for dep, extra in extra_deps:
                 # Live-in extra deps still charge latency on top of
                 # start_time, so they are kept with position -1.
                 extra_idx_append(seqpos_get(dep, -1))
                 extra_lat_append(extra)
             extra_ptr_append(len(extra_idx))
-            mispred_append(1 if inst.mispredicted else 0)
-            icache_append(inst.icache_lat)
+            mispred_append(1 if mispredicted else 0)
+            icache_append(icache_lat)
             accel_tag_append(-1 if accel is None else charges[0])
-            seqpos[inst.seq] = i
+            seqpos[seq] = i
         if accel is not None:
             # ---- accelerator events --------------------------------
             _, op_name, cfu_name, net_name, op_pj, net_pj = charges
-            if opcode is CFU:
+            if opcode is _CFU:
                 name = cfu_name
                 picojoules = op_pj + _CFU_EXTRA_OP_PJ \
-                    * (max(inst.vector_width, 1) - 1)
-            elif opcode is CFG:
+                    * (max(vector_width, 1) - 1)
+            elif opcode is _CFG:
                 name, picojoules = "accel_config", _CONFIG_PJ
             else:
                 name, picojoules = op_name, op_pj
@@ -252,8 +461,7 @@ def _walk(stream, lower):
                 l1d = l1d_pj
         else:
             # ---- core pipeline events, in charging order -----------
-            static = inst.static
-            category = 2 * len(inst.src_deps) + (
+            category = 2 * len(src_deps) + (
                 static is not None and static.dest is not None)
             regfile_append(category)
             if not core_insts:
@@ -265,37 +473,35 @@ def _walk(stream, lower):
                 components["regfile"] = None
             core_insts += 1
             picojoules = _FU_PJ_BY_CLASS[opcode.class_id]
-            lanes = inst.vector_width
-            if lanes > 1 or opcode.is_vector:
+            if vector_width > 1 or opcode.is_vector:
                 name = "simd_fu"
-                picojoules = picojoules * max(lanes, 1) \
+                picojoules = picojoules * max(vector_width, 1) \
                     * _VECTOR_LANE_FACTOR
             else:
                 name = "fu"
             if picojoules:
                 components[name] = components.get(name, 0.0) + picojoules
-            if opcode is BR:
+            if opcode is _BR:
                 branches += 1
                 components.setdefault("bpred")
-            elif opcode is SEND or opcode is RECV:
+            elif opcode is _SEND or opcode is _RECV:
                 components["accel_comm"] = components.get(
                     "accel_comm", 0.0) + _SEND_RECV_PJ
-            elif opcode is CFG:
+            elif opcode is _CFG:
                 components["accel_config"] = components.get(
                     "accel_config", 0.0) + _CONFIG_PJ
             if mem:
                 core_mem += 1
                 components.setdefault("lsq")
-                l1d = l1d_pj * (1 + 0.3 * (max(lanes, 1) - 1))
+                l1d = l1d_pj * (1 + 0.3 * (max(vector_width, 1) - 1))
         if mem:
-            level = inst.mem_level
             components["l1d"] = components.get("l1d", 0.0) + l1d
-            if level == "l2" or level == "dram":
+            if mem_level == "l2" or mem_level == "dram":
                 components["l2"] = components.get("l2", 0.0) + l2_pj
-            if level == "dram":
+            if mem_level == "dram":
                 components["dram"] = components.get("dram", 0.0) \
                     + DRAM_ACCESS_PJ
-            if accel == "trace_p" and opcode is ST:
+            if accel == "trace_p" and opcode is _ST:
                 components["store_buffer"] = components.get(
                     "store_buffer", 0.0) + _STORE_BUFFER_PJ
     counts = dict.fromkeys(_FRONTEND + _BACKEND, core_insts)
@@ -306,18 +512,19 @@ def _walk(stream, lower):
                dep_ptr, dep_idx, extra_ptr, extra_idx, extra_lat, mispred,
                icache, accel_tag) if lower else None
     return (columns, tuple(accel_charges),
-            EnergyEvents(components, counts, regfile))
+            EnergyEvents(components, counts, regfile), recorded)
 
 
 def stream_events(stream):
-    """Core-independent energy events of *stream*: the walk, without
-    lowering."""
-    return _walk(stream, False)[2]
+    """Core-independent energy events of *stream*, without lowering."""
+    out = StreamBuilder(lower=False)
+    out.extend(stream)
+    return out.events()
 
 
 def lower_stream(stream):
     """Lower *stream* (a list of DynInst) into a :class:`LoweredStream`,
-    counting its energy events in the same walk.
+    counting its energy events in the same pass.
 
     Raises :class:`LoweringError` when the stream is not
     int64-lowerable.  Idempotent: an already-lowered stream is
@@ -326,7 +533,9 @@ def lower_stream(stream):
     """
     if isinstance(stream, LoweredStream):
         return stream
-    return LoweredStream(*_walk(stream, True))
+    out = StreamBuilder()
+    out.extend(stream)
+    return out.finish()[0]
 
 
 def lower_for_reuse(stream):
@@ -336,17 +545,15 @@ def lower_for_reuse(stream):
     *timed* is the lowered stream when the kernel will time it; it is
     *stream* unchanged without a kernel, or when the stream is not
     int64-lowerable (each run then takes the object engine, exactly as
-    an unlowered stream would), and the walk then counts the events
-    alone.
+    an unlowered stream would).  Either way the stream is read once.
     """
-    if kernel_available():
-        try:
-            lowered = lower_stream(stream)
-        except LoweringError:
-            pass
-        else:
-            return lowered, lowered.events
-    return stream, stream_events(stream)
+    out = StreamBuilder(lower=kernel_available())
+    out.extend(stream)
+    try:
+        timed, events = out.finish()
+    except LoweringError:
+        return stream, out.events()
+    return (stream if timed is None else timed), events
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.energy import EnergyModel
 from repro.isa import Opcode
 from repro.programs import KernelBuilder
 from repro.tdg import TimingEngine, construct_tdg
+from tests.transformed import transformed_rows
 
 
 def heavy_kernel():
@@ -51,8 +52,8 @@ class TestDPCGRA:
         model = DPCGRAModel()
         plan = next(iter(model.find_candidates(heavy_ctx).values()))
         interval = heavy_ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(heavy_ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, heavy_ctx, plan, interval,
+                                  OOO2.vector_len, SeqAllocator())
         cgra_ops = [d for d in stream if d.accel == "dp_cgra"]
         core_ops = [d for d in stream if d.accel is None]
         assert cgra_ops and core_ops
@@ -65,10 +66,10 @@ class TestDPCGRA:
         plan = next(iter(model.find_candidates(heavy_ctx).values()))
         interval = heavy_ctx.intervals[plan["loop"].key][0]
         alloc = SeqAllocator()
-        first = model.transform_interval(heavy_ctx, plan, interval,
-                                         OOO2.vector_len, alloc)
-        second = model.transform_interval(heavy_ctx, plan, interval,
-                                          OOO2.vector_len, alloc)
+        first = transformed_rows(model, heavy_ctx, plan, interval,
+                                 OOO2.vector_len, alloc)
+        second = transformed_rows(model, heavy_ctx, plan, interval,
+                                  OOO2.vector_len, alloc)
         assert sum(1 for d in first if d.opcode is Opcode.CFG) == 1
         assert sum(1 for d in second if d.opcode is Opcode.CFG) == 0
 
@@ -76,8 +77,8 @@ class TestDPCGRA:
         model = DPCGRAModel()
         plan = next(iter(model.find_candidates(heavy_ctx).values()))
         interval = heavy_ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(heavy_ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, heavy_ctx, plan, interval,
+                                  OOO2.vector_len, SeqAllocator())
         opcodes = {d.opcode for d in stream}
         assert Opcode.SEND in opcodes or Opcode.RECV in opcodes
 
@@ -132,8 +133,8 @@ class TestNSDF:
         outer = ctx.forest.roots[0]
         plan = plans[outer.key]
         interval = ctx.intervals[outer.key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval, OOO2.vector_len,
+                                  SeqAllocator())
         assert all(d.accel == "ns_df" for d in stream)
 
     def test_branches_become_switches(self, nested_tdg):
@@ -142,8 +143,8 @@ class TestNSDF:
         outer = ctx.forest.roots[0]
         plan = model.find_candidates(ctx)[outer.key]
         interval = ctx.intervals[outer.key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval, OOO2.vector_len,
+                                  SeqAllocator())
         opcodes = {d.opcode for d in stream}
         assert Opcode.SWITCH in opcodes
         assert Opcode.BR not in opcodes
@@ -155,8 +156,8 @@ class TestNSDF:
         outer = ctx.forest.roots[0]
         plan = model.find_candidates(ctx)[outer.key]
         interval = ctx.intervals[outer.key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval, OOO2.vector_len,
+                                  SeqAllocator())
         cfus = [d for d in stream if d.opcode is Opcode.CFU]
         assert any(d.vector_width > 1 for d in cfus)
 
@@ -220,8 +221,8 @@ class TestTraceP:
         model = TraceProcessorModel()
         plan = next(iter(model.find_candidates(ctx).values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval, OOO2.vector_len,
+                                  SeqAllocator())
         accel = [d for d in stream if d.accel == "trace_p"]
         core = [d for d in stream if d.accel is None]
         assert accel and core     # hot iterations + replays
@@ -233,8 +234,8 @@ class TestTraceP:
         assert plans
         plan = next(iter(plans.values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval, OOO2.vector_len,
+                                  SeqAllocator())
         assert all(d.accel == "trace_p" for d in stream)
 
     def test_energy_reduction(self, branchy_tdg):

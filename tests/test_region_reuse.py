@@ -5,7 +5,8 @@ events once, then times and prices the result on every core
 (BSA -> region -> core).  The oracle below is the earlier loop order
 (BSA -> core -> region), which re-transforms every region for every
 core and prices every instruction one at a time, copied here with only
-the ``transform_interval(..., vector_len, ...)`` call and the
+the ``transform_interval(..., vector_len, ...)`` call (now through a
+recording builder, ``tests.transformed.transformed_rows``) and the
 ``mcpat`` constant lookups adapted.
 
 Every field must match exactly, energies included: pricing the
@@ -32,6 +33,7 @@ from repro.obs import isolated
 from repro.sim.trace import DynInst
 from repro.tdg.fastpath import make_engine
 from repro.workloads import WORKLOADS
+from tests.transformed import transformed_rows
 
 #: One benchmark per behavior class.
 BENCHMARKS = ("conv", "djpeg1", "181.mcf")
@@ -139,9 +141,8 @@ def seed_evaluate_region(model, ctx, plan, core_config,
     total_cycles = 0
     total_energy = 0.0
     for interval in evaluated:
-        stream = model.transform_interval(ctx, plan, interval,
-                                          core_config.vector_len,
-                                          seq_alloc)
+        stream = transformed_rows(model, ctx, plan, interval,
+                                  core_config.vector_len, seq_alloc)
         result = make_engine(
             core_config,
             accel_resources=model.accel_resources(core_config),
@@ -336,8 +337,8 @@ def _streams(tdgs):
         model = BSA_REGISTRY[bsa]()
         plan = next(iter(model.find_candidates(ctx).values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        streams[bsa] = model.transform_interval(
-            ctx, plan, interval, 4, SeqAllocator())
+        streams[bsa] = transformed_rows(model, ctx, plan, interval, 4,
+                                        SeqAllocator())
     return streams
 
 

@@ -9,6 +9,7 @@ from repro.isa import Opcode
 from repro.isa.opcodes import is_vector
 from repro.programs import KernelBuilder
 from repro.tdg import TimingEngine, construct_tdg
+from tests.transformed import transformed_rows
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +68,8 @@ class TestTransformStructure:
         from repro.accel.base import SeqAllocator
         plan = next(iter(plans.values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          config.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval,
+                                  config.vector_len, SeqAllocator())
         return tdg, interval, stream
 
     def test_fewer_instructions(self, vec_setup):
@@ -135,8 +136,8 @@ class TestScalarExpansion:
         from repro.accel.base import SeqAllocator
         plan = next(iter(plans.values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          OOO4.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval, OOO4.vector_len,
+                                  SeqAllocator())
         scalar_loads = [d for d in stream if d.opcode is Opcode.LD]
         vector_loads = [d for d in stream if d.opcode is Opcode.VLD]
         assert scalar_loads and not vector_loads
@@ -153,8 +154,8 @@ class TestReductions:
         from repro.accel.base import SeqAllocator
         plan = next(iter(plans.values()))
         interval = ctx.intervals[plan["loop"].key][0]
-        stream = model.transform_interval(ctx, plan, interval,
-                                          OOO2.vector_len, SeqAllocator())
+        stream = transformed_rows(model, ctx, plan, interval, OOO2.vector_len,
+                                  SeqAllocator())
         assert any(d.opcode is Opcode.VFADD for d in stream)
 
     def test_reduction_speedup_breaks_serial_chain(self, reduction_tdg):

@@ -9,10 +9,14 @@ per-instruction definitions (``DynInst.latency``, ``DynInst.op_class``,
 ``is_store``) and price every stream one instruction at a time with the
 seed oracle of ``tests/test_region_reuse.py``, bit for bit.
 
+The walk is :class:`~repro.tdg.fastpath.StreamBuilder` keeping each
+instruction as it is; ``tests/test_stream_builder.py`` checks that the
+rows BSA transforms emit lower exactly like this.
+
 Also pinned here, since the walk and the transforms read them: the
-per-opcode facts set on ``Opcode`` members, ``DynInst.clone`` and the
-O(1) ``CFUFolder``, and a machine-independent gate on ``Enum.__hash__``
-calls per evaluated benchmark.
+per-opcode facts set on ``Opcode`` members, ``DynInst.clone``,
+compound-op folding, and a machine-independent gate on
+``Enum.__hash__`` calls per evaluated benchmark.
 """
 
 import enum
@@ -20,7 +24,7 @@ import random
 
 import pytest
 
-from repro.accel.base import CFUFolder, SeqAllocator
+from repro.accel.base import SeqAllocator, map_deps, offload_dataflow
 from repro.analysis.cfu import CFUSchedule
 from repro.core_model import core_by_name
 from repro.core_model.config import DSE_CORES
@@ -33,8 +37,8 @@ from repro.isa.opcodes import (
 )
 from repro.sim.trace import DynInst
 from repro.tdg.fastpath import (
-    PORT_TABLE, LoweredStream, LoweringError, kernel_available,
-    lower_for_reuse, lower_stream, stream_events,
+    PORT_TABLE, LoweredStream, LoweringError, StreamBuilder,
+    kernel_available, lower_for_reuse, lower_stream, stream_events,
 )
 from repro.workloads import WORKLOADS
 from tests.test_fastpath_equivalence import random_stream
@@ -297,7 +301,7 @@ def test_clone_rejects_unknown_fields():
 
 
 # ---------------------------------------------------------------------------
-# CFUFolder.
+# Compound-op folding (offload_dataflow + StreamBuilder.fold).
 
 def _static(uid, opcode=Opcode.ADD):
     inst = Instruction(opcode, dest=3, srcs=(4,))
@@ -310,12 +314,47 @@ _SINGLE = _static(20)
 _UNSCHEDULED = _static(30)
 
 
+class _Row:
+    """An emitted row as it stands now (folds patch it in place), read
+    by DynInst field name."""
+
+    def __init__(self, fields):
+        self._fields = fields
+
+    def __getattr__(self, name):
+        return self._fields[DynInst.__slots__.index(name)]
+
+
+class _Folder:
+    """The compound-op rule of ``offload_dataflow`` on a builder:
+    :meth:`process` returns the compound row an instance opens, or None
+    when it folds into an open one (its mapped deps are ``map_deps`` of
+    its own, which is what each caller passes)."""
+
+    def __init__(self, schedule, seq_map):
+        self.schedule = schedule
+        self.seq_map = seq_map
+        self.chains = {}
+        self.seq_alloc = SeqAllocator()
+        self.out = StreamBuilder()
+
+    def process(self, dyn, mapped_deps):
+        assert mapped_deps == map_deps(dyn, self.seq_map)
+        before = len(self.out)
+        offload_dataflow(dyn, {10, 11, 12, 20, 30}, "ns_df", (),
+                         self.schedule.slots, self.chains, self.seq_map,
+                         self.seq_alloc, self.out)
+        if len(self.out) == before:
+            return None
+        return _Row(self.out._rows[before])
+
+
 def _folder():
     schedule = CFUSchedule(loop=None, max_cfu_size=4, cross_control=False)
     schedule.cfus = [[10, 11, 12], [20]]
     schedule.cfu_of = {10: 0, 11: 0, 12: 0, 20: 1}
     seq_map = {}
-    return CFUFolder(schedule, "ns_df", SeqAllocator(), seq_map), seq_map
+    return _Folder(schedule, seq_map), seq_map
 
 
 class _Trace:

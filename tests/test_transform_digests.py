@@ -2,10 +2,11 @@
 
 One sha256 per (workload, BSA, fast/detailed, vector_len), taken over
 every :class:`~repro.sim.trace.DynInst` slot of every
-``transform_interval`` output. Each candidate region transforms its
-first ``MAX_INVOCATIONS`` invocations with one :class:`SeqAllocator`,
-as ``BSAModel._transform_region`` does, and each digest starts from a
-fresh plan, so DP-CGRA's configuration cache starts cold.
+``transform_interval`` output, as a recording builder keeps it. Each
+candidate region transforms its first ``MAX_INVOCATIONS`` invocations
+with one :class:`SeqAllocator`, as ``BSAModel._transform_region``
+does, and each digest starts from a fresh plan, so DP-CGRA's
+configuration cache starts cold.
 
 A refactor of the transforms must leave every digest as it is. To
 bless an intentional model change:
@@ -23,6 +24,7 @@ import pytest
 from repro.accel import BSA_REGISTRY, AnalysisContext
 from repro.accel.base import SeqAllocator
 from repro.workloads import WORKLOADS
+from tests.transformed import transformed_rows
 
 GOLDEN = Path(__file__).parent / "golden" / "transform_digests.json"
 
@@ -53,8 +55,8 @@ def _digest(ctx, bsa, detailed, vector_len):
         seq_alloc = SeqAllocator()
         digest.update(repr(("region", key)).encode())
         for interval in ctx.intervals.get(key, ())[:MAX_INVOCATIONS]:
-            stream = model.transform_interval(ctx, plan, interval,
-                                              vector_len, seq_alloc)
+            stream = transformed_rows(model, ctx, plan, interval,
+                                      vector_len, seq_alloc)
             digest.update(repr(("interval", interval)).encode())
             for inst in stream:
                 digest.update(repr(_inst_fields(inst)).encode())
