@@ -16,8 +16,7 @@ from repro.energy.mcpat import EnergyModel
 from repro.isa.opcodes import Opcode
 from repro.obs import counter, span
 from repro.tdg.fastpath import (
-    SYNTHESIZED_SEQ_BASE, LoweringError, StreamBuilder, kernel_available,
-    make_engine,
+    SYNTHESIZED_SEQ_BASE, FastTimingEngine, LoweredStream, StreamBuilder,
 )
 
 
@@ -405,7 +404,7 @@ class BSAModel:
             total_cycles = 0
             total_energy = 0.0
             for timed, events in costed:
-                result = make_engine(
+                result = FastTimingEngine(
                     config,
                     accel_resources=self.accel_resources(config),
                 ).run(timed)
@@ -426,29 +425,20 @@ class BSAModel:
         """Transform each evaluated interval into a
         :class:`~repro.tdg.fastpath.StreamBuilder`, which lowers it and
         reduces it to energy events in one walk; returns
-        ``[(timed stream, EnergyEvents), ...]``.
-
-        The timed stream is the lowered one with the kernel.  Without
-        it, or for a stream with a non-integer latency (which int64
-        columns cannot hold), it is the stream's DynInst rows, which
-        the object engine times exactly.
+        ``[(timed stream, EnergyEvents), ...]``, each stream in the form
+        :meth:`~repro.tdg.fastpath.StreamBuilder.finish` picks.
         """
-        record = not kernel_available()
         seq_alloc = SeqAllocator()
         costed = []
         emitted = lowered = 0
         with span("accel.transform", bsa=self.name):
             for interval in evaluated:
-                out = StreamBuilder(self.dataflow_latency, record=record,
-                                    lower=not record)
+                out = StreamBuilder(self.dataflow_latency)
                 self.transform_interval(ctx, plan, interval, vector_len,
                                         seq_alloc, out)
-                try:
-                    timed, events = out.finish()
-                except LoweringError:
-                    timed, events = out.rows, out.events()
-                else:
-                    lowered += 0 if record else len(out)
+                timed, events = out.finish()
+                if timed.__class__ is LoweredStream:
+                    lowered += len(out)
                 costed.append((timed, events))
                 emitted += len(out)
         count_work("repro_insts_transformed_total",

@@ -38,8 +38,9 @@ def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
     never by callers — they shape what the worker reports and which
     injected faults fire, not what it computes.)
 
-    The timing engine is not a task field: each worker picks it
-    (:func:`repro.tdg.fastpath.make_engine`), and both engines produce
+    The timing engine is not a task field: each worker's stream
+    builders pick it (:meth:`repro.tdg.fastpath.StreamBuilder.finish`
+    lowers for the kernel when it loads), and both engines produce
     byte-identical records.
 
     ``arbitration`` is a :meth:`~repro.fidelity.arbiter.ModelArbiter.

@@ -151,17 +151,11 @@ class EnergyModel:
         power-gates the core pipeline (NS-DF, Trace-P).
         *active_accels* names BSAs powered on during these cycles.
         """
-        return self.price(self.events(stream), cycles, core_active,
-                          active_accels)
-
-    @staticmethod
-    def events(stream):
-        """Core-independent :class:`EnergyEvents` of *stream*, to price
-        for any number of cores with :meth:`price`.  The event rule
-        lives in the walk that also lowers streams for the kernel
-        (:mod:`repro.tdg.fastpath`, which imports this module)."""
+        # The event rule lives in the walk that also lowers streams for
+        # the kernel (repro.tdg.fastpath, which imports this module).
         from repro.tdg.fastpath import stream_events
-        return stream_events(stream)
+        return self.price(stream_events(stream), cycles, core_active,
+                          active_accels)
 
     def price(self, events, cycles, core_active=True, active_accels=()):
         """Price *events* on this core over *cycles* cycles.

@@ -13,7 +13,9 @@ from repro.accel.base import count_work
 from repro.analysis.regions import attribute_baseline
 from repro.core_model import core_by_name
 from repro.obs import counter, span
-from repro.tdg.fastpath import lower_for_reuse, make_engine, stream_events
+from repro.tdg.fastpath import (
+    FastTimingEngine, LoweredStream, StreamBuilder, stream_events,
+)
 
 
 class CoreBaseline:
@@ -86,14 +88,17 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         configs = [core_by_name(core_name) for core_name in core_names]
 
         # ---- baselines --------------------------------------------------
-        # The trace is lowered and reduced to energy events in one
-        # walk, each loop's spans to events alone; both are then timed
-        # and priced on every core.
+        # The trace takes the builder every BSA stream takes: one walk
+        # puts it in the engine's form and reduces it to energy events.
+        # Each loop's spans are reduced to events alone; both are then
+        # timed and priced on every core.
         with span("tdg.lower", path="baseline"):
-            baseline_stream, trace_events = lower_for_reuse(trace)
+            out = StreamBuilder()
+            out.extend(trace)
+            baseline_stream, trace_events = out.finish()
         count_work("repro_insts_lowered_total",
-                   len(trace) if baseline_stream is not trace else 0,
-                   "baseline")
+                   len(trace) if baseline_stream.__class__ is LoweredStream
+                   else 0, "baseline")
         with span("energy.price", path="baseline"):
             loop_events = {
                 key: stream_events(_concat(trace, spans))
@@ -104,8 +109,8 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
             for start, end in spans), "baseline")
         for core_name, config in zip(core_names, configs):
             with span("exocore.baseline", core=core_name):
-                eng = make_engine(config, collect_commit_times=True)
-                result = eng.run(baseline_stream)
+                result = FastTimingEngine(
+                    config, collect_commit_times=True).run(baseline_stream)
                 commit_times = result.commit_times
                 per_loop_cycles = attribute_baseline(
                     commit_times, ctx.intervals, result.cycles)

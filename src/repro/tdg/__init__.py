@@ -7,10 +7,12 @@
 - :mod:`repro.tdg.constructor`: builds the original TDG
   (``TDG_{GPP,0}``) from a program + inputs via the interpreter.
 - :mod:`repro.tdg.fastpath`: the compiled evaluation hot path — a
-  drop-in :class:`FastTimingEngine` that lowers instruction streams to
-  flat arrays once and relaxes edges over them in a C kernel
-  (byte-identical to :class:`TimingEngine`; ``make_engine`` picks it
-  whenever the kernel compiles).
+  :class:`~repro.tdg.fastpath.StreamBuilder` that lowers each
+  instruction stream to flat arrays once when the kernel compiles (its
+  ``finish`` is the one place that picks a stream's form), and a
+  drop-in :class:`FastTimingEngine` that relaxes edges over lowered
+  streams in a C kernel and times DynInst lists on the object engine
+  (byte-identical to :class:`TimingEngine`).
 """
 
 from repro.tdg.mudg import NodeKind, EdgeKind, MicroDepGraph
@@ -19,7 +21,6 @@ from repro.tdg.constructor import TDG, construct_tdg
 from repro.tdg.dsl import DslTransform, Rule, op, fma_rule
 from repro.tdg.fastpath import (
     FastTimingEngine, LoweredStream, LoweringError, lower_stream,
-    make_engine,
 )
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "LoweredStream",
     "LoweringError",
     "lower_stream",
-    "make_engine",
     "TDG",
     "construct_tdg",
     "DslTransform",

@@ -9,14 +9,13 @@ This module restructures the same computation into flat parallel
 arrays evaluated by a compiled kernel:
 
 - A :class:`StreamBuilder` collects an instruction stream (BSA
-  transforms emit into one; :func:`lower_stream` fills one from a
-  DynInst list) and lowers it **once** into a :class:`LoweredStream`
-  of ``array('q')`` int64 buffers (latency, occupancy, FU table id,
-  dependence CSR, accelerator tag ids, ...).  Producer references are
-  resolved from seq ids to stream positions at lowering time, so the
-  hot loop indexes a dense ``complete[]`` array instead of probing a
-  dict.  The same walk (:func:`_walk`) counts the stream's
-  core-independent energy events, so a stream is read once for both.
+  transforms emit into one; the baseline trace is kept into one) and
+  walks it **once** (:func:`_walk`) into a :class:`LoweredStream` of
+  ``array('q')`` int64 buffers (latency, occupancy, FU table id,
+  dependence CSR, accelerator tag ids, ...) and the stream's
+  core-independent energy events.  Producer references are resolved
+  from seq ids to stream positions at lowering time, so the hot loop
+  indexes a dense ``complete[]`` array instead of probing a dict.
 - :class:`FastTimingEngine` evaluates a lowered stream with the exact
   edge rules of the object engine in a C kernel (``_KERNEL_SOURCE``,
   built once per source digest and loaded through ctypes).  Its
@@ -29,20 +28,20 @@ Engine selection
 ----------------
 
 There is one implementation choice and one place that makes it:
-:func:`make_engine` returns a :class:`FastTimingEngine` when the
-kernel compiles (:func:`kernel_available`) and the reference
-:class:`~repro.tdg.engine.TimingEngine` otherwise.  ``$REPRO_NO_KERNEL=1``
-forces the reference engine.  Because the two engines are
-byte-identical, the choice is not an option anywhere else and does not
-participate in the sweep cache key (the fastpath *source* is covered
-by ``engine_version_hash`` like every other ``tdg`` module, so a change
-to this file still cold-starts the cache).
-
-Exactness guardrails: without a kernel, on streams that cannot be
-lowered exactly (e.g. a DSL transform producing non-integer
-latencies), and when handed a pre-used
-:class:`~repro.tdg.engine.AccelResources`, :class:`FastTimingEngine`
-delegates to the object engine instead of risking divergence.
+:meth:`StreamBuilder.finish` lowers a stream when the kernel loads
+(:func:`kernel_available`; ``$REPRO_NO_KERNEL=1`` forces it off) and
+hands back the stream's :class:`~repro.sim.trace.DynInst` rows
+otherwise, or when the stream's columns cannot be packed (a
+non-integer latency).  :class:`FastTimingEngine` follows the form it is
+given: the kernel times a :class:`LoweredStream`, the reference
+:class:`~repro.tdg.engine.TimingEngine` times rows.  Because the two
+engines are byte-identical, the choice is not an option anywhere and
+does not participate in the sweep cache key (the fastpath *source* is
+covered by ``engine_version_hash`` like every other ``tdg`` module, so
+a change to this file still cold-starts the cache).  The engine refuses
+a lowered stream it cannot time: without a kernel, or with a pre-used
+:class:`~repro.tdg.engine.AccelResources`, whose carried-over
+reservations only the object engine models.
 """
 
 import array
@@ -62,10 +61,10 @@ from repro.energy.mcpat import (
     _STORE_BUFFER_PJ, _VECTOR_LANE_FACTOR,
 )
 from repro.isa.opcodes import Opcode, OpClass
-from repro.obs import counter, is_enabled, span
+from repro.obs import counter
 from repro.sim.trace import _KEEP, DynInst
 from repro.tdg.engine import (
-    AccelResources, TimingEngine, TimingResult, bind_histogram,
+    TimingEngine, TimingResult, bind_histogram,
 )
 
 #: Table ids: one per OpClass (``Opcode.class_id``), then the shared
@@ -172,29 +171,21 @@ class StreamBuilder:
     emitted row is a plain list of the DynInst fields, so building a
     transformed stream constructs no DynInst.  :meth:`finish` walks
     the rows (:func:`_walk`, the one place both per-instruction rules
-    live) for the kernel's columns and the core-independent energy
-    events.  The walk runs once, at the first of :meth:`finish`,
-    :meth:`events` or :attr:`rows`; add no row after that.
+    live) for the form the timing engine takes and the core-independent
+    energy events; add no row after that.
 
     *dataflow_latency*, when non-zero, charges fabric forwarding on
     accelerator-internal edges: an accelerator row's deps on
     synthesized producers (seq at or above
     :data:`SYNTHESIZED_SEQ_BASE`) become ``(seq, latency)`` edges after
-    the row's own.  *lower* builds the columns; without it the walk
-    counts events alone.  *record* has the same walk also list the
-    stream as DynInst objects (:attr:`rows`), for the object engine and
-    for tests.
+    the row's own.
     """
 
-    __slots__ = ("dataflow_latency", "lower", "record", "_rows",
-                 "_walked")
+    __slots__ = ("dataflow_latency", "_rows")
 
-    def __init__(self, dataflow_latency=0, record=False, lower=True):
+    def __init__(self, dataflow_latency=0):
         self.dataflow_latency = dataflow_latency
-        self.lower = lower
-        self.record = record
         self._rows = []
-        self._walked = None
 
     def __len__(self):
         return len(self._rows)
@@ -277,38 +268,31 @@ class StreamBuilder:
         fields[_EXTRA_DEPS] += ((seq, latency),)
 
     # -- results -----------------------------------------------------------
-    def _walk(self):
-        if self._walked is None:
-            self._walked = _walk(self._rows, self.lower,
-                                 self.dataflow_latency, self.record)
-        return self._walked
-
     @property
     def rows(self):
-        """The stream as DynInst objects: recorded by the walk, or,
-        without *record*, by a second walk."""
-        rows = self._walk()[3]
-        if rows is None:
-            rows = _walk(self._rows, False, self.dataflow_latency, True)[3]
-        return rows
-
-    def events(self):
-        """The stream's :class:`~repro.energy.mcpat.EnergyEvents`."""
-        return self._walk()[2]
+        """The stream as DynInst objects, as the object engine times
+        it (one recording walk per read)."""
+        return _walk(self._rows, False, self.dataflow_latency, True)[3]
 
     def finish(self):
-        """``(timed, events)``: the stream as the timing engine takes it
-        (a :class:`LoweredStream` when lowering, else the recorded
-        rows, or None) and its energy events.
+        """``(timed, events)``: the stream in the form the timing engine
+        takes and its :class:`~repro.energy.mcpat.EnergyEvents`.
 
-        Raises :class:`LoweringError` when the columns are not
-        int64-lowerable; :meth:`events` and :attr:`rows` still serve
-        the stream without another transform.
+        The one place that picks the form: a :class:`LoweredStream`
+        when the kernel loads, else the stream's DynInst rows
+        (:attr:`rows`).  A stream whose columns cannot be packed (a
+        non-integer latency, say from a custom BSA) also takes its
+        rows, which the object engine times exactly.
         """
-        columns, accel_tags, events, rows = self._walk()
-        if not self.lower:
-            return rows, events
-        return LoweredStream(columns, accel_tags, events), events
+        lower = kernel_available()
+        columns, accel_tags, events, recorded = _walk(
+            self._rows, lower, self.dataflow_latency, not lower)
+        if not lower:
+            return recorded, events
+        try:
+            return LoweredStream(columns, accel_tags, events), events
+        except LoweringError:
+            return self.rows, events
 
 
 def _walk(rows, lower, forward, record):
@@ -516,44 +500,21 @@ def _walk(rows, lower, forward, record):
 
 
 def stream_events(stream):
-    """Core-independent energy events of *stream*, without lowering."""
-    out = StreamBuilder(lower=False)
-    out.extend(stream)
-    return out.events()
+    """Core-independent energy events of *stream* (a DynInst list),
+    without lowering."""
+    return _walk(stream, False, 0, False)[2]
 
 
 def lower_stream(stream):
-    """Lower *stream* (a list of DynInst) into a :class:`LoweredStream`,
-    counting its energy events in the same pass.
+    """Lower *stream* (a DynInst list) into a :class:`LoweredStream`,
+    counting its energy events in the same pass, whether or not the
+    kernel loads.
 
     Raises :class:`LoweringError` when the stream is not
-    int64-lowerable.  Idempotent: an already-lowered stream is
-    returned as-is, so call sites can lower eagerly where reuse is
-    known and pass either form everywhere else.
+    int64-lowerable.
     """
-    if isinstance(stream, LoweredStream):
-        return stream
-    out = StreamBuilder()
-    out.extend(stream)
-    return out.finish()[0]
-
-
-def lower_for_reuse(stream):
-    """``(timed, events)``: *stream* in the form to time under several
-    core configs, and its energy events.
-
-    *timed* is the lowered stream when the kernel will time it; it is
-    *stream* unchanged without a kernel, or when the stream is not
-    int64-lowerable (each run then takes the object engine, exactly as
-    an unlowered stream would).  Either way the stream is read once.
-    """
-    out = StreamBuilder(lower=kernel_available())
-    out.extend(stream)
-    try:
-        timed, events = out.finish()
-    except LoweringError:
-        return stream, out.events()
-    return (stream if timed is None else timed), events
+    columns, accel_tags, events, _ = _walk(stream, True, 0, False)
+    return LoweredStream(columns, accel_tags, events)
 
 
 # ---------------------------------------------------------------------------
@@ -955,67 +916,35 @@ def _addr_of(buf):
 # ---------------------------------------------------------------------------
 # The fast engine.
 
-class FastTimingEngine:
+class FastTimingEngine(TimingEngine):
     """Array-of-struct twin of :class:`~repro.tdg.engine.TimingEngine`.
 
     Same constructor and :meth:`run` contract; byte-identical results
     (cycles, commit times, critical-edge histogram) on any stream.
-    ``run`` accepts either a DynInst list (lowered on the fly) or a
-    pre-built :class:`LoweredStream` (the amortized path, which needs
-    the kernel).  Without a kernel, DynInst lists are timed by the
-    object engine.
+    :meth:`run` follows the stream's form
+    (:meth:`StreamBuilder.finish` picks it): the C kernel times a
+    :class:`LoweredStream`, the object engine a DynInst list.
     """
 
-    def __init__(self, config, accel_resources=None,
-                 collect_commit_times=False):
-        self.config = config
-        self.accel_resources = accel_resources
-        self.collect_commit_times = collect_commit_times
-
-    # ------------------------------------------------------------------
-    def run(self, stream, start_time=0):
-        """Evaluate *stream*; same observability contract as the
-        object engine (one ``repro_engine_runs_total`` tick, a
-        ``tdg.engine.run`` span when tracing is on)."""
-        counter("repro_engine_runs_total",
-                "timing-engine evaluations (streams timed)").inc()
-        if not is_enabled():
-            return self._run(stream, start_time)
-        with span("tdg.engine.run", core=self.config.name,
-                  accel=self.accel_resources is not None) as current:
-            result = self._run(stream, start_time)
-            current.set(cycles=result.cycles,
-                        instructions=result.instructions)
-            return result
-
-    # ------------------------------------------------------------------
-    def _object_fallback(self, stream, start_time):
-        if isinstance(stream, LoweredStream):
-            raise LoweringError(
-                "cannot fall back to the object engine from a "
-                "pre-lowered stream")
-        return TimingEngine(
-            self.config, accel_resources=self.accel_resources,
-            collect_commit_times=self.collect_commit_times,
-        )._run(stream, start_time)
+    #: The class's own attribute, so a hook on ``FastTimingEngine.run``
+    #: (perfbench's ``tdg.time``) wraps the fast engine's runs.
+    run = TimingEngine.run
 
     def _run(self, stream, start_time=0):
+        if stream.__class__ is not LoweredStream:
+            return super()._run(stream, start_time)
         accel = self.accel_resources
-        if accel is not None and not isinstance(accel, AccelResources):
-            raise TypeError(f"unsupported accel resources {accel!r}")
         if not kernel_available() or (accel is not None and any(
                 table.used for table in accel.tables.values())):
-            # No kernel, or a pre-used shared reservation state that
-            # cannot be mirrored into fresh flat tables (only the
-            # object engine models cross-run carry-over).
-            return self._object_fallback(stream, start_time)
-        try:
-            lowered = lower_stream(stream)
-        except LoweringError:
-            return self._object_fallback(stream, start_time)
+            # Only the object engine models a pre-used shared
+            # reservation state (cross-run carry-over); flat tables
+            # start fresh.
+            raise LoweringError(
+                "the kernel cannot time this lowered stream (no kernel, "
+                "or pre-used accelerator resources)")
         counter("repro_fastpath_runs_total",
                 "fast-engine evaluations (lowered streams timed)").inc()
-        return self._run_kernel(lowered, start_time)
+        return self._run_kernel(stream, start_time)
 
     # ------------------------------------------------------------------
     def _accel_spec(self, lowered):
@@ -1086,17 +1015,3 @@ class FastTimingEngine:
         if cycles < 0:
             raise MemoryError("fastpath kernel allocation failed")
         return self._result(cycles, lowered, commits, hist)
-
-
-def make_engine(config, **kwargs):
-    """The timing engine for *config*: the single selection point.
-
-    A :class:`FastTimingEngine` when the compiled kernel is available,
-    else the reference :class:`~repro.tdg.engine.TimingEngine` (also
-    what ``$REPRO_NO_KERNEL=1`` forces).  Keyword arguments are
-    forwarded to the engine constructor (``accel_resources``,
-    ``collect_commit_times``).
-    """
-    if kernel_available():
-        return FastTimingEngine(config, **kwargs)
-    return TimingEngine(config, **kwargs)

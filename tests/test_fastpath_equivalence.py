@@ -8,15 +8,18 @@ the same serialized sweep artifact.  These tests pin that contract:
 - seeded-random instruction streams (property-style: every engine
   feature — unpipelined FUs, memory levels, mispredicts, icache
   stalls, live-in deps, lat overrides — appears with some probability)
-  across core configs, with the C kernel and without it (forced via
-  ``$REPRO_NO_KERNEL``, where ``FastTimingEngine`` delegates to the
-  object engine);
+  across core configs, lowered explicitly and timed by the C kernel,
+  and without it (forced via ``$REPRO_NO_KERNEL``, where
+  ``StreamBuilder.finish`` hands back rows, which ``FastTimingEngine``
+  times on the object engine);
 - every BSA model's ``evaluate_region`` across cores, plus the DSL
   fma transform, on the shared kernel fixtures;
 - (marked ``bench``) the kernel's speedup floor over the object engine
   on conv at scale 0.1, OOO2;
-- engine selection: ``make_engine`` returns the fast engine iff the
-  kernel is available;
+- the dispatch contract: ``FastTimingEngine`` follows the stream's
+  form (a ``LoweredStream`` on the kernel, a DynInst list on the object
+  engine), ticks once per run either way, and refuses a lowered stream
+  it cannot time;
 - the golden four-benchmark sweep serialized with ``dumps_sweep``: a
   default sweep and a ``$REPRO_NO_KERNEL=1`` sweep must agree
   byte-for-byte, and the default sweep must reproduce the checked-in
@@ -32,12 +35,13 @@ import pytest
 from repro.accel import BSA_REGISTRY, AnalysisContext
 from repro.core_model import CoreConfig, IO2, OOO2, OOO4, OOO6
 from repro.isa import Instruction, Opcode
+from repro.obs import get_registry, isolated
 from repro.sim.trace import DynInst
 from repro.tdg import DslTransform, fma_rule
 from repro.tdg.engine import AccelResources, TimingEngine
 from repro.tdg.fastpath import (
-    FastTimingEngine, LoweringError, kernel_available, lower_stream,
-    make_engine, _reset_kernel,
+    FastTimingEngine, LoweringError, StreamBuilder, kernel_available,
+    lower_stream, _reset_kernel,
 )
 
 _STATIC = Instruction(Opcode.ADD, dest=3, srcs=(4,))
@@ -116,8 +120,15 @@ def assert_results_equal(reference, candidate):
         assert all(type(t) is int for t in candidate.commit_times)
 
 
+def fastpath_runs():
+    return get_registry().total("repro_fastpath_runs_total")
+
+
 def run_both(stream, config, accel_counts=None, accel_windows=None,
              collect=True, start_time=0):
+    """Time *stream* on the object engine and on the fast engine,
+    lowered for the kernel when it loads (asserting the kernel ran), and
+    assert the results equal."""
     def resources():
         if accel_counts is None:
             return None
@@ -126,11 +137,22 @@ def run_both(stream, config, accel_counts=None, accel_windows=None,
     reference = TimingEngine(
         config, accel_resources=resources(),
         collect_commit_times=collect).run(stream, start_time=start_time)
+    kernel = kernel_available()
+    timed = lower_stream(stream) if kernel else stream
+    before = fastpath_runs()
     candidate = FastTimingEngine(
         config, accel_resources=resources(),
-        collect_commit_times=collect).run(stream, start_time=start_time)
+        collect_commit_times=collect).run(timed, start_time=start_time)
+    assert fastpath_runs() - before == (1 if kernel else 0)
     assert_results_equal(reference, candidate)
     return reference
+
+
+def finish(stream):
+    """*stream* in the form :meth:`StreamBuilder.finish` picks."""
+    out = StreamBuilder()
+    out.extend(stream)
+    return out.finish()[0]
 
 
 @contextlib.contextmanager
@@ -149,18 +171,18 @@ def no_kernel():
 def fastpath_backend(request):
     """Run the fastpath test body with and without the C kernel.
 
-    ``"python"`` forces the no-kernel setting: ``make_engine`` then
-    returns the object engine and ``FastTimingEngine`` delegates to
-    it.  The "kernel" parametrization silently degrades to that
-    setting when no C compiler is available (the fallback IS the
-    behavior under test).
+    ``"python"`` forces the no-kernel setting: ``StreamBuilder.finish``
+    then hands back DynInst rows, which ``FastTimingEngine`` times on
+    the object engine.  The "kernel" parametrization silently degrades
+    to that setting when no C compiler is available (the fallback IS
+    the behavior under test).
     """
     if request.param == "kernel":
         yield request.param
         return
     with no_kernel():
         assert not kernel_available()
-        assert type(make_engine(OOO2)) is TimingEngine
+        assert finish(random_stream(0, n=20)).__class__ is list
         yield request.param
 
 
@@ -198,7 +220,6 @@ class TestRandomStreams:
             self, fastpath_backend):
         stream = random_stream(9)
         lowered = lower_stream(stream)
-        assert lower_stream(lowered) is lowered
         if not kernel_available():
             # Pre-lowered streams are the kernel's input; the object
             # engine cannot time them, so callers lower only when the
@@ -251,14 +272,23 @@ class TestKernelFloor:
 class TestLoweringFallback:
     def test_float_latency_falls_back_to_object(self):
         # A float mem_lat must not be silently truncated: lowering
-        # refuses and the fast engine transparently takes the object
-        # path, still producing the object engine's exact numbers.
+        # refuses, the builder hands back the rows and the fast engine
+        # times them on the object path, still producing the object
+        # engine's exact numbers.
         stream = random_stream(11, n=100)
         stream[50] = make_inst(50, Opcode.LD, mem_addr=8,
                                mem_lat=4.5, mem_level="l1")
         with pytest.raises(LoweringError):
             lower_stream(stream)
-        run_both(stream, OOO2)
+        rows = finish(stream)
+        assert rows.__class__ is list
+        reference = TimingEngine(
+            OOO2, collect_commit_times=True).run(stream)
+        before = fastpath_runs()
+        candidate = FastTimingEngine(
+            OOO2, collect_commit_times=True).run(rows)
+        assert fastpath_runs() == before
+        assert_results_equal(reference, candidate)
 
     def test_used_accel_resources_fall_back(self):
         resources = AccelResources({"a": 2})
@@ -323,14 +353,59 @@ class TestAccelModels:
 
 
 class TestEngineSelection:
-    def test_make_engine_types(self):
-        with no_kernel():
-            assert type(make_engine(OOO2)) is TimingEngine
-        expected = FastTimingEngine if kernel_available() \
-            else TimingEngine
-        assert type(make_engine(OOO2)) is expected
-        engine = make_engine(OOO2, collect_commit_times=True)
-        assert engine.collect_commit_times
+    """The engine follows the stream's form; ``finish`` picks it."""
+
+    @staticmethod
+    def _counted_run(engine, stream):
+        """Run *stream*; returns (result, engine runs, fastpath runs,
+        ``tdg.engine.run`` spans) of that one run."""
+        with isolated() as (registry, recorder):
+            result = engine.run(stream)
+            spans = [record["name"] for record in recorder.export()]
+            return (result, registry.total("repro_engine_runs_total"),
+                    registry.total("repro_fastpath_runs_total"),
+                    spans.count("tdg.engine.run"))
+
+    def test_lowered_stream_runs_on_the_kernel(self):
+        if not kernel_available():
+            pytest.skip("a lowered stream needs the compiled kernel")
+        stream = random_stream(21)
+        result, runs, fast, spans = self._counted_run(
+            FastTimingEngine(OOO2), lower_stream(stream))
+        assert (runs, fast, spans) == (1, 1, 1)
+        assert_results_equal(TimingEngine(OOO2).run(stream), result)
+
+    def test_row_list_runs_on_the_object_engine(self):
+        stream = random_stream(22)
+        result, runs, fast, spans = self._counted_run(
+            FastTimingEngine(OOO2, collect_commit_times=True), stream)
+        assert (runs, fast, spans) == (1, 0, 1)
+        assert_results_equal(
+            TimingEngine(OOO2, collect_commit_times=True).run(stream),
+            result)
+
+    def test_lowered_stream_with_used_accel_resources_raises(self):
+        if not kernel_available():
+            pytest.skip("a lowered stream needs the compiled kernel")
+        resources = AccelResources({"a": 2})
+        resources.reserve("a", 0)
+        stream = [make_inst(i, Opcode.CFU, accel="a") for i in range(20)]
+        with pytest.raises(LoweringError):
+            FastTimingEngine(OOO2, accel_resources=resources).run(
+                lower_stream(stream))
+
+    def test_cold_evaluation_times_every_stream_on_the_kernel(self):
+        if not kernel_available():
+            pytest.skip("the kernel path needs the compiled kernel")
+        from repro.exocore import evaluate_benchmark
+        from repro.workloads import WORKLOADS
+
+        tdg = WORKLOADS["conv"].construct_tdg(scale=0.1)
+        with isolated() as (registry, _):
+            evaluate_benchmark(tdg, name="conv")
+            runs = registry.total("repro_engine_runs_total")
+            assert runs > 0
+            assert registry.total("repro_fastpath_runs_total") == runs
 
     def test_kernel_available_is_bool(self):
         assert kernel_available() in (True, False)

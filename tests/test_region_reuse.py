@@ -6,8 +6,9 @@ events once, then times and prices the result on every core
 (BSA -> core -> region), which re-transforms every region for every
 core and prices every instruction one at a time, copied here with only
 the ``transform_interval(..., vector_len, ...)`` call (now through a
-recording builder, ``tests.transformed.transformed_rows``) and the
-``mcpat`` constant lookups adapted.
+builder's rows, ``tests.transformed.transformed_rows``), the engine
+(the reference :class:`~repro.tdg.engine.TimingEngine`, which times
+rows) and the ``mcpat`` constant lookups adapted.
 
 Every field must match exactly, energies included: pricing the
 core-independent energy events per core reproduces per-instruction
@@ -31,7 +32,8 @@ from repro.isa import Instruction, Opcode
 from repro.isa.opcodes import is_vector
 from repro.obs import isolated
 from repro.sim.trace import DynInst
-from repro.tdg.fastpath import make_engine
+from repro.tdg.engine import TimingEngine
+from repro.tdg.fastpath import stream_events
 from repro.workloads import WORKLOADS
 from tests.transformed import transformed_rows
 
@@ -143,7 +145,7 @@ def seed_evaluate_region(model, ctx, plan, core_config,
     for interval in evaluated:
         stream = transformed_rows(model, ctx, plan, interval,
                                   core_config.vector_len, seq_alloc)
-        result = make_engine(
+        result = TimingEngine(
             core_config,
             accel_resources=model.accel_resources(core_config),
         ).run(stream)
@@ -175,7 +177,7 @@ def seed_evaluate_benchmark(tdg, core_names, bsa_names, max_invocations,
     baselines = {}
     for core_name in core_names:
         config = core_by_name(core_name)
-        result = make_engine(config, collect_commit_times=True).run(trace)
+        result = TimingEngine(config, collect_commit_times=True).run(trace)
         per_loop_cycles = attribute_baseline(
             result.commit_times, ctx.intervals, result.cycles)
         energy_model = EnergyModel(config)
@@ -349,7 +351,7 @@ def test_price_of_events_matches_per_instruction_pricing(
         tdgs, core_name, core_active):
     model = EnergyModel(core_by_name(core_name))
     for label, stream in _streams(tdgs).items():
-        events = EnergyModel.events(stream)
+        events = stream_events(stream)
         for accels in ((), ("dp_cgra", "trace_p")):
             actual = model.price(events, 1234, core_active=core_active,
                                  active_accels=accels).components
@@ -365,7 +367,7 @@ def test_price_of_events_matches_per_instruction_pricing(
 
 
 def test_events_count_each_kind_of_charge():
-    events = EnergyModel.events(_synthetic_stream())
+    events = stream_events(_synthetic_stream())
     assert events.counts["fetch"] == 13 * 3
     assert events.counts["bpred"] == 3
     assert events.counts["lsq"] == 4 * 3

@@ -4,14 +4,16 @@ BSA transforms emit into a :class:`~repro.tdg.fastpath.StreamBuilder`:
 plain field lists, patched in place by compound-op folds and DP-CGRA's
 in-order-completion edge.  ``finish()`` walks them once, charging
 NS-DF's and Trace-P's dataflow latency on the way, for the kernel's
-columns and the energy events.  Each case here also records the rows
-as DynInst objects and checks that the builder's columns, accelerator
+columns (or, without the kernel, the rows as DynInst objects) and the
+energy events.  Each case here also records the rows as DynInst
+objects (``rows``) and checks that the builder's columns, accelerator
 tags and energy events equal a walk over those (``lower_stream``),
 exactly and in component order, for every case of
 ``tests/test_transform_digests.py`` (whose digests pin the rows
-themselves).  The unit cases pin the patch rules one hazard at a time;
-two gates pin the work: no DynInst on the kernel path, one walk per
-stream.
+themselves).  Without the kernel ``finish()`` hands back the rows, and
+the column checks lower those.  The unit cases pin the patch rules one
+hazard at a time; two gates pin the work: no DynInst on the kernel
+path, and at most two walks per stream, none inside an engine run.
 """
 
 import pytest
@@ -21,6 +23,7 @@ from repro.accel.base import SeqAllocator
 from repro.accel.dp_cgra import DPCGRAModel
 from repro.accel.ns_df import NSDataflowModel
 from repro.core_model import core_by_name
+from repro.core_model.config import DSE_CORES
 from repro.energy import mcpat
 from repro.exocore import evaluate_benchmark
 from repro.isa import Instruction, Opcode
@@ -28,8 +31,8 @@ from repro.sim.trace import DynInst
 from repro.tdg import fastpath
 from repro.tdg.engine import TimingEngine
 from repro.tdg.fastpath import (
-    SYNTHESIZED_SEQ_BASE, LoweredStream, StreamBuilder, kernel_available,
-    lower_for_reuse, lower_stream, stream_events,
+    SYNTHESIZED_SEQ_BASE, FastTimingEngine, LoweredStream, StreamBuilder,
+    kernel_available, lower_stream, stream_events,
 )
 from repro.workloads import WORKLOADS
 from tests.test_stream_walk import UNLOWERABLE, reference_columns
@@ -55,6 +58,18 @@ def assert_lowered_like_walk(lowered, events, rows):
     assert events.regfile == walked.events.regfile
 
 
+def finished(out):
+    """``(lowered, events)`` of builder *out*: its own columns with the
+    kernel; without it ``finish()`` hands back the rows, lowered here
+    for the column checks."""
+    timed, events = out.finish()
+    if kernel_available():
+        assert timed.__class__ is LoweredStream
+        return timed, events
+    assert timed.__class__ is list
+    return lower_stream(timed), events
+
+
 # ---------------------------------------------------------------------------
 # Every transform case.
 
@@ -71,7 +86,7 @@ def _check_workload(name, vector_lens):
                             ctx.intervals.get(key, ())[:MAX_INVOCATIONS]:
                         out = transform(model, ctx, plans[key], interval,
                                         vector_len, seq_alloc)
-                        lowered, events = out.finish()
+                        lowered, events = finished(out)
                         assert_lowered_like_walk(lowered, events, out.rows)
 
 
@@ -119,7 +134,7 @@ def _trace_inst(seq, opcode=Opcode.ADD, deps=(), **fields):
 
 
 def _finish(out):
-    lowered, events = out.finish()
+    lowered, events = finished(out)
     assert_lowered_like_walk(lowered, events, out.rows)
     return lowered, events
 
@@ -128,7 +143,7 @@ def test_late_deps_of_a_folded_member_are_live_ins():
     """A member's dep on a row emitted after its compound head resolves
     as of the head: a trace producer is dropped, a synthesized one
     becomes an edge at position -1 that still charges its latency."""
-    out = StreamBuilder(dataflow_latency=2, record=True)
+    out = StreamBuilder(dataflow_latency=2)
     out.keep(_trace_inst(1))
     head = out.emit(_trace_inst(2, deps=(1,)), seq=SYNTH,
                     opcode=Opcode.CFU, accel="ns_df", lat_override=1)
@@ -148,7 +163,7 @@ def test_late_deps_of_a_folded_member_are_live_ins():
 
 
 def test_fold_dedups_against_the_head_not_within_the_member():
-    out = StreamBuilder(record=True)
+    out = StreamBuilder()
     head = out.emit(_trace_inst(1, deps=(40,)), seq=SYNTH,
                     opcode=Opcode.CFU, accel="ns_df", lat_override=1)
     out.fold(head, _trace_inst(2), (7, 7, SYNTH, 40, 9))
@@ -165,7 +180,7 @@ def test_compound_energy_charges_the_final_width_in_row_order():
     ``sum()``, which compensates rounding on Python 3.12+), and its
     component takes the place of the first compound in ``price``'s
     order."""
-    out = StreamBuilder(record=True)
+    out = StreamBuilder()
     heads = []
     for index in range(40):
         heads.append(out.emit(_trace_inst(index), seq=SYNTH + 2 * index,
@@ -190,7 +205,7 @@ def test_model_edges_come_before_dataflow_edges_in_source_order():
     """A row's own edges, including any added by a patch, come first;
     then one forwarding edge per synthesized dep, in dep order (the
     compound's deps, then each folded member's)."""
-    out = StreamBuilder(dataflow_latency=3, record=True)
+    out = StreamBuilder(dataflow_latency=3)
     out.emit(_trace_inst(1), seq=SYNTH, accel="ns_df")
     out.emit(_trace_inst(2), seq=SYNTH + 1, accel="ns_df")
     head = out.emit(
@@ -217,7 +232,7 @@ def test_columns_equal_the_per_instruction_definitions():
             seq_alloc = SeqAllocator()
             for interval in ctx.intervals[plan["loop"].key][:3]:
                 out = transform(model, ctx, plan, interval, 4, seq_alloc)
-                lowered, _ = out.finish()
+                lowered, _ = finished(out)
                 expected, tags = reference_columns(out.rows)
                 assert lowered.accel_tags == tags
                 for field in LoweredStream.FIELDS:
@@ -226,11 +241,10 @@ def test_columns_equal_the_per_instruction_definitions():
 
 
 # ---------------------------------------------------------------------------
-# One pass, no DynInst on the kernel path.
+# Bounded walks, no DynInst on the kernel path.
 
-@pytest.mark.parametrize("label", sorted(UNLOWERABLE))
-def test_an_unlowerable_stream_is_walked_once(label, monkeypatch):
-    stream = UNLOWERABLE[label]
+def count_walks(monkeypatch):
+    """Record the row count of every :func:`fastpath._walk` call."""
     walks = []
     walk = fastpath._walk
 
@@ -239,10 +253,23 @@ def test_an_unlowerable_stream_is_walked_once(label, monkeypatch):
         return walk(rows, *args)
 
     monkeypatch.setattr(fastpath, "_walk", counting_walk)
-    timed, events = lower_for_reuse(stream)
-    assert timed is stream
-    assert walks == [len(stream)]
-    monkeypatch.setattr(fastpath, "_walk", walk)
+    return walks
+
+
+@pytest.mark.parametrize("label", sorted(UNLOWERABLE))
+def test_an_unlowerable_stream_finishes_as_its_rows(label, monkeypatch):
+    """A stream whose columns cannot be packed comes back as the
+    caller's own instructions, with its events: one walk without the
+    kernel; with it, the lowering walk and one that records the
+    rows."""
+    stream = UNLOWERABLE[label]
+    walks = count_walks(monkeypatch)
+    out = StreamBuilder()
+    out.extend(stream)
+    timed, events = out.finish()
+    assert len(timed) == len(stream)
+    assert all(row is inst for row, inst in zip(timed, stream))
+    assert walks == [len(stream)] * (2 if kernel_available() else 1)
     assert list(events.components.items()) \
         == list(stream_events(stream).components.items())
 
@@ -320,3 +347,37 @@ def test_an_unlowerable_stream_is_timed_by_the_object_engine():
             energy *= scale
         assert (estimate.cycles, estimate.energy_pj) == (cycles, energy)
         assert plan["config_cache"] == oracle["config_cache"]
+
+
+def test_unlowerable_streams_are_walked_at_most_twice(monkeypatch):
+    """Costing the float-route DP-CGRA on djpeg1 on the four DSE cores
+    walks each transformed stream at most twice (the lowering walk,
+    then its rows) and never inside an engine run (40 walks, 20 of
+    them inside engine runs, when each core's run lowered the stream
+    again)."""
+    ctx = AnalysisContext(WORKLOADS["djpeg1"].construct_tdg(scale=SCALE))
+    configs = [core_by_name(name) for name in DSE_CORES]
+    model = _FloatRouteCGRA()
+    walks = count_walks(monkeypatch)
+    streams = []
+    engine_walks = []
+    finish, run = StreamBuilder.finish, FastTimingEngine._run
+
+    def counting_finish(self):
+        streams.append(len(self))
+        return finish(self)
+
+    def watched_run(self, stream, start_time=0):
+        before = len(walks)
+        result = run(self, stream, start_time)
+        engine_walks.append(len(walks) - before)
+        return result
+
+    monkeypatch.setattr(StreamBuilder, "finish", counting_finish)
+    monkeypatch.setattr(FastTimingEngine, "_run", watched_run)
+    for plan in model.find_candidates(ctx).values():
+        model.evaluate_region_on_cores(ctx, plan, configs,
+                                       max_invocations=MAX_INVOCATIONS)
+    assert streams and engine_walks
+    assert len(walks) <= 2 * len(streams)
+    assert sum(engine_walks) == 0

@@ -3,15 +3,17 @@
 :func:`repro.tdg.fastpath.lower_stream` lowers an instruction stream
 into the C kernel's int64 columns and counts its core-independent
 energy events in the same walk; :func:`~repro.tdg.fastpath.stream_events`
-runs that walk without lowering (no kernel, or a stream that cannot be
-lowered).  The references here rebuild every column from the
+runs that walk without lowering (a baseline loop's spans, and
+``EnergyModel.evaluate``).  :meth:`StreamBuilder.finish` lowers only
+when the kernel loads, and hands back a stream that cannot be lowered
+as its rows.  The references here rebuild every column from the
 per-instruction definitions (``DynInst.latency``, ``DynInst.op_class``,
 ``is_store``) and price every stream one instruction at a time with the
 seed oracle of ``tests/test_region_reuse.py``, bit for bit.
 
-The walk is :class:`~repro.tdg.fastpath.StreamBuilder` keeping each
-instruction as it is; ``tests/test_stream_builder.py`` checks that the
-rows BSA transforms emit lower exactly like this.
+A :class:`~repro.tdg.fastpath.StreamBuilder` walks each instruction it
+keeps exactly like this; ``tests/test_stream_builder.py`` checks that
+the rows BSA transforms emit lower exactly like this too.
 
 Also pinned here, since the walk and the transforms read them: the
 per-opcode facts set on ``Opcode`` members, ``DynInst.clone``,
@@ -38,7 +40,7 @@ from repro.isa.opcodes import (
 from repro.sim.trace import DynInst
 from repro.tdg.fastpath import (
     PORT_TABLE, LoweredStream, LoweringError, StreamBuilder,
-    kernel_available, lower_for_reuse, lower_stream, stream_events,
+    kernel_available, lower_stream, stream_events,
 )
 from repro.workloads import WORKLOADS
 from tests.test_fastpath_equivalence import random_stream
@@ -176,6 +178,14 @@ def test_columns_match_per_instruction_definitions(label):
 # ---------------------------------------------------------------------------
 # Events.
 
+def finish(stream):
+    """``(timed, events)`` of *stream* through a builder, as the
+    evaluator takes the baseline trace."""
+    out = StreamBuilder()
+    out.extend(stream)
+    return out.finish()
+
+
 def assert_prices_like_seed(events, stream):
     for core_name in DSE_CORES:
         model = EnergyModel(core_by_name(core_name))
@@ -205,7 +215,9 @@ def test_walk_events_price_like_the_seed(label):
     assert_prices_like_seed(lowered.events, stream)
     # Lowering or not, the walk counts the same events.
     assert_same_events(stream_events(stream), lowered.events)
-    assert_same_events(EnergyModel.events(stream), lowered.events)
+    model = EnergyModel(core_by_name("OOO2"))
+    assert list(model.evaluate(stream, 987).components.items()) \
+        == list(model.price(lowered.events, 987).components.items())
 
 
 @pytest.mark.parametrize("label", sorted(UNLOWERABLE))
@@ -213,20 +225,24 @@ def test_unlowerable_stream_still_yields_its_events(label):
     stream = UNLOWERABLE[label]
     with pytest.raises(LoweringError):
         lower_stream(stream)
-    timed, events = lower_for_reuse(stream)
-    assert timed is stream
+    timed, events = finish(stream)
+    assert timed.__class__ is list
+    assert all(row is inst for row, inst in zip(timed, stream))
+    assert len(timed) == len(stream)
     assert_prices_like_seed(events, stream)
 
 
 @pytest.mark.parametrize("label", ("synthetic", "mixed0"))
-def test_lower_for_reuse_lowers_only_for_the_kernel(label):
+def test_finish_lowers_only_for_the_kernel(label):
     stream = STREAMS[label]
-    timed, events = lower_for_reuse(stream)
+    timed, events = finish(stream)
     if kernel_available():
         assert isinstance(timed, LoweredStream)
         assert timed.events is events
     else:
-        assert timed is stream
+        assert timed.__class__ is list
+        assert all(row is inst for row, inst in zip(timed, stream))
+        assert len(timed) == len(stream)
     assert_prices_like_seed(events, stream)
 
 

@@ -2,7 +2,7 @@
 
 One sha256 per (workload, BSA, fast/detailed, vector_len), taken over
 every :class:`~repro.sim.trace.DynInst` slot of every
-``transform_interval`` output, as a recording builder keeps it. Each
+``transform_interval`` output, as the builder's ``rows`` hold it. Each
 candidate region transforms its first ``MAX_INVOCATIONS`` invocations
 with one :class:`SeqAllocator`, as ``BSAModel._transform_region``
 does, and each digest starts from a fresh plan, so DP-CGRA's

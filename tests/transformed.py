@@ -1,17 +1,17 @@
 """Recorded transform output for tests.
 
 BSA transforms emit into a :class:`~repro.tdg.fastpath.StreamBuilder`;
-a recording builder also keeps each emitted row as a
-:class:`~repro.sim.trace.DynInst`, the list tests inspect.
+its ``rows`` are the emitted stream as
+:class:`~repro.sim.trace.DynInst` objects, the list tests inspect.
 """
 
 from repro.tdg.fastpath import StreamBuilder
 
 
 def transform(model, ctx, plan, interval, vector_len, seq_alloc):
-    """One invocation through *model*'s transform, into a builder that
-    records its rows and also lowers them; returns the builder."""
-    out = StreamBuilder(model.dataflow_latency, record=True)
+    """One invocation through *model*'s transform, into a builder;
+    returns the builder."""
+    out = StreamBuilder(model.dataflow_latency)
     model.transform_interval(ctx, plan, interval, vector_len, seq_alloc,
                              out)
     return out
