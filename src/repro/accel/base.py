@@ -36,6 +36,20 @@ def count_work(name, amount, path):
     counter(name, _WORK_COUNTERS[name]).inc(amount, path=path)
 
 
+def window_depths(max_invocations):
+    """``(depths, single)`` of a ``max_invocations`` argument.
+
+    One window depth (an int, or None for every invocation) asks for
+    one result, returned as it is; a tuple of depths asks for one
+    result per distinct depth, returned as ``{depth: result}``.  Every
+    evaluation layer takes both forms through the same code: one depth
+    is a tuple of one.
+    """
+    if isinstance(max_invocations, tuple):
+        return tuple(dict.fromkeys(max_invocations)), False
+    return (max_invocations,), True
+
+
 class SeqAllocator:
     """Fresh sequence ids for transform-synthesized instructions.
 
@@ -365,30 +379,37 @@ class BSAModel:
         Returns one :class:`RegionEstimate` per entry of
         *core_configs*, in order, or None for a region that never ran.
         Invocation costs beyond *max_invocations* are extrapolated from
-        the evaluated mean.
+        the evaluated mean.  A tuple of window depths
+        (:func:`window_depths`) returns ``{depth: [estimate per
+        core]}`` instead.
 
-        The evaluated intervals are transformed, lowered and reduced to
-        energy events once per distinct transform input, then timed
-        and priced on every core.  The transform input is the core's
-        ``vector_len`` plus the plan's cross-invocation state
-        (DP-CGRA's ``config_cache`` LRU, which carries over from one
-        core to the next exactly as if each core re-transformed).
+        The first ``max(depths)`` intervals are transformed, lowered
+        and reduced to energy events once per distinct transform input,
+        then timed and priced on every core.  Each interval is timed
+        on its own, so every depth reads its totals off the same runs:
+        integer cycles and energy summed in invocation order, exactly
+        as a run at that depth alone sums them.  The transform input
+        is the core's ``vector_len`` plus the plan's cross-invocation
+        state (DP-CGRA's ``config_cache`` LRU, which carries over from
+        one core to the next exactly as if each core re-transformed).
+        That state holds only the plan's own loop, so it is the same
+        after one transformed interval as after any more: a deeper
+        window leaves the next core the cache a shallower one would.
         """
+        depths, single = window_depths(max_invocations)
         key = plan["loop"].key
         intervals = ctx.intervals.get(key, ())
         if not intervals:
             return None
-        evaluated = intervals if max_invocations is None \
-            else intervals[:max_invocations]
+        counts = {depth: len(intervals[:depth]) for depth in depths}
+        evaluated = intervals[:max(counts.values())]
         entry_overhead = self.region_entry_overhead(plan)
         core_active = not self.power_gates_core
         active_accels = (self.name,)
-        scale = len(intervals) / len(evaluated) \
-            if len(evaluated) < len(intervals) else None
         dyn = sum(end - start for start, end in intervals)
         config_cache = plan.get("config_cache")
         transformed = {}   # transform input -> (costed, cache after)
-        estimates = []
+        estimates = {depth: [] for depth in depths}
         for config in core_configs:
             reuse_key = (config.vector_len, tuple(config_cache or ()))
             if reuse_key in transformed:
@@ -401,6 +422,9 @@ class BSAModel:
                 transformed[reuse_key] = (costed,
                                           tuple(config_cache or ()))
             energy_model = ctx.energy_model(config)
+            # Running totals after each invocation: prefix[n] covers
+            # the first n.
+            prefix = [(0, 0.0)]
             total_cycles = 0
             total_energy = 0.0
             for timed, events in costed:
@@ -413,13 +437,18 @@ class BSAModel:
                 total_energy += energy_model.price(
                     events, cycles, core_active=core_active,
                     active_accels=active_accels).total_pj
-            if scale is not None:
-                total_cycles = int(total_cycles * scale)
-                total_energy *= scale
-            estimates.append(RegionEstimate(
-                key, self.name, total_cycles, total_energy, dyn,
-                len(intervals)))
-        return estimates
+                prefix.append((total_cycles, total_energy))
+            for depth in depths:
+                count = counts[depth]
+                total_cycles, total_energy = prefix[count]
+                if count < len(intervals):
+                    scale = len(intervals) / count
+                    total_cycles = int(total_cycles * scale)
+                    total_energy *= scale
+                estimates[depth].append(RegionEstimate(
+                    key, self.name, total_cycles, total_energy, dyn,
+                    len(intervals)))
+        return estimates[depths[0]] if single else estimates
 
     def _transform_region(self, ctx, plan, evaluated, vector_len):
         """Transform each evaluated interval into a

@@ -43,6 +43,12 @@ def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
     lowers for the kernel when it loads), and both engines produce
     byte-identical records.
 
+    ``max_invocations`` is one window depth (the historical codec,
+    which the service and the fleet send) or a tuple of depths (the
+    sweep's), which the worker costs from one evaluation
+    (:func:`~repro.dse.sweep.evaluate_one_benchmark`) and answers with
+    ``{depth: record_payload}``.
+
     ``arbitration`` is a :meth:`~repro.fidelity.arbiter.ModelArbiter.
     to_spec` dict (or ``None``).  It changes results, so it travels in
     the task AND in the cache key — but the key is only present when
@@ -54,7 +60,8 @@ def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
         "core_names": tuple(core_names),
         "subsets": tuple(tuple(s) for s in subsets),
         "scale": float(scale),
-        "max_invocations": int(max_invocations),
+        "max_invocations": tuple(map(int, max_invocations))
+        if isinstance(max_invocations, tuple) else int(max_invocations),
         "with_amdahl": bool(with_amdahl),
     }
     if arbitration is not None:
@@ -72,7 +79,8 @@ def evaluate_task(task):
     ``max_invocations`` and ``with_amdahl``.  Returns
     ``(name, record_payload, seconds, obs_payload)`` where
     *record_payload* is the JSON form of a
-    :class:`~repro.dse.sweep.BenchmarkResult` and *obs_payload* is
+    :class:`~repro.dse.sweep.BenchmarkResult` (``{depth: payload}``
+    for a tuple of depths) and *obs_payload* is
     ``None``, or ``{"spans": [...], "metrics": {...}, "trace": {...}}``
     when the task carried ``"obs": True`` (``trace`` echoes the
     dispatcher's ``{"id", "parent"}`` context so the parent can graft
@@ -138,7 +146,12 @@ def evaluate_task(task):
     if profiler is not None:
         obs_payload = dict(obs_payload or {})
         obs_payload["profile"] = profiler.folded()
-    return task["name"], record_to_json(record), elapsed, obs_payload
+    if isinstance(task["max_invocations"], tuple):
+        payload = {depth: record_to_json(each)
+                   for depth, each in record.items()}
+    else:
+        payload = record_to_json(record)
+    return task["name"], payload, elapsed, obs_payload
 
 
 def evaluate_payload(task):

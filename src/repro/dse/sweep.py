@@ -18,6 +18,7 @@ import itertools
 import time
 
 from repro.accel import BSA_LETTER
+from repro.accel.base import window_depths
 from repro.core_model.config import DSE_CORES
 from repro.exocore import (
     evaluate_benchmark, oracle_schedule, amdahl_schedule,
@@ -269,7 +270,11 @@ def evaluate_one_benchmark(name, core_names=DSE_CORES,
     Builds the TDG, costs every (core, BSA) pair, and composes every
     (core, subset) design point.  Pure function of its arguments —
     this is what makes per-benchmark results cacheable and the sweep
-    shardable across processes.
+    shardable across processes.  A tuple of window depths
+    (*max_invocations*) returns ``{depth: BenchmarkResult}`` from one
+    TDG and one evaluation
+    (:func:`~repro.exocore.evaluator.evaluate_benchmark`); each record
+    equals the one a call at that depth alone returns.
 
     *arbitration* is a :meth:`~repro.fidelity.arbiter.ModelArbiter.
     to_spec` dict (measured error bounds + budget): per-BSA model
@@ -277,6 +282,7 @@ def evaluate_one_benchmark(name, core_names=DSE_CORES,
     of a global flag.  ``None`` (default) evaluates every BSA with its
     fast model, byte-identical to the unarbitrated sweep.
     """
+    depths, single = window_depths(max_invocations)
     with span("dse.evaluate_benchmark", benchmark=name, scale=scale):
         workload = WORKLOADS[name]
         detailed = False
@@ -285,24 +291,27 @@ def evaluate_one_benchmark(name, core_names=DSE_CORES,
             detailed = ModelArbiter.from_spec(arbitration) \
                 .detailed_flags(workload.category, ALL_BSAS)
         tdg = workload.construct_tdg(scale=scale)
-        evaluation = evaluate_benchmark(
+        evaluations = evaluate_benchmark(
             tdg, core_names=core_names, bsa_names=ALL_BSAS,
-            max_invocations=max_invocations, detailed=detailed,
-            name=name)
-        record = BenchmarkResult(name, workload.suite,
-                                 workload.category)
-        for core in core_names:
-            base = evaluation.baseline(core)
-            record.baseline[core] = (base.cycles, base.energy_pj,
-                                     len(tdg.trace))
-        for core in core_names:
-            for subset in subsets:
-                schedule = oracle_schedule(evaluation, core, subset)
-                record.oracle[(core, subset)] = _summarize(schedule)
-            if with_amdahl:
-                schedule = amdahl_schedule(evaluation, core, ALL_BSAS)
-                record.amdahl[core] = _summarize(schedule)
-        return record
+            max_invocations=depths, detailed=detailed, name=name)
+        records = {}
+        for depth, evaluation in evaluations.items():
+            record = BenchmarkResult(name, workload.suite,
+                                     workload.category)
+            for core in core_names:
+                base = evaluation.baseline(core)
+                record.baseline[core] = (base.cycles, base.energy_pj,
+                                         len(tdg.trace))
+            for core in core_names:
+                for subset in subsets:
+                    schedule = oracle_schedule(evaluation, core, subset)
+                    record.oracle[(core, subset)] = _summarize(schedule)
+                if with_amdahl:
+                    schedule = amdahl_schedule(evaluation, core,
+                                               ALL_BSAS)
+                    record.amdahl[core] = _summarize(schedule)
+            records[depth] = record
+        return records[depths[0]] if single else records
 
 
 def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
@@ -318,6 +327,13 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
         Benchmark names (default: all registered workloads).
     scale:
         Workload size scale (tests use < 1 for speed).
+    max_invocations:
+        Window depth: dynamic invocations of each region costed
+        before the rest extrapolate.  A tuple of depths evaluates
+        each benchmark once for all of them and returns ``{depth:
+        SweepResult}``; every result is byte-identical to a sweep at
+        that depth alone, is cached under that sweep's key, and
+        shares one ``stats``.
     with_amdahl:
         Also run the Amdahl-tree scheduler for the full BSA set
         (needed by the Fig. 15 comparison).
@@ -374,25 +390,30 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
     ship their spans/metrics back for a deterministic merge; none of
     this changes any numeric result or serialized artifact.
     """
+    depths, single = window_depths(max_invocations)
     with span("dse.sweep.run", workers=workers) as current:
-        sweep = _run_sweep(
+        sweeps = _run_sweep(
             names=names, core_names=core_names, subsets=subsets,
-            scale=scale, max_invocations=max_invocations,
+            scale=scale, depths=depths,
             with_amdahl=with_amdahl, progress=progress,
             workers=workers, cache_dir=cache_dir, use_cache=use_cache,
             retry_policy=retry_policy, task_timeout=task_timeout,
             max_pool_restarts=max_pool_restarts, resume=resume,
             arbitration=arbitration)
+        sweep = sweeps[depths[0]]
         current.set(benchmarks=len(sweep), cached=sweep.stats.hits,
                     computed=sweep.stats.misses,
                     failed=len(sweep.stats.failures))
-        return sweep
+        return sweep if single else sweeps
 
 
-def _run_sweep(names, core_names, subsets, scale, max_invocations,
-               with_amdahl, progress, workers, cache_dir, use_cache,
-               retry_policy, task_timeout, max_pool_restarts, resume,
-               arbitration):
+def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
+               progress, workers, cache_dir, use_cache, retry_policy,
+               task_timeout, max_pool_restarts, resume, arbitration):
+    """``{depth: SweepResult}``, every result sharing one
+    :class:`SweepStats` (one entry per benchmark, however many of its
+    depths it computed).  Each benchmark is one task, carrying the
+    depths it misses in the cache."""
     from repro.dse.cache import SweepCache, cache_key, default_cache_dir
     from repro.dse.parallel import make_task, run_tasks
     from repro.resilience.checkpoint import (
@@ -403,6 +424,7 @@ def _run_sweep(names, core_names, subsets, scale, max_invocations,
     names = list(dict.fromkeys(names))      # dedupe, keep given order
     core_names = tuple(core_names)
     subsets = tuple(tuple(s) for s in subsets)
+    depths = tuple(int(depth) for depth in depths)
     if arbitration is not None and hasattr(arbitration, "to_spec"):
         arbitration = arbitration.to_spec()
 
@@ -419,63 +441,75 @@ def _run_sweep(names, core_names, subsets, scale, max_invocations,
         raise ValueError("resume requires the on-disk cache "
                          "(pass cache_dir or use_cache=True)")
 
-    checkpoint = None
+    # One manifest per depth: each is the one a sweep at that depth
+    # alone keeps.
+    checkpoints = {}
     if cache is not None:
-        checkpoint = SweepCheckpoint(
-            cache.root,
-            sweep_signature(names, scale, core_names, subsets,
-                            max_invocations, with_amdahl,
-                            arbitration=arbitration))
-        if resume:
-            checkpoint.load()       # may be absent: cold resume is ok
+        for depth in depths:
+            checkpoints[depth] = SweepCheckpoint(
+                cache.root,
+                sweep_signature(names, scale, core_names, subsets,
+                                depth, with_amdahl,
+                                arbitration=arbitration))
+            if resume:
+                checkpoints[depth].load()   # may be absent: cold is ok
 
     stats = SweepStats(workers=workers,
                        cache_dir=cache.root if cache else None)
 
-    payloads = {}
-    keys = {}
+    payloads = {depth: {} for depth in depths}
+    keys = {}           # (name, depth) -> cache key
+    missing = {}        # name -> depths it computes
     pending = []
     for name in names:
         if name not in WORKLOADS:
             raise KeyError(f"unknown workload {name!r}")
+        todo = depths
         if cache is not None:
             started = time.perf_counter()
-            keys[name] = cache_key(name, scale, core_names, subsets,
-                                   max_invocations, with_amdahl,
-                                   arbitration=arbitration)
-            payload = cache.load(keys[name])
-            if payload is not None:
-                payloads[name] = payload
+            todo = []
+            resumed = resume
+            for depth in depths:
+                key = keys[(name, depth)] = cache_key(
+                    name, scale, core_names, subsets, depth,
+                    with_amdahl, arbitration=arbitration)
+                payload = cache.load(key)
+                if payload is None:
+                    todo.append(depth)
+                    continue
+                payloads[depth][name] = payload
                 # A manifest-listed completion whose key still matches
                 # is provably a leftover of the interrupted run.
-                source = "resumed" if (
-                    resume and checkpoint is not None
-                    and checkpoint.completed_key(name) == keys[name]
-                ) else "cached"
-                stats.add(name, source,
+                resumed = resumed \
+                    and checkpoints[depth].completed_key(name) == key
+                checkpoints[depth].mark_done(name, key)
+            if not todo:
+                stats.add(name, "resumed" if resumed else "cached",
                           time.perf_counter() - started)
-                checkpoint.mark_done(name, keys[name])
                 if progress is not None:
                     progress(name)
                 continue
+        missing[name] = tuple(todo)
         pending.append(make_task(
             name, core_names, subsets, scale=scale,
-            max_invocations=max_invocations, with_amdahl=with_amdahl,
-            arbitration=arbitration))
+            max_invocations=missing[name],
+            with_amdahl=with_amdahl, arbitration=arbitration))
 
     def on_result(name, payload, elapsed, obs_payload=None):
-        payloads[name] = payload
-        # Persist immediately so a killed sweep resumes from every
-        # benchmark that finished, not just the ones before a barrier.
-        if cache is not None:
-            from repro.dse.cache import engine_version_hash
-            cache.store(keys[name], payload, meta={
-                "benchmark": name,
-                "scale": float(scale),
-                "max_invocations": int(max_invocations),
-                "engine": engine_version_hash(),
-            })
-            checkpoint.mark_done(name, keys[name])
+        for depth, record in payload.items():
+            payloads[depth][name] = record
+            # Persist immediately so a killed sweep resumes from every
+            # benchmark that finished, not just the ones before a
+            # barrier.
+            if cache is not None:
+                from repro.dse.cache import engine_version_hash
+                cache.store(keys[(name, depth)], record, meta={
+                    "benchmark": name,
+                    "scale": float(scale),
+                    "max_invocations": depth,
+                    "engine": engine_version_hash(),
+                })
+                checkpoints[depth].mark_done(name, keys[(name, depth)])
         stats.add(name, "computed", elapsed)
         if obs_payload is not None:
             # Worker-side observability, shipped through the task
@@ -498,10 +532,11 @@ def _run_sweep(names, core_names, subsets, scale, max_invocations,
 
     def on_failure(failure):
         # Contained, never fatal: the failure is carried in the stats
-        # (and checkpoint) while the rest of the sweep proceeds.
+        # (and checkpoints) while the rest of the sweep proceeds.
         stats.add_failure(failure)
-        if checkpoint is not None:
-            checkpoint.mark_failed(failure.to_json())
+        if checkpoints:
+            for depth in missing[failure.name]:
+                checkpoints[depth].mark_failed(failure.to_json())
         if progress is not None:
             progress(failure.name)
 
@@ -511,22 +546,24 @@ def _run_sweep(names, core_names, subsets, scale, max_invocations,
               max_pool_restarts=max_pool_restarts,
               on_failure=on_failure)
 
-    # Deterministic merge: records enter the result in sorted-name
+    # Deterministic merge: records enter each result in sorted-name
     # order, rebuilt from canonical payloads, so worker count, shard
     # completion order and cache state cannot perturb the output.
     # Failed benchmarks are simply absent — the artifact over the
     # surviving subset is byte-stable, with failures listed in stats.
-    sweep = SweepResult(core_names, subsets)
-    for name in sorted(payloads):
-        sweep.add(record_from_json(name, payloads[name],
-                                   core_names, subsets))
     stats.entries.sort(key=lambda e: e["name"])
     stats.failures.sort(key=lambda f: f["name"])
-    sweep.stats = stats
-    sweep.arbitration = arbitration
+    sweeps = {}
+    for depth in depths:
+        sweep = sweeps[depth] = SweepResult(core_names, subsets)
+        for name in sorted(payloads[depth]):
+            sweep.add(record_from_json(name, payloads[depth][name],
+                                       core_names, subsets))
+        sweep.stats = stats
+        sweep.arbitration = arbitration
     if cache is not None:
         _append_runlog(cache.root, stats, workers)
-    return sweep
+    return sweeps
 
 
 def _append_runlog(cache_root, stats, workers):

@@ -5,11 +5,13 @@ simulated once, then every (core, BSA, region) combination is costed by
 transforming and re-timing only the affected trace slices.  Each
 region is transformed once per BSA, then lowered and reduced to energy
 events in one walk; only the timing-engine run and the pricing of
-those events repeat for every core.
+those events repeat for every core.  One evaluation also serves every
+window depth asked for: each depth reads its estimates off the
+deepest window's per-invocation runs.
 """
 
 from repro.accel import BSA_REGISTRY, AnalysisContext
-from repro.accel.base import count_work
+from repro.accel.base import count_work, window_depths
 from repro.analysis.regions import attribute_baseline
 from repro.core_model import core_by_name
 from repro.obs import counter, span
@@ -72,18 +74,30 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
 
     *max_invocations* caps how many dynamic invocations of each region
     are transformed per BSA and timed per core; the rest extrapolate
-    (the paper's windowed approach bounds work the same way).
+    (the paper's windowed approach bounds work the same way).  A tuple
+    of window depths returns ``{depth: BenchmarkEvaluation}``: the
+    analyses, plans and baselines are built once, and every region is
+    transformed and timed once for the deepest window, each depth
+    reading its estimates off the same runs
+    (:meth:`~repro.accel.base.BSAModel.evaluate_region_on_cores`).
 
     *detailed* is either one flag for every BSA or a per-BSA mapping
     ``{bsa: bool}`` (a missing entry means fast) — the form the
     :class:`~repro.fidelity.arbiter.ModelArbiter` produces when it
     upgrades only the models whose measured error exceeds the budget.
     """
+    depths, single = window_depths(max_invocations)
     if not isinstance(detailed, dict):
         detailed = {bsa: bool(detailed) for bsa in bsa_names}
     with span("exocore.evaluate", benchmark=name or tdg.program.name):
         ctx = AnalysisContext(tdg)
-        evaluation = BenchmarkEvaluation(name or tdg.program.name, ctx)
+        evaluations = {
+            depth: BenchmarkEvaluation(name or tdg.program.name, ctx)
+            for depth in depths}
+        evaluation = evaluations[depths[0]]
+        for other in evaluations.values():
+            other.baselines = evaluation.baselines
+            other.plans = evaluation.plans
         trace = tdg.trace.instructions
         configs = [core_by_name(core_name) for core_name in core_names]
 
@@ -129,7 +143,8 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
 
         # ---- accelerated estimates --------------------------------------
         # BSA -> region -> core: each region is transformed once and
-        # costed on every core (BSAModel.evaluate_region_on_cores).
+        # costed on every core at every depth
+        # (BSAModel.evaluate_region_on_cores).
         for bsa in bsa_names:
             model = BSA_REGISTRY[bsa](
                 detailed=detailed.get(bsa, False))
@@ -137,24 +152,25 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                 plans = model.find_candidates(ctx)
                 current.set(candidates=len(plans))
             evaluation.plans[bsa] = plans
-            per_core = {core_name: {} for core_name in core_names}
+            per_core = {(depth, core_name): {} for depth in depths
+                        for core_name in core_names}
             with span("accel.estimate_regions", bsa=bsa):
                 for key, plan in plans.items():
-                    estimates = model.evaluate_region_on_cores(
-                        ctx, plan, configs,
-                        max_invocations=max_invocations)
-                    if estimates is None:
+                    by_depth = model.evaluate_region_on_cores(
+                        ctx, plan, configs, max_invocations=depths)
+                    if by_depth is None:
                         continue
-                    for core_name, estimate in zip(core_names,
-                                                   estimates):
-                        per_core[core_name][key] = estimate
-            for core_name in core_names:
-                estimates = per_core[core_name]
+                    for depth, estimates in by_depth.items():
+                        for core_name, estimate in zip(core_names,
+                                                       estimates):
+                            per_core[(depth, core_name)][key] = estimate
+            for (depth, core_name), estimates in per_core.items():
                 counter("repro_region_estimates_total",
                         "per-region accelerated estimates produced") \
                     .inc(len(estimates), bsa=bsa)
-                evaluation.estimates[(bsa, core_name)] = estimates
-        return evaluation
+                evaluations[depth].estimates[(bsa, core_name)] = \
+                    estimates
+        return evaluation if single else evaluations
 
 
 def _concat(trace, spans):

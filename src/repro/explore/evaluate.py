@@ -4,10 +4,13 @@ The surrogate loop periodically spends budget on *exact* evaluations:
 full TDG-model runs through :func:`repro.dse.sweep.run_sweep`, the
 same engine (and the same content-addressed cache) the Fig. 12 sweep
 uses.  Like the paper's TDG, one simulation of a benchmark costs every
-(core, BSA) pair: the first point at a window depth
-(``max_invocations``) makes one ``run_sweep`` call over all of the
-space's cores x all of its subsets, and every later point at that
-depth is a dictionary lookup.
+configuration: the first point makes one ``run_sweep`` call over all
+of the space's cores x all of its subsets x all of its window depths
+(``max_invocations``), and every later point is a dictionary lookup.
+That call evaluates each benchmark once: every depth's estimates are
+prefixes of the deepest window's per-invocation runs
+(:meth:`~repro.accel.base.BSAModel.evaluate_region_on_cores`), each
+byte-identical to a sweep at that depth alone.
 
 The reference core is always the first core of that call.  DP-CGRA's
 config cache carries over from one core to the next
@@ -17,9 +20,10 @@ core sees the same warm cache as in a two-core ``(reference, core)``
 sweep, which is what keeps the metrics of each point independent of
 which other cores the space holds.
 
-The sweep cache key hashes the benchmark, scale, depth and the full
-(cores, subsets) argument, so a repeated or resumed exploration of the
-same space is warm from its first point.  On the paper space
+The sweep stores one cache entry per depth, under the key a sweep at
+that depth alone uses: it hashes the benchmark, scale, depth and the
+full (cores, subsets) argument, so a repeated or resumed exploration
+of the same space is warm from its first point.  On the paper space
 (:meth:`DesignSpace.paper`) at depth 8 that argument is exactly
 ``repro sweep``'s (the four DSE cores, all 16 subsets, no Amdahl
 schedule), so the two share cache entries; any other space or depth
@@ -54,7 +58,9 @@ import math
 from repro.dse.report import REFERENCE_CORE
 from repro.dse.sweep import ALL_SUBSETS, run_sweep
 from repro.energy.dvfs import OperatingPoint
-from repro.explore.space import DEFAULT_CORES, SIZING_FACTORS
+from repro.explore.space import (
+    DEFAULT_CORES, DEFAULT_MAX_INVOCATIONS, SIZING_FACTORS,
+)
 from repro.obs import counter, span
 
 #: Fraction of nominal modeled energy attributed to leakage when
@@ -106,20 +112,23 @@ def _geomean(values):
 class ExactEvaluator:
     """Batched exact evaluation of :class:`DesignPoint` s.
 
-    One instance pins the benchmark list, the *cores* and *subsets* a
-    point may use, the workload scale and the sweep plumbing (cache,
-    arbitration spec).  Sweep records are memoized per window depth:
-    the first point at a depth sweeps every core (reference first) x
-    every subset in one ``run_sweep`` call, so ``sweep_calls`` is the
-    number of distinct depths evaluated.  *workers* parallelizes the
-    underlying sweeps without affecting any numeric result.
+    One instance pins the benchmark list, the *cores*, *subsets* and
+    window depths (*max_invocations*) a point may use, the workload
+    scale and the sweep plumbing (cache, arbitration spec).  Sweep
+    records are memoized per window depth.  The first point sweeps
+    every core (reference first) x every subset x every depth not yet
+    memoized in one ``run_sweep`` call, which evaluates each
+    benchmark once for all of those depths, so ``sweep_calls`` is 1
+    on a cold evaluator.  *workers* parallelizes the underlying sweep
+    without affecting any numeric result.
     """
 
     def __init__(self, benchmarks, scale=1.0, workers=1,
                  cache_dir=None, use_cache=None, arbitration=None,
                  reference_core=REFERENCE_CORE,
                  progress=None, cores=DEFAULT_CORES,
-                 subsets=ALL_SUBSETS):
+                 subsets=ALL_SUBSETS,
+                 max_invocations=DEFAULT_MAX_INVOCATIONS):
         self.benchmarks = tuple(sorted(benchmarks))
         if not self.benchmarks:
             raise ValueError("need at least one benchmark")
@@ -127,6 +136,8 @@ class ExactEvaluator:
             core for core in dict.fromkeys(cores)
             if core != reference_core)
         self.subsets = tuple(subsets)
+        self.max_invocations = tuple(
+            dict.fromkeys(int(depth) for depth in max_invocations))
         self.scale = float(scale)
         self.workers = int(workers)
         self.cache_dir = cache_dir
@@ -142,34 +153,39 @@ class ExactEvaluator:
         cached = self._records.get(max_invocations)
         if cached is not None:
             return cached
-        with span("explore.evaluate", max_invocations=max_invocations,
+        depths = tuple(depth for depth in self.max_invocations
+                       if depth not in self._records)
+        with span("explore.evaluate", max_invocations=list(depths),
                   cores=len(self.cores), subsets=len(self.subsets)):
-            sweep = run_sweep(
+            sweeps = run_sweep(
                 names=list(self.benchmarks), core_names=self.cores,
                 subsets=self.subsets, scale=self.scale,
-                max_invocations=max_invocations, with_amdahl=False,
+                max_invocations=depths, with_amdahl=False,
                 workers=self.workers, cache_dir=self.cache_dir,
                 use_cache=self.use_cache, arbitration=self.arbitration)
         self.sweep_calls += 1
         missing = [name for name in self.benchmarks
-                   if name not in sweep.results]
+                   if any(name not in sweep.results
+                          for sweep in sweeps.values())]
         if missing:
             raise RuntimeError(
                 f"sweep failed for benchmarks {missing!r} "
-                f"(max_invocations={max_invocations})")
-        records = {name: sweep.results[name]
-                   for name in self.benchmarks}
-        self._records[max_invocations] = records
-        return records
+                f"(max_invocations={list(depths)})")
+        for depth, sweep in sweeps.items():
+            self._records[depth] = {name: sweep.results[name]
+                                    for name in self.benchmarks}
+        return self._records[max_invocations]
 
     def metrics(self, point):
         """``{"speedup", "energy_eff"}`` of one point vs the IO2 ref,
         geomeaned across the evaluator's benchmarks."""
         if point.core not in self.cores \
-                or point.subset not in self.subsets:
+                or point.subset not in self.subsets \
+                or point.max_invocations not in self.max_invocations:
             raise ValueError(
                 f"{point!r} lies outside the evaluator's cores "
-                f"{self.cores!r} / {len(self.subsets)} subsets")
+                f"{self.cores!r} / {len(self.subsets)} subsets / "
+                f"depths {self.max_invocations!r}")
         records = self._records_for(point.max_invocations)
         speedups = []
         energy_effs = []

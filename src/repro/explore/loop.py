@@ -213,7 +213,7 @@ def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
         benchmarks, scale=scale, workers=workers,
         cache_dir=cache_dir, use_cache=use_cache,
         arbitration=arbitration, cores=space.cores,
-        subsets=space.subsets)
+        subsets=space.subsets, max_invocations=space.max_invocations)
     warm_points = training_points_from_records(train_records or [])
 
     evaluated = {}      # key -> {point, speedup, energy_eff, round}

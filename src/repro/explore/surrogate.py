@@ -73,16 +73,22 @@ class _Stump:
             else self.right
 
 
-def _best_stump(rows, residuals):
-    """The SSE-minimizing stump, ties broken on (feature, threshold).
+def _partitions(rows):
+    """The distinct row splits a stump can make on *rows*, each once.
 
-    Deterministic: thresholds are midpoints of consecutive sorted
-    distinct feature values, scanned in fixed order; every reduction
-    is :func:`math.fsum`.
+    ``[(feature, threshold, left row ids, right row ids), ...]``.
+    Thresholds are midpoints of consecutive sorted distinct feature
+    values, scanned feature by feature in fixed order; a split another
+    (feature, threshold) already made is kept only at its first.  Its
+    later copies sum the same residuals (:func:`math.fsum` is exact in
+    any order), so their SSE equals the first's and can never pass
+    :func:`_best_stump`'s strict test: scoring each split once picks
+    the stump the full scan would.  The splits depend on *rows* only,
+    so one fit computes them once for all its boosting rounds.
     """
     n = len(rows)
-    best = None
-    best_sse = None
+    seen = set()
+    partitions = []
     for j in range(len(rows[0])):
         order = sorted(range(n), key=lambda i: (rows[i][j], i))
         for cut in range(_MIN_LEAF, n - _MIN_LEAF + 1):
@@ -90,19 +96,34 @@ def _best_stump(rows, residuals):
             hi = rows[order[cut]][j]
             if lo == hi:
                 continue
-            left_ids = order[:cut]
-            right_ids = order[cut:]
-            left = math.fsum(residuals[i] for i in left_ids) \
-                / len(left_ids)
-            right = math.fsum(residuals[i] for i in right_ids) \
-                / len(right_ids)
-            sse = math.fsum(
-                (residuals[i] - left) ** 2 for i in left_ids) \
-                + math.fsum(
-                    (residuals[i] - right) ** 2 for i in right_ids)
-            if best_sse is None or sse < best_sse - 1e-15:
-                best_sse = sse
-                best = _Stump(j, (lo + hi) / 2.0, left, right)
+            left_ids = frozenset(order[:cut])
+            if left_ids in seen:
+                continue
+            seen.add(left_ids)
+            partitions.append((j, (lo + hi) / 2.0, tuple(order[:cut]),
+                               tuple(order[cut:])))
+    return partitions
+
+
+def _best_stump(partitions, residuals):
+    """The SSE-minimizing stump over *partitions* (:func:`_partitions`),
+    ties broken on scan order (feature, then threshold).
+
+    Deterministic: every reduction is :func:`math.fsum`.
+    """
+    best = None
+    best_sse = None
+    for feature, threshold, left_ids, right_ids in partitions:
+        left = math.fsum(residuals[i] for i in left_ids) / len(left_ids)
+        right = math.fsum(residuals[i] for i in right_ids) \
+            / len(right_ids)
+        sse = math.fsum(
+            (residuals[i] - left) ** 2 for i in left_ids) \
+            + math.fsum(
+                (residuals[i] - right) ** 2 for i in right_ids)
+        if best_sse is None or sse < best_sse - 1e-15:
+            best_sse = sse
+            best = _Stump(feature, threshold, left, right)
     return best
 
 
@@ -207,8 +228,9 @@ class RidgeModel:
                 log - math.fsum(map(mul, self.weights, row))
                 for row, log in zip(standardized, logs)
             ]
+            partitions = _partitions(plain)
             for _ in range(self.boost_rounds):
-                stump = _best_stump(plain, residuals)
+                stump = _best_stump(partitions, residuals)
                 if stump is None:
                     break
                 self.stumps.append(stump)

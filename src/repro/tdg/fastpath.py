@@ -94,8 +94,7 @@ def _int_array(values):
 
 
 class LoweredStream:
-    """One instruction stream as parallel int64 arrays, plus its
-    core-independent energy events (both from one :func:`_walk`).
+    """One instruction stream as parallel int64 arrays.
 
     Lower once, evaluate many times: the per-benchmark baseline path
     runs the same trace under four core configs, so the evaluator
@@ -110,10 +109,9 @@ class LoweredStream:
         "extra_lat", "mispred", "icache", "accel_tag",
     )
 
-    __slots__ = FIELDS + ("n", "accel_tags", "has_accel", "events",
-                          "_addrs")
+    __slots__ = FIELDS + ("n", "accel_tags", "_addrs")
 
-    def __init__(self, columns, accel_tags, events):
+    def __init__(self, columns, accel_tags):
         try:
             for field, values in zip(self.FIELDS, columns):
                 setattr(self, field, _int_array(values))
@@ -122,8 +120,6 @@ class LoweredStream:
                 from exc
         self.n = len(self.lat)
         self.accel_tags = accel_tags
-        self.has_accel = bool(accel_tags)
-        self.events = events
         self._addrs = None
 
     def addrs(self):
@@ -290,7 +286,7 @@ class StreamBuilder:
         if not lower:
             return recorded, events
         try:
-            return LoweredStream(columns, accel_tags, events), events
+            return LoweredStream(columns, accel_tags), events
         except LoweringError:
             return self.rows, events
 
@@ -507,14 +503,13 @@ def stream_events(stream):
 
 def lower_stream(stream):
     """Lower *stream* (a DynInst list) into a :class:`LoweredStream`,
-    counting its energy events in the same pass, whether or not the
-    kernel loads.
+    whether or not the kernel loads.
 
     Raises :class:`LoweringError` when the stream is not
     int64-lowerable.
     """
-    columns, accel_tags, events, _ = _walk(stream, True, 0, False)
-    return LoweredStream(columns, accel_tags, events)
+    columns, accel_tags, _, _ = _walk(stream, True, 0, False)
+    return LoweredStream(columns, accel_tags)
 
 
 # ---------------------------------------------------------------------------

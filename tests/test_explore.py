@@ -22,7 +22,7 @@ from repro.artifacts import (
     artifact_filename, canonical_fields, dumps_artifact,
     latest_artifact, stamp, write_artifact,
 )
-from repro.dse.cache import SweepCache, export_records
+from repro.dse.cache import SweepCache, cache_key, export_records
 from repro.core_model.config import DSE_CORES
 from repro.dse.report import frontier_table, pareto_frontier
 from repro.dse.sweep import run_sweep
@@ -38,7 +38,10 @@ from repro.explore.space import (
     DEFAULT_CORES, DesignPoint, DesignSpace, FEATURE_NAMES,
     point_features,
 )
-from repro.explore.surrogate import RidgeModel, SurrogateEnsemble
+from repro.explore.surrogate import (
+    _MIN_LEAF, RidgeModel, SurrogateEnsemble, _best_stump, _partitions,
+    _Stump,
+)
 
 #: Tiny-but-real exploration configuration: 64-point paper space at
 #: minimum workload scale, shared by every loop-level test so the
@@ -175,7 +178,82 @@ def _training_set(n=24, seed=5):
     return rows, targets
 
 
+def _seed_best_stump(rows, residuals):
+    """The oracle: ``surrogate._best_stump`` as it was when each round
+    re-sorted every feature and re-scored every cut, copied verbatim
+    (``_Stump`` and ``_MIN_LEAF`` imported)."""
+    n = len(rows)
+    best = None
+    best_sse = None
+    for j in range(len(rows[0])):
+        order = sorted(range(n), key=lambda i: (rows[i][j], i))
+        for cut in range(_MIN_LEAF, n - _MIN_LEAF + 1):
+            lo = rows[order[cut - 1]][j]
+            hi = rows[order[cut]][j]
+            if lo == hi:
+                continue
+            left_ids = order[:cut]
+            right_ids = order[cut:]
+            left = math.fsum(residuals[i] for i in left_ids) \
+                / len(left_ids)
+            right = math.fsum(residuals[i] for i in right_ids) \
+                / len(right_ids)
+            sse = math.fsum(
+                (residuals[i] - left) ** 2 for i in left_ids) \
+                + math.fsum(
+                    (residuals[i] - right) ** 2 for i in right_ids)
+            if best_sse is None or sse < best_sse - 1e-15:
+                best_sse = sse
+                best = _Stump(j, (lo + hi) / 2.0, left, right)
+    return best
+
+
+def _stump_cases():
+    """Seeded (rows, residuals) with duplicate columns, constant
+    columns and exactly tied SSEs."""
+    cases = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        points = DesignSpace().sample(10 + 3 * seed, seed=seed)
+        rows = []
+        for point in points:
+            row = list(point_features(point))
+            # a duplicate of the first column, a constant column, and
+            # a mirrored copy (the same splits with sides swapped)
+            rows.append(row + [row[0], 1.0, -row[0]])
+        residuals = [rng.choice((-1.0, 0.0, 0.5, 1.0)) if seed % 2
+                     else rng.gauss(0.0, 1.0) for _ in rows]
+        cases.append((rows, residuals))
+    # Symmetric residuals on a column and its reverse: distinct splits
+    # with exactly equal SSE.
+    values = [float(v) for v in range(8)]
+    rows = [[v, 7.0 - v, v, 3.0] for v in values]
+    cases.append((rows, [0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0]))
+    return cases
+
+
+def _stump_fields(stump):
+    return None if stump is None else (
+        stump.feature, stump.threshold, stump.left, stump.right)
+
+
 class TestSurrogate:
+    def test_stumps_over_distinct_partitions_match_the_full_scan(self):
+        for rows, residuals in _stump_cases():
+            partitions = _partitions(rows)
+            lefts = [frozenset(left) for _, _, left, _ in partitions]
+            assert len(lefts) == len(set(lefts))
+            residuals = list(residuals)
+            # Forty boosting rounds, as RidgeModel.fit runs them.
+            for _ in range(40):
+                expected = _seed_best_stump(rows, residuals)
+                actual = _best_stump(partitions, residuals)
+                assert _stump_fields(actual) == _stump_fields(expected)
+                if expected is None:
+                    break
+                for i, row in enumerate(rows):
+                    residuals[i] -= 0.3 * expected.value(row)
+
     def test_fit_is_reproducible(self):
         rows, targets = _training_set()
         a = SurrogateEnsemble(seed=11).fit(rows, targets)
@@ -652,11 +730,13 @@ def _assert_matches_per_triple_oracle(benchmarks, spaces):
     for space in spaces:
         evaluator = ExactEvaluator(benchmarks, scale=0.1,
                                    cores=space.cores,
-                                   subsets=space.subsets)
+                                   subsets=space.subsets,
+                                   max_invocations=space.max_invocations)
         for point in space:
             assert evaluator.metrics(point) == oracle.metrics(point), \
                 point
-        assert evaluator.sweep_calls == len(space.max_invocations)
+        # One sweep covers every depth of the space.
+        assert evaluator.sweep_calls == 1
     return oracle
 
 
@@ -700,13 +780,14 @@ class TestExactEvaluator:
         space = DesignSpace.paper()
         evaluator = ExactEvaluator(("conv",), scale=0.1,
                                    cache_dir=cache, cores=space.cores,
-                                   subsets=space.subsets)
+                                   subsets=space.subsets,
+                                   max_invocations=space.max_invocations)
         calls = []
 
         def spy(**kwargs):
-            sweep = run_sweep(**kwargs)
-            calls.append(sweep.stats)
-            return sweep
+            sweeps = run_sweep(**kwargs)
+            calls.append(sweeps[8].stats)
+            return sweeps
 
         evaluator_module = sys.modules[ExactEvaluator.__module__]
         original = evaluator_module.run_sweep
@@ -716,6 +797,46 @@ class TestExactEvaluator:
         finally:
             evaluator_module.run_sweep = original
         assert [(s.hits, s.misses) for s in calls] == [(1, 0)]
+
+    def test_second_explore_of_a_space_is_all_cache_hits(self, tmp_path):
+        # The first explore sweeps every depth in one evaluation and
+        # stores one cache entry per depth; a second explore of the
+        # same space finds them all.
+        cache = str(tmp_path)
+        space = DesignSpace.paper(max_invocations=(2, 4, 8, 16))
+        calls = []
+
+        def spy(**kwargs):
+            sweeps = run_sweep(**kwargs)
+            calls.append((kwargs["max_invocations"],
+                          sweeps[kwargs["max_invocations"][0]].stats))
+            return sweeps
+
+        evaluator_module = sys.modules[ExactEvaluator.__module__]
+        original = evaluator_module.run_sweep
+        evaluator_module.run_sweep = spy
+        try:
+            for _ in range(2):
+                evaluator = ExactEvaluator(
+                    ("conv",), scale=0.1, cache_dir=cache,
+                    cores=space.cores, subsets=space.subsets,
+                    max_invocations=space.max_invocations)
+                evaluator.evaluate(list(space))
+        finally:
+            evaluator_module.run_sweep = original
+        assert [(sorted(depths), stats.hits, stats.misses)
+                for depths, stats in calls] \
+            == [([2, 4, 8, 16], 0, 1), ([2, 4, 8, 16], 1, 0)]
+        # One entry per depth, each under the key a sweep at that
+        # depth alone uses.
+        store = SweepCache(cache)
+        depths = sorted(payload["meta"]["max_invocations"]
+                        for _, payload in store.iter_entries()
+                        if "meta" in payload)
+        assert depths == [2, 4, 8, 16]
+        for depth in space.max_invocations:
+            assert cache_key("conv", 0.1, evaluator.cores, space.subsets,
+                             depth, False) in store
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +936,9 @@ class TestExploreLoop:
             == sum(a["scored"] for a in ranks)
         evaluates = [r["args"] for r in records
                      if r["name"] == "explore.evaluate"]
+        # One sweep, listing every depth it evaluates.
         assert evaluates == [
-            {"max_invocations": 2, "cores": 4, "subsets": 16}]
+            {"max_invocations": [2], "cores": 4, "subsets": 16}]
 
     def test_unknown_benchmark_raises(self, paper_space):
         with pytest.raises(Exception):

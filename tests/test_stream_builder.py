@@ -52,10 +52,11 @@ def assert_lowered_like_walk(lowered, events, rows):
     assert lowered.accel_tags == walked.accel_tags
     for field in LoweredStream.FIELDS:
         assert getattr(lowered, field) == getattr(walked, field), field
+    walked_events = stream_events(rows)
     assert list(events.components.items()) \
-        == list(walked.events.components.items())
-    assert events.counts == walked.events.counts
-    assert events.regfile == walked.events.regfile
+        == list(walked_events.components.items())
+    assert events.counts == walked_events.counts
+    assert events.regfile == walked_events.regfile
 
 
 def finished(out):
