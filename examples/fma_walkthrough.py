@@ -7,17 +7,17 @@ Reproduces Figure 4 end-to-end on a small kernel:
   (b) render a window of the original µDG;
   (c) run the fma *analyzer* (which fmul/fadd pairs fuse);
   (d) apply the *transformer* (retype fmul -> fma, elide fadd);
+      both are the transform DSL's ``fma_rule()``;
   (e) render the core+accel µDG and compare critical paths.
 
 Run:  python examples/fma_walkthrough.py
 """
 
-from repro.accel import FmaTransform
-from repro.accel.fma import find_fma_pairs
 from repro.core_model import OOO2
 from repro.programs import KernelBuilder, disassemble
-from repro.tdg import TimingEngine, construct_tdg
+from repro.tdg import DslTransform, TimingEngine, construct_tdg, fma_rule
 from repro.tdg.constructor import build_window_graph
+from repro.tdg.fastpath import StreamBuilder
 
 
 def build_kernel():
@@ -45,8 +45,9 @@ def main():
     tdg = construct_tdg(program, memory)
 
     print("== analyzer plan (Fig. 4(c)) ==")
-    pairs = find_fma_pairs(program)
-    for fadd_uid, fmul_uid in pairs.items():
+    transform = DslTransform(program, [fma_rule()])
+    for plan in transform.plans:
+        fmul_uid, fadd_uid = plan.uids
         print(f"  fuse  {program.instruction(fmul_uid)}  +  "
               f"{program.instruction(fadd_uid)}")
 
@@ -55,8 +56,9 @@ def main():
     graph = build_window_graph(window, OOO2)
     print(graph.render())
 
-    transform = FmaTransform(program)
-    transformed = transform.apply(tdg.trace.instructions)
+    out = StreamBuilder()
+    transform.apply(tdg.trace.instructions, out)
+    transformed = out.rows
 
     print("\n== core+accel µDG window (Fig. 4(e)) ==")
     graph2 = build_window_graph(transformed[2:9], OOO2)

@@ -21,7 +21,7 @@ Package map
 - :mod:`repro.core_model` -- general-core configurations (Table 4)
 - :mod:`repro.energy` -- McPAT/CACTI-style energy, power, area
 - :mod:`repro.analysis` -- loops, path profiles, dependences, slicing
-- :mod:`repro.accel` -- the four BSA models + the fma example
+- :mod:`repro.accel` -- the four BSA models
 - :mod:`repro.exocore` -- region scheduling and composition
 - :mod:`repro.dse` -- the 64-point design-space sweep
 - :mod:`repro.workloads` -- the 48-benchmark suite (Table 3)

@@ -8,7 +8,6 @@ evaluate.
 
 Models (paper Table 2):
 
-- :mod:`repro.accel.fma` — the paper's explanatory example (sec. 2.3)
 - :mod:`repro.accel.simd` — short-vector SIMD (auto-vectorization)
 - :mod:`repro.accel.dp_cgra` — data-parallel CGRA (DySER-like)
 - :mod:`repro.accel.ns_df` — non-speculative dataflow (SEED-like)
@@ -18,7 +17,6 @@ Models (paper Table 2):
 from repro.accel.base import (
     AnalysisContext, BSAModel, RegionEstimate, SeqAllocator,
 )
-from repro.accel.fma import FmaTransform
 from repro.accel.simd import SIMDModel
 from repro.accel.dp_cgra import DPCGRAModel
 from repro.accel.ns_df import NSDataflowModel
@@ -40,7 +38,6 @@ __all__ = [
     "BSAModel",
     "RegionEstimate",
     "SeqAllocator",
-    "FmaTransform",
     "SIMDModel",
     "DPCGRAModel",
     "NSDataflowModel",

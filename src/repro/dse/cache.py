@@ -347,15 +347,16 @@ class LocalDirBackend(CacheBackend):
 
         Sorted by key, so export output is deterministic for a given
         cache population regardless of write order.  Quarantined,
-        corrupt and foreign-format files are skipped silently — this
-        is a read-only maintenance walk, not the hot load path.
+        corrupt and foreign-format files, flight-recorder dumps and
+        sweep checkpoint manifests are skipped silently — this is a
+        read-only maintenance walk, not the hot load path.
         """
         if not self.root.is_dir():
             return
         paths = []
         for shard in self.root.iterdir():
             if not shard.is_dir() \
-                    or shard.name in ("quarantine", "blackbox"):
+                    or shard.name in ("quarantine", "blackbox", "sweeps"):
                 continue
             paths.extend(shard.glob("*.json"))
         for path in sorted(paths, key=lambda p: p.stem):

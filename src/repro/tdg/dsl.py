@@ -14,9 +14,12 @@ Example — the paper's fma transform in three lines::
             .match(op(Opcode.FMUL).single_use()
                    .feeding(op(Opcode.FADD)))
             .fuse(Opcode.FMA, latency=4))
-    transformed = DslTransform(program, [rule]).apply(stream)
+    out = StreamBuilder()
+    DslTransform(program, [rule]).apply(stream, out)
 
-Supported actions:
+Supported actions, each a set of
+:meth:`~repro.tdg.fastpath.StreamBuilder.emit` fields, as the BSA
+transforms write them:
 
 - ``fuse(opcode, latency)``   — collapse a matched producer/consumer
   chain into one instruction of *opcode* (chain-head retyped, tail
@@ -26,6 +29,9 @@ Supported actions:
   (bypasses the core front-end in the timing engine).
 """
 
+from collections import namedtuple
+
+from repro.accel.base import map_deps, remap
 from repro.isa.opcodes import Opcode, fu_latency
 
 
@@ -62,13 +68,15 @@ class OpPattern:
             return False
         return all(predicate(inst) for predicate in self.predicates)
 
+    def chain(self):
+        """The chained patterns, this one first."""
+        nodes = [self]
+        while nodes[-1].consumer is not None:
+            nodes.append(nodes[-1].consumer)
+        return tuple(nodes)
+
     def chain_length(self):
-        length = 1
-        node = self.consumer
-        while node is not None:
-            length += 1
-            node = node.consumer
-        return length
+        return len(self.chain())
 
 
 def op(opcodes):
@@ -83,7 +91,9 @@ class Rule:
         self.name = name
         self.pattern = None
         self.action = None
-        self.params = {}
+        #: The action's :meth:`~repro.tdg.fastpath.StreamBuilder.emit`
+        #: fields.
+        self.fields = {}
 
     def match(self, pattern):
         self.pattern = pattern
@@ -91,19 +101,20 @@ class Rule:
 
     def fuse(self, opcode, latency=None):
         self.action = "fuse"
-        self.params = {"opcode": opcode,
-                       "latency": latency or fu_latency(opcode)}
+        self.fields = {"opcode": opcode,
+                       "lat_override": latency or fu_latency(opcode)}
         return self
 
     def retype(self, opcode, latency=None):
         self.action = "retype"
-        self.params = {"opcode": opcode,
-                       "latency": latency or fu_latency(opcode)}
+        self.fields = {"opcode": opcode,
+                       "lat_override": latency or fu_latency(opcode)}
         return self
 
     def offload(self, accel, latency=1):
         self.action = "offload"
-        self.params = {"accel": accel, "latency": latency}
+        self.fields = {"accel": accel, "lat_override": latency,
+                       "mispredicted": False, "icache_lat": 0}
         return self
 
     def _validate(self):
@@ -120,18 +131,9 @@ class Rule:
         return f"<Rule {self.name}: {self.action}>"
 
 
-class _ChainPlan:
-    """Analyzer output: uids of one matched static chain."""
-
-    __slots__ = ("rule", "uids")
-
-    def __init__(self, rule, uids):
-        self.rule = rule
-        self.uids = tuple(uids)
-
-    @property
-    def head_uid(self):
-        return self.uids[0]
+#: Analyzer output: one matched static chain's rule and uids, head
+#: first.
+_ChainPlan = namedtuple("_ChainPlan", ("rule", "uids"))
 
 
 class DslTransform:
@@ -151,111 +153,104 @@ class DslTransform:
 
     # -- analyzer ---------------------------------------------------------
     def _analyze(self):
+        """Each rule in declaration order claims, block by block, the
+        disjoint chains it matches, as in paper Fig. 4(c): a chain is
+        anchored at its last op, and each op's producers are tried in
+        operand order."""
         plans = []
         claimed = set()
         for function in self.program.functions.values():
             for block in function.blocks:
-                use_counts, consumers = self._block_dataflow(block)
-                for inst in block:
-                    for rule in self.rules:
+                use_counts, producers = self._block_dataflow(block)
+                for rule in self.rules:
+                    nodes = rule.pattern.chain()
+                    for inst in block:
                         chain = self._match_chain(
-                            rule.pattern, inst, use_counts, consumers)
-                        if chain and not (set(chain) & claimed):
-                            plans.append(_ChainPlan(rule, chain))
+                            nodes, inst, use_counts, producers, claimed)
+                        if chain:
+                            plans.append(_ChainPlan(rule, tuple(chain)))
                             claimed.update(chain)
-                            break
         return plans
 
     @staticmethod
     def _block_dataflow(block):
-        """Per-block def-use: uid -> use count, uid -> consumer uids."""
+        """Per-block def-use: uid -> use count, and uid -> the in-block
+        producer of each source operand, in operand order."""
         use_counts = {}
-        consumers = {}
+        producers = {}
         last_writer = {}
         for inst in block:
+            found = []
             for reg in inst.srcs:
                 producer = last_writer.get(reg)
                 if producer is not None:
                     use_counts[producer.uid] = \
                         use_counts.get(producer.uid, 0) + 1
-                    consumers.setdefault(producer.uid,
-                                         []).append(inst)
+                    found.append(producer)
+            producers[inst.uid] = found
             if inst.dest is not None:
                 last_writer[inst.dest] = inst
-        return use_counts, consumers
+        return use_counts, producers
 
-    def _match_chain(self, pattern, inst, use_counts, consumers):
-        """Try to match *pattern* starting at *inst*; returns uids."""
-        if not pattern.matches_inst(inst):
+    def _match_chain(self, nodes, inst, use_counts, producers, claimed):
+        """uids, head first, of an unclaimed chain matching the patterns
+        *nodes* that ends at *inst*; None if there is none."""
+        node = nodes[-1]
+        if inst.uid in claimed or not node.matches_inst(inst):
             return None
-        if pattern.require_single_use \
+        if node.require_single_use \
                 and use_counts.get(inst.uid, 0) != 1:
             return None
-        chain = [inst.uid]
-        if pattern.consumer is not None:
-            for consumer in consumers.get(inst.uid, ()):
-                rest = self._match_chain(pattern.consumer, consumer,
-                                         use_counts, consumers)
-                if rest is not None:
-                    return chain + list(rest)
-            return None
-        return chain
+        if len(nodes) == 1:
+            return [inst.uid]
+        for producer in producers[inst.uid]:
+            chain = self._match_chain(nodes[:-1], producer, use_counts,
+                                      producers, claimed)
+            if chain is not None:
+                return chain + [inst.uid]
+        return None
 
     # -- transformer --------------------------------------------------------
-    def apply(self, stream):
-        """Rewrite a dynamic instruction stream per the matched plans."""
-        out = []
-        open_chains = {}  # uid -> (plan, rewritten head inst,
-        #                            next position in chain)
-        redirect = {}     # elided seq -> surviving seq
+    def apply(self, stream, out):
+        """Rewrite the dynamic instruction *stream* per the matched plans
+        into *out*, a :class:`~repro.tdg.fastpath.StreamBuilder`.
+
+        Every instruction's deps are renamed through the elided seq ->
+        chain-head seq map.  A planned instruction is emitted with its
+        rule's fields; a later member of a fused chain merges its deps
+        into the head's row
+        (:meth:`~repro.tdg.fastpath.StreamBuilder.merge_deps`) and is
+        elided.
+        """
+        open_chains = {}  # next member's uid -> (head row, head seq,
+        #                   that member's position in the chain)
+        redirect = {}     # elided seq -> chain-head seq
         for dyn in stream:
             uid = dyn.uid
             plan = self._plan_of.get(uid)
             if plan is None:
-                if any(dep in redirect for dep in dyn.src_deps):
-                    dyn = dyn.clone(src_deps=tuple(
-                        redirect.get(d, d) for d in dyn.src_deps))
-                out.append(dyn)
+                remap(dyn, redirect, out)
                 continue
-            rule = plan.rule
-            position = plan.uids.index(uid)
-            if rule.action == "retype":
-                out.append(dyn.clone(
-                    opcode=rule.params["opcode"],
-                    lat_override=rule.params["latency"]))
+            uids = plan.uids
+            if uid != uids[0]:
+                state = open_chains.pop(uid, None)
+                if state is None:
+                    # Dynamic order diverged from the static chain
+                    # (e.g. partial execution): keep the instruction.
+                    remap(dyn, redirect, out)
+                    continue
+                row, head_seq, position = state
+                out.merge_deps(row, map_deps(dyn, redirect))
+                redirect[dyn.seq] = head_seq
+                if position + 1 < len(uids):
+                    open_chains[uids[position + 1]] = \
+                        (row, head_seq, position + 1)
                 continue
-            if rule.action == "offload":
-                out.append(dyn.clone(
-                    accel=rule.params["accel"],
-                    lat_override=rule.params["latency"],
-                    mispredicted=False, icache_lat=0))
-                continue
-            # fuse
-            if position == 0:
-                head = dyn.clone(opcode=rule.params["opcode"],
-                                 lat_override=rule.params["latency"])
-                out.append(head)
-                if len(plan.uids) > 1:
-                    open_chains[plan.uids[1]] = (plan, head, 1)
-                continue
-            state = open_chains.pop(uid, None)
-            if state is None:
-                # Dynamic order diverged from the static chain (e.g.
-                # partial execution): keep the instruction as-is.
-                out.append(dyn)
-                continue
-            _plan, head, _pos = state
-            extra = tuple(d for d in dyn.src_deps
-                          if d != head.seq
-                          and redirect.get(d, d) != head.seq
-                          and d not in head.src_deps)
-            head.src_deps = head.src_deps + tuple(
-                redirect.get(d, d) for d in extra)
-            redirect[dyn.seq] = head.seq
-            if position + 1 < len(plan.uids):
-                open_chains[plan.uids[position + 1]] = \
-                    (plan, head, position + 1)
-        return out
+            row = out.emit(dyn, src_deps=map_deps(dyn, redirect),
+                           mem_dep=redirect.get(dyn.mem_dep, dyn.mem_dep),
+                           **plan.rule.fields)
+            if len(uids) > 1:
+                open_chains[uids[1]] = (row, dyn.seq, 1)
 
     def __repr__(self):
         return (f"<DslTransform {len(self.rules)} rules, "

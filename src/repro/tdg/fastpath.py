@@ -159,11 +159,12 @@ class StreamBuilder:
     """One instruction stream, built row by row, then lowered and
     reduced to energy events in one walk.
 
-    BSA transforms add rows (:meth:`emit`, :meth:`keep`,
-    :meth:`synthesize`) and patch rows added earlier (:meth:`fold`,
-    :meth:`add_edge`); :meth:`extend` keeps every instruction of a
-    list (the baseline trace, DSL streams).  A kept instruction is the
-    caller's own :class:`~repro.sim.trace.DynInst`, unchanged; an
+    BSA and DSL transforms add rows (:meth:`emit`, :meth:`keep`,
+    :meth:`synthesize`) and patch rows added earlier
+    (:meth:`merge_deps`, :meth:`fold`, :meth:`add_edge`);
+    :meth:`extend` keeps every instruction of a list (the baseline
+    trace).  A kept instruction is the caller's own
+    :class:`~repro.sim.trace.DynInst`, unchanged; an
     emitted row is a plain list of the DynInst fields, so building a
     transformed stream constructs no DynInst.  :meth:`finish` walks
     the rows (:func:`_walk`, the one place both per-instruction rules
@@ -234,16 +235,14 @@ class StreamBuilder:
         return len(self._rows) - 1
 
     # -- patches -----------------------------------------------------------
-    def fold(self, row, dyn, mapped_deps):
-        """Fold compute instruction *dyn* into the compound op emitted
-        at *row*: its latency adds on (serialized compound execution,
-        as in BERET), the op counts one more fused lane, and its deps
-        *mapped_deps* (already renamed) merge in.
+    def merge_deps(self, row, mapped_deps):
+        """Merge deps *mapped_deps* (already renamed) into the row
+        emitted at *row*.
 
-        A dep joins unless it is the compound's own seq or already one
-        of its deps; the member's deps are not deduplicated among
-        themselves.  The walk resolves them at *row*, like the
-        compound's own: a producer added after it is a live-in.
+        A dep joins unless it is the row's own seq or already one of
+        its deps; the merged deps are not deduplicated among
+        themselves.  The walk resolves them at *row*, like the row's
+        own: a producer added after it is a live-in.
         """
         fields = self._rows[row]
         head_seq = fields[_SEQ]
@@ -254,6 +253,15 @@ class StreamBuilder:
                 external.append(dep)
         if external:
             fields[_SRC_DEPS] = deps + tuple(external)
+
+    def fold(self, row, dyn, mapped_deps):
+        """Fold compute instruction *dyn* into the compound op emitted
+        at *row*: its latency adds on (serialized compound execution,
+        as in BERET), the op counts one more fused lane, and its deps
+        *mapped_deps* (already renamed) merge in (:meth:`merge_deps`).
+        """
+        self.merge_deps(row, mapped_deps)
+        fields = self._rows[row]
         fields[_LAT_OVERRIDE] = (fields[_LAT_OVERRIDE] or 0) + dyn.latency
         fields[_VECTOR_WIDTH] += 1
 

@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.accel import FmaTransform
 from repro.core_model import OOO2
 from repro.isa import Opcode
 from repro.programs import KernelBuilder, assemble
-from repro.tdg import TimingEngine, construct_tdg
+from repro.tdg import FastTimingEngine, TimingEngine, construct_tdg
 from repro.tdg.dsl import DslTransform, Rule, op, fma_rule
+from repro.tdg.fastpath import (
+    LoweredStream, StreamBuilder, kernel_available,
+)
 
 
 def fma_kernel():
@@ -22,6 +24,13 @@ def fma_kernel():
             k.st(out, i, k.fadd(k.fmul(av, bv), 1.0))
         k.halt()
     return construct_tdg(*k.build())
+
+
+def transformed(program, rules, stream):
+    """*stream* through *rules*, into a fresh builder."""
+    out = StreamBuilder()
+    DslTransform(program, rules).apply(stream, out)
+    return out
 
 
 class TestPatterns:
@@ -67,25 +76,10 @@ class TestRuleValidation:
 
 
 class TestFuseAction:
-    def test_dsl_fma_matches_handwritten_transform(self):
-        """The DSL-declared fma rule reproduces the hand-written
-        FmaTransform exactly (count, opcodes and timing)."""
-        tdg = fma_kernel()
-        dsl_out = DslTransform(tdg.program, [fma_rule()]).apply(
-            tdg.trace.instructions)
-        hand_out = FmaTransform(tdg.program).apply(
-            tdg.trace.instructions)
-        assert len(dsl_out) == len(hand_out)
-        assert [d.opcode for d in dsl_out] == \
-            [d.opcode for d in hand_out]
-        dsl_cycles = TimingEngine(OOO2).run(dsl_out).cycles
-        hand_cycles = TimingEngine(OOO2).run(hand_out).cycles
-        assert dsl_cycles == hand_cycles
-
     def test_fuse_elides_and_redirects(self):
         tdg = fma_kernel()
-        out = DslTransform(tdg.program, [fma_rule()]).apply(
-            tdg.trace.instructions)
+        out = transformed(tdg.program, [fma_rule()],
+                          tdg.trace.instructions).rows
         fma_seqs = {d.seq for d in out if d.opcode is Opcode.FMA}
         stores = [d for d in out if d.opcode is Opcode.ST]
         assert all(any(dep in fma_seqs for dep in s.src_deps)
@@ -117,7 +111,8 @@ loop:
         assert len(transform.plans) == 1
         from repro.sim import run_program
         trace = run_program(program)
-        out = transform.apply(trace.instructions)
+        out = StreamBuilder()
+        transform.apply(trace.instructions, out)
         # Two ops elided per iteration.
         assert len(out) == len(trace.instructions) - 200
 
@@ -127,8 +122,8 @@ class TestRetypeAndOffload:
         tdg = fma_kernel()
         rule = Rule("slow_mul").match(op(Opcode.FMUL)).retype(
             Opcode.FMUL, latency=20)
-        out = DslTransform(tdg.program, [rule]).apply(
-            tdg.trace.instructions)
+        out = transformed(tdg.program, [rule],
+                          tdg.trace.instructions).rows
         slow = TimingEngine(OOO2).run(out).cycles
         fast = TimingEngine(OOO2).run(tdg.trace.instructions).cycles
         assert slow > fast
@@ -138,8 +133,8 @@ class TestRetypeAndOffload:
         rule = Rule("fp_engine").match(
             op((Opcode.FMUL, Opcode.FADD))).offload("fp_engine",
                                                     latency=2)
-        out = DslTransform(tdg.program, [rule]).apply(
-            tdg.trace.instructions)
+        out = transformed(tdg.program, [rule],
+                          tdg.trace.instructions).rows
         offloaded = [d for d in out if d.accel == "fp_engine"]
         assert len(offloaded) == 128    # 2 fp ops x 64 iterations
 
@@ -152,3 +147,24 @@ class TestRetypeAndOffload:
         # fmul claimed by the fuse rule; retype matches nothing else.
         kinds = {plan.rule.name for plan in transform.plans}
         assert kinds == {"fma"}
+
+
+@pytest.mark.parametrize("rules", [
+    [fma_rule()],
+    [Rule("fp_engine").match(op((Opcode.FMUL, Opcode.FADD)))
+     .offload("fp_engine", latency=2)],
+], ids=["fuse", "offload"])
+def test_finished_stream_times_as_its_rows(rules):
+    """A rule's ``finish()`` form, timed by the fast engine, equals the
+    object engine over its rows: the lowered form when the kernel
+    loads, the rows form without it."""
+    tdg = fma_kernel()
+    out = transformed(tdg.program, rules, tdg.trace.instructions)
+    timed = out.finish()[0]
+    assert isinstance(timed, LoweredStream) == kernel_available()
+    fast = FastTimingEngine(OOO2, collect_commit_times=True).run(timed)
+    slow = TimingEngine(OOO2, collect_commit_times=True).run(out.rows)
+    assert (fast.cycles, fast.instructions, fast.crit_histogram,
+            list(fast.commit_times)) == \
+        (slow.cycles, slow.instructions, slow.crit_histogram,
+         list(slow.commit_times))

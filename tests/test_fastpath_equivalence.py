@@ -345,8 +345,10 @@ class TestAccelModels:
         assert compared > 0, f"no {bsa} candidates in any fixture"
 
     def test_dsl_fma_transform_parity(self, vector_tdg):
-        transform = DslTransform(vector_tdg.program, [fma_rule()])
-        stream = transform.apply(vector_tdg.trace.instructions)
+        out = StreamBuilder()
+        DslTransform(vector_tdg.program, [fma_rule()]).apply(
+            vector_tdg.trace.instructions, out)
+        stream = out.rows
         assert len(stream) < len(vector_tdg.trace.instructions)
         for config in (IO2, OOO2, OOO4):
             run_both(stream, config)

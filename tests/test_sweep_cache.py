@@ -214,6 +214,13 @@ class TestSweepCacheStoreLoad:
                      if p.is_file() and p.suffix != ".json"]
         assert leftovers == []
 
+    def test_iter_entries_skips_sweep_checkpoints(self, tmp_path):
+        run_sweep(["conv"], scale=0.1, cache_dir=tmp_path)
+        assert (tmp_path / "sweeps").is_dir()
+        entries = list(SweepCache(tmp_path).iter_entries())
+        assert len(entries) == 1
+        assert "record" in entries[0][1]
+
     def test_default_cache_dir_env_override(self, tmp_path,
                                             monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "x"))
