@@ -117,6 +117,36 @@ class TestCacheKey:
             cache_mod.reset_engine_hash()
 
 
+class TestPinnedBytes:
+    """Literal values of the evaluation codec: the cache key, the
+    checkpoint signature and the task dict.  Every cache entry and
+    resumable checkpoint on disk was written under these bytes, so a
+    change here is a deliberate cache invalidation, never a side
+    effect of refactoring the layers that carry them."""
+
+    def test_cache_key_literal(self):
+        assert cache_key("conv", 0.5, ("IO2",), ((),), 2, False,
+                         engine_hash="0" * 16) == (
+            "d7e5d7d569d5f8f0ea2c36e46e75536550be603ed87c36334f29ccb5"
+            "da12252e")
+
+    def test_sweep_signature_literal(self):
+        from repro.resilience.checkpoint import sweep_signature
+        assert sweep_signature(("conv",), 0.5, ("IO2",), ((),), 2,
+                               False, engine_hash="0" * 16) == \
+            "e2016baad4ea0590d999f3d82e50e072"
+
+    def test_task_dict_literal(self):
+        from repro.dse.parallel import make_task
+        assert make_task("conv", ("IO2",), ((),), scale=0.5,
+                         max_invocations=2, with_amdahl=False) == {
+            "name": "conv", "core_names": ("IO2",), "subsets": ((),),
+            "scale": 0.5, "max_invocations": 2, "with_amdahl": False}
+        assert make_task("conv", ("IO2",), ((),), scale=0.5,
+                         max_invocations=(2, 8))["max_invocations"] \
+            == (2, 8)
+
+
 class TestInvalidation:
     def test_scale_change_forces_recompute(self, tmp_path):
         cold = run_sweep(cache_dir=tmp_path, **KW)
