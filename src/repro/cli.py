@@ -166,37 +166,6 @@ def _cmd_classify(args):
     return 0
 
 
-def _resolve_arbitration(max_error, fidelity_file, command):
-    """``--max-error``/``--fidelity-file`` -> arbitration spec or None.
-
-    Shared by ``repro sweep`` and ``repro explore``: both route exact
-    evaluations through the same engine, so both accept the same
-    bounded-error model-arbitration knobs.
-    """
-    if max_error is None:
-        if fidelity_file:
-            raise CLIError("--fidelity-file does nothing without "
-                           "--max-error")
-        return None
-    from repro.fidelity import (
-        ModelArbiter, latest_fidelity, load_fidelity,
-    )
-    fidelity_path = fidelity_file or latest_fidelity()
-    if fidelity_path is None:
-        raise CLIError(
-            "--max-error needs measured error bounds: no "
-            "FIDELITY_*.json found (run 'repro validate "
-            "--fidelity' first, or pass --fidelity-file)")
-    try:
-        fidelity = load_fidelity(fidelity_path)
-    except (OSError, ValueError) as exc:
-        raise CLIError(f"cannot read fidelity file "
-                       f"{fidelity_path}: {exc}") from None
-    print(f"[{command}] model arbitration on: bounds from "
-          f"{fidelity_path}, budget {max_error}", file=sys.stderr)
-    return ModelArbiter.from_payload(fidelity, max_error).to_spec()
-
-
 def _cmd_sweep(args):
     from repro.dse import run_sweep, fig10_table, fig12_table
     from repro.dse.report import (
@@ -226,8 +195,6 @@ def _cmd_sweep(args):
         retry_policy = RetryPolicy(max_attempts=max(1, args.retries + 1))
     if args.resume and args.no_cache:
         raise CLIError("--resume needs the cache (drop --no-cache)")
-    arbitration = _resolve_arbitration(args.max_error,
-                                       args.fidelity_file, "sweep")
     sweep = run_sweep(names=names, scale=args.scale,
                       with_amdahl=False,
                       workers=args.workers,
@@ -237,13 +204,8 @@ def _cmd_sweep(args):
                       task_timeout=args.task_timeout,
                       max_pool_restarts=args.max_pool_restarts,
                       resume=args.resume,
-                      arbitration=arbitration,
                       progress=lambda n: print("  ...", n,
                                                file=sys.stderr))
-    if arbitration is not None:
-        from repro.dse.report import arbitration_table
-        print("[sweep] model arbitration decisions:", file=sys.stderr)
-        print(render_table(arbitration_table(sweep)), file=sys.stderr)
     summary = sweep_stats_summary(sweep)
     extras = ""
     if summary["resumed"]:
@@ -307,8 +269,6 @@ def _cmd_explore(args):
             max_invocations=(args.max_invocations,))
     else:
         space = DesignSpace()
-    arbitration = _resolve_arbitration(args.max_error,
-                                       args.fidelity_file, "explore")
 
     train_records = None
     if args.train_from:
@@ -334,7 +294,7 @@ def _cmd_explore(args):
         scale=args.scale, workers=args.workers,
         cache_dir=args.cache_dir,
         use_cache=None if not args.no_cache else False,
-        arbitration=arbitration, train_records=train_records,
+        train_records=train_records,
         progress=lambda spent, budget: print(
             f"  ... {spent}/{budget} exact evaluations",
             file=sys.stderr),
@@ -415,12 +375,10 @@ def _cmd_coordinate(args):
             raise CLIError(f"--fault-spec: {exc}") from None
         os.environ[ENV_VAR] = args.fault_spec
         reset_plan()
-    arbitration = _resolve_arbitration(args.max_error,
-                                       args.fidelity_file, "coordinate")
     config = CoordinatorConfig(
         host=args.host, port=args.port,
         names=args.names or None, scale=args.scale,
-        with_amdahl=False, arbitration=arbitration,
+        with_amdahl=False,
         cache_dir=args.cache_dir,
         lease_ttl=args.lease_ttl, heartbeat_ttl=args.heartbeat_ttl,
         hedge_after=args.hedge_after, timeout=args.timeout)
@@ -529,13 +487,11 @@ def _cmd_validate(args):
 def _cmd_validate_fidelity(args):
     """The fidelity sweep: FIDELITY_<date>.json + regression gate."""
     from repro.fidelity import (
-        DEFAULT_BENCHES, DEFAULT_BSAS, DEFAULT_CORES, ModelArbiter,
+        DEFAULT_BENCHES, DEFAULT_BSAS, DEFAULT_CORES, DEFAULT_SCALE,
         check_fidelity, dumps_fidelity, format_fidelity,
         latest_fidelity, load_fidelity, run_fidelity_sweep,
         write_fidelity,
     )
-    from repro.dse.report import arbitration_table, render_table
-    from repro.fidelity import DEFAULT_SCALE
 
     benches = tuple(args.benches.split(",")) if args.benches \
         else DEFAULT_BENCHES
@@ -577,14 +533,6 @@ def _cmd_validate_fidelity(args):
         against = f" vs {baseline_path}" if baseline_path \
             else " (absolute ceilings)"
         print(f"[validate] fidelity gate passed{against}",
-              file=sys.stderr)
-
-    if args.max_error is not None:
-        arbiter = ModelArbiter.from_payload(payload, args.max_error)
-        print(f"[validate] arbitration under --max-error "
-              f"{args.max_error}:", file=sys.stderr)
-        print(render_table(arbitration_table(arbiter.to_spec(),
-                                             bsas=bsas)),
               file=sys.stderr)
 
     if args.no_write:
@@ -677,14 +625,6 @@ def build_parser():
                    help="dump the flight-recorder ring to "
                         "<cache>/blackbox/<trace_id>.json after the "
                         "run (always happens on crash/timeout)")
-    p.add_argument("--max-error", type=float, default=None,
-                   help="bounded-error model arbitration: evaluate "
-                        "each BSA with the cheapest model whose "
-                        "measured fidelity error stays under this "
-                        "budget (bounds from --fidelity-file)")
-    p.add_argument("--fidelity-file", default=None,
-                   help="FIDELITY_<date>.json with measured error "
-                        "bounds (default: newest checked-in one)")
 
     p = sub.add_parser("explore",
                        help="surrogate-assisted design-space search")
@@ -727,12 +667,6 @@ def build_parser():
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: $REPRO_CACHE_DIR "
                         "or ~/.cache/repro-dse)")
-    p.add_argument("--max-error", type=float, default=None,
-                   help="bounded-error model arbitration for the "
-                        "exact evaluations (see 'repro sweep')")
-    p.add_argument("--fidelity-file", default=None,
-                   help="FIDELITY_<date>.json with measured error "
-                        "bounds (default: newest checked-in one)")
     p.add_argument("--out-dir", default=".",
                    help="directory for EXPLORE_<date>.json (default .)")
     p.add_argument("--no-write", action="store_true",
@@ -784,9 +718,6 @@ def build_parser():
     p.add_argument("--tolerance", type=float, default=0.25,
                    help="fractional error growth tolerated vs the "
                         "baseline (default 0.25)")
-    p.add_argument("--max-error", type=float, default=None,
-                   help="also print the model-arbitration decisions "
-                        "this error budget would produce")
 
     p = sub.add_parser("obs", help="observability maintenance")
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
@@ -890,12 +821,6 @@ def build_parser():
     p.add_argument("--fault-spec", default=None,
                    help="deterministic fault injection in the "
                         "coordinator process (see docs/cluster.md)")
-    p.add_argument("--max-error", type=float, default=None,
-                   help="bounded-error model arbitration (see "
-                        "'repro sweep')")
-    p.add_argument("--fidelity-file", default=None,
-                   help="FIDELITY_<date>.json with measured error "
-                        "bounds (default: newest checked-in one)")
     return parser
 
 

@@ -64,8 +64,7 @@ class CoordinatorConfig:
 
     def __init__(self, host="127.0.0.1", port=8900, names=None,
                  core_names=None, subsets=None, scale=0.5,
-                 max_invocations=8, with_amdahl=False,
-                 arbitration=None, cache_dir=None,
+                 max_invocations=8, with_amdahl=False, cache_dir=None,
                  lease_ttl=DEFAULT_LEASE_TTL,
                  heartbeat_ttl=DEFAULT_HEARTBEAT_TTL,
                  hedge_after=DEFAULT_HEDGE_AFTER,
@@ -78,7 +77,6 @@ class CoordinatorConfig:
         self.scale = scale
         self.max_invocations = max_invocations
         self.with_amdahl = with_amdahl
-        self.arbitration = arbitration
         self.cache_dir = cache_dir
         self.lease_ttl = lease_ttl
         self.heartbeat_ttl = heartbeat_ttl
@@ -106,10 +104,6 @@ class Coordinator:
         self.core_names = tuple(config.core_names or DSE_CORES)
         self.subsets = tuple(tuple(s) for s in
                              (config.subsets or ALL_SUBSETS))
-        arbitration = config.arbitration
-        if arbitration is not None and hasattr(arbitration, "to_spec"):
-            arbitration = arbitration.to_spec()
-        self.arbitration = arbitration
 
         self.cache = LocalDirBackend(
             config.cache_dir if config.cache_dir is not None
@@ -123,12 +117,10 @@ class Coordinator:
                 name, self.core_names, self.subsets,
                 scale=config.scale,
                 max_invocations=config.max_invocations,
-                with_amdahl=config.with_amdahl,
-                arbitration=arbitration)
+                with_amdahl=config.with_amdahl)
             self.keys[name] = cache_key(
                 name, config.scale, self.core_names, self.subsets,
-                config.max_invocations, config.with_amdahl,
-                arbitration=arbitration)
+                config.max_invocations, config.with_amdahl)
 
         self.stats = SweepStats(workers=0, cache_dir=self.cache.root)
         self.payloads = {}
@@ -414,7 +406,6 @@ class Coordinator:
         self.stats.entries.sort(key=lambda e: e["name"])
         self.stats.failures.sort(key=lambda f: f["name"])
         sweep.stats = self.stats
-        sweep.arbitration = self.arbitration
         return sweep
 
 

@@ -126,8 +126,7 @@ def normalize_cluster_task(spec):
         spec["name"], spec["core_names"], spec["subsets"],
         scale=spec["scale"],
         max_invocations=spec["max_invocations"],
-        with_amdahl=spec["with_amdahl"],
-        arbitration=spec.get("arbitration"))
+        with_amdahl=spec["with_amdahl"])
 
 
 class FleetWorker:

@@ -116,14 +116,8 @@ def _core_signature(core_name):
 
 
 def cache_key(name, scale, core_names, subsets, max_invocations,
-              with_amdahl, engine_hash=None, arbitration=None):
-    """Content hash of one benchmark evaluation's inputs.
-
-    *arbitration* (a ``ModelArbiter.to_spec()`` dict) changes which
-    model mode evaluates each BSA, so it is key material — but only
-    when enabled: with ``None`` the material dict is exactly the
-    historical one, so every pre-arbitration cache entry stays warm.
-    """
+              with_amdahl, engine_hash=None):
+    """Content hash of one benchmark evaluation's inputs."""
     material = {
         "format": CACHE_FORMAT,
         "benchmark": name,
@@ -135,8 +129,6 @@ def cache_key(name, scale, core_names, subsets, max_invocations,
         "engine": engine_hash if engine_hash is not None
         else engine_version_hash(),
     }
-    if arbitration is not None:
-        material["arbitration"] = arbitration
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -26,7 +26,7 @@ import time
 
 
 def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
-              with_amdahl=True, arbitration=None):
+              with_amdahl=True):
     """Canonical picklable task payload for one benchmark evaluation.
 
     This is the codec shared by every consumer of the worker boundary:
@@ -48,14 +48,8 @@ def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
     sweep's), which the worker costs from one evaluation
     (:func:`~repro.dse.sweep.evaluate_one_benchmark`) and answers with
     ``{depth: record_payload}``.
-
-    ``arbitration`` is a :meth:`~repro.fidelity.arbiter.ModelArbiter.
-    to_spec` dict (or ``None``).  It changes results, so it travels in
-    the task AND in the cache key — but the key is only present when
-    arbitration is on, keeping the disabled codec byte-for-byte
-    identical to the historical one.
     """
-    task = {
+    return {
         "name": name,
         "core_names": tuple(core_names),
         "subsets": tuple(tuple(s) for s in subsets),
@@ -64,11 +58,6 @@ def make_task(name, core_names, subsets, scale=1.0, max_invocations=8,
         if isinstance(max_invocations, tuple) else int(max_invocations),
         "with_amdahl": bool(with_amdahl),
     }
-    if arbitration is not None:
-        if hasattr(arbitration, "to_spec"):
-            arbitration = arbitration.to_spec()
-        task["arbitration"] = arbitration
-    return task
 
 
 def evaluate_task(task):
@@ -106,7 +95,6 @@ def evaluate_task(task):
             scale=task["scale"],
             max_invocations=task["max_invocations"],
             with_amdahl=task["with_amdahl"],
-            arbitration=task.get("arbitration"),
         )
 
     profiler = None

@@ -219,31 +219,6 @@ def sweep_stats_summary(sweep_or_stats):
     }
 
 
-def arbitration_table(sweep_or_spec, bsas=ALL_BSAS):
-    """Model-arbitration decision rows for :func:`render_table`.
-
-    Accepts a :class:`~repro.dse.sweep.SweepResult` (whose
-    ``arbitration`` attribute :func:`~repro.dse.sweep.run_sweep` set)
-    or a ``ModelArbiter.to_spec()`` dict directly.  One row per
-    (BSA, behavior class): the measured error bound from the FIDELITY
-    sweep and the model the arbiter picked under its budget.  Empty
-    when the sweep ran unarbitrated.
-    """
-    spec = getattr(sweep_or_spec, "arbitration", sweep_or_spec)
-    if spec is None:
-        return []
-    from repro.fidelity import ModelArbiter
-    arbiter = spec if isinstance(spec, ModelArbiter) \
-        else ModelArbiter.from_spec(spec)
-    return [{"bsa": row["bsa"],
-             "class": row["class"],
-             "bound": "unmeasured" if row["bound"] is None
-             else row["bound"],
-             "budget": arbiter.max_error,
-             "model": row["model"]}
-            for row in arbiter.decisions(bsas)]
-
-
 def sweep_failures_table(sweep_or_stats):
     """One row per benchmark the sweep gave up on, for
     :func:`render_table` — failure kind, error class and attempt

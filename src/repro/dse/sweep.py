@@ -241,12 +241,6 @@ class SweepResult:
         self.subsets = tuple(subsets)
         self.results = {}    # benchmark name -> BenchmarkResult
         self.stats = None    # SweepStats, set by run_sweep
-        # Arbiter spec the sweep ran under, or None.  Deliberately not
-        # part of the canonical artifact (sweep_to_payload reads only
-        # core_names/subsets/results): an arbitration-off sweep stays
-        # byte-identical to the historical output, and an arbitrated
-        # one is annotated for the report layer only.
-        self.arbitration = None
 
     def add(self, record):
         self.results[record.name] = record
@@ -263,8 +257,7 @@ class SweepResult:
 
 def evaluate_one_benchmark(name, core_names=DSE_CORES,
                            subsets=ALL_SUBSETS, scale=1.0,
-                           max_invocations=8, with_amdahl=True,
-                           arbitration=None):
+                           max_invocations=8, with_amdahl=True):
     """Evaluate one benchmark; the per-benchmark unit of the sweep.
 
     Builds the TDG, costs every (core, BSA) pair, and composes every
@@ -275,25 +268,14 @@ def evaluate_one_benchmark(name, core_names=DSE_CORES,
     TDG and one evaluation
     (:func:`~repro.exocore.evaluator.evaluate_benchmark`); each record
     equals the one a call at that depth alone returns.
-
-    *arbitration* is a :meth:`~repro.fidelity.arbiter.ModelArbiter.
-    to_spec` dict (measured error bounds + budget): per-BSA model
-    modes are then decided by the benchmark's behavior class instead
-    of a global flag.  ``None`` (default) evaluates every BSA with its
-    fast model, byte-identical to the unarbitrated sweep.
     """
     depths, single = window_depths(max_invocations)
     with span("dse.evaluate_benchmark", benchmark=name, scale=scale):
         workload = WORKLOADS[name]
-        detailed = False
-        if arbitration is not None:
-            from repro.fidelity.arbiter import ModelArbiter
-            detailed = ModelArbiter.from_spec(arbitration) \
-                .detailed_flags(workload.category, ALL_BSAS)
         tdg = workload.construct_tdg(scale=scale)
         evaluations = evaluate_benchmark(
             tdg, core_names=core_names, bsa_names=ALL_BSAS,
-            max_invocations=depths, detailed=detailed, name=name)
+            max_invocations=depths, name=name)
         records = {}
         for depth, evaluation in evaluations.items():
             record = BenchmarkResult(name, workload.suite,
@@ -318,7 +300,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
               scale=1.0, max_invocations=8, with_amdahl=True,
               progress=None, workers=1, cache_dir=None, use_cache=None,
               retry_policy=None, task_timeout=None,
-              max_pool_restarts=2, resume=False, arbitration=None):
+              max_pool_restarts=2, resume=False):
     """Run the design-space exploration.
 
     Parameters
@@ -370,14 +352,6 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
         partial) run of this exact sweep; manifest-verified cache
         hits are reported as ``resumed`` and prior failures are
         retried.  Requires the cache.
-    arbitration:
-        A :meth:`~repro.fidelity.arbiter.ModelArbiter.to_spec` dict
-        (or an arbiter object): per-benchmark BSA model modes are
-        chosen by measured error bounds under the spec's budget.
-        Arbitration CAN change results, so it IS part of the cache
-        key and checkpoint signature — but only
-        when enabled: ``None`` (default) leaves keys, signatures and
-        sweep bytes identical to an unarbitrated run.
 
     Returns a :class:`SweepResult` whose ``stats`` attribute records
     per-benchmark timing, cache hit/miss counts and terminal
@@ -398,8 +372,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
             with_amdahl=with_amdahl, progress=progress,
             workers=workers, cache_dir=cache_dir, use_cache=use_cache,
             retry_policy=retry_policy, task_timeout=task_timeout,
-            max_pool_restarts=max_pool_restarts, resume=resume,
-            arbitration=arbitration)
+            max_pool_restarts=max_pool_restarts, resume=resume)
         sweep = sweeps[depths[0]]
         current.set(benchmarks=len(sweep), cached=sweep.stats.hits,
                     computed=sweep.stats.misses,
@@ -409,7 +382,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
 
 def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
                progress, workers, cache_dir, use_cache, retry_policy,
-               task_timeout, max_pool_restarts, resume, arbitration):
+               task_timeout, max_pool_restarts, resume):
     """``{depth: SweepResult}``, every result sharing one
     :class:`SweepStats` (one entry per benchmark, however many of its
     depths it computed).  Each benchmark is one task, carrying the
@@ -425,8 +398,6 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
     core_names = tuple(core_names)
     subsets = tuple(tuple(s) for s in subsets)
     depths = tuple(int(depth) for depth in depths)
-    if arbitration is not None and hasattr(arbitration, "to_spec"):
-        arbitration = arbitration.to_spec()
 
     if use_cache is None:
         use_cache = cache_dir is not None
@@ -449,8 +420,7 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
             checkpoints[depth] = SweepCheckpoint(
                 cache.root,
                 sweep_signature(names, scale, core_names, subsets,
-                                depth, with_amdahl,
-                                arbitration=arbitration))
+                                depth, with_amdahl))
             if resume:
                 checkpoints[depth].load()   # may be absent: cold is ok
 
@@ -472,7 +442,7 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
             for depth in depths:
                 key = keys[(name, depth)] = cache_key(
                     name, scale, core_names, subsets, depth,
-                    with_amdahl, arbitration=arbitration)
+                    with_amdahl)
                 payload = cache.load(key)
                 if payload is None:
                     todo.append(depth)
@@ -493,7 +463,7 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
         pending.append(make_task(
             name, core_names, subsets, scale=scale,
             max_invocations=missing[name],
-            with_amdahl=with_amdahl, arbitration=arbitration))
+            with_amdahl=with_amdahl))
 
     def on_result(name, payload, elapsed, obs_payload=None):
         for depth, record in payload.items():
@@ -560,7 +530,6 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
             sweep.add(record_from_json(name, payloads[depth][name],
                                        core_names, subsets))
         sweep.stats = stats
-        sweep.arbitration = arbitration
     if cache is not None:
         _append_runlog(cache.root, stats, workers)
     return sweeps

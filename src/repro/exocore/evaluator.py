@@ -81,14 +81,11 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
     reading its estimates off the same runs
     (:meth:`~repro.accel.base.BSAModel.evaluate_region_on_cores`).
 
-    *detailed* is either one flag for every BSA or a per-BSA mapping
-    ``{bsa: bool}`` (a missing entry means fast) — the form the
-    :class:`~repro.fidelity.arbiter.ModelArbiter` produces when it
-    upgrades only the models whose measured error exceeds the budget.
+    *detailed* puts every BSA in its detailed mode: the same transform
+    and engine under a second set of constants, which the fidelity
+    sweep uses as a constant-sensitivity study (docs/fidelity.md).
     """
     depths, single = window_depths(max_invocations)
-    if not isinstance(detailed, dict):
-        detailed = {bsa: bool(detailed) for bsa in bsa_names}
     with span("exocore.evaluate", benchmark=name or tdg.program.name):
         ctx = AnalysisContext(tdg)
         evaluations = {
@@ -146,8 +143,7 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         # costed on every core at every depth
         # (BSAModel.evaluate_region_on_cores).
         for bsa in bsa_names:
-            model = BSA_REGISTRY[bsa](
-                detailed=detailed.get(bsa, False))
+            model = BSA_REGISTRY[bsa](detailed=detailed)
             with span("accel.find_candidates", bsa=bsa) as current:
                 plans = model.find_candidates(ctx)
                 current.set(candidates=len(plans))

@@ -16,7 +16,10 @@ Schema (``"schema": 1``)::
     config    {benchmarks, scale, seed, budget, batch_size, init,
                candidate_pool, n_models, l2, explore_fraction,
                arbitration, space}  — note: NO worker count; workers
-              must not affect the bytes
+              must not affect the bytes.  ``arbitration`` is always
+              null: it named a model-arbitration spec that no longer
+              exists, and stays so that checked-in artifacts and
+              references that compare key sets exactly still match
     points    every exactly-evaluated design point, sorted by key:
               {key, core, subset, freq_ghz, sizing, max_invocations,
                speedup, energy_eff, round, source}

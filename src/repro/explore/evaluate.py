@@ -114,7 +114,7 @@ class ExactEvaluator:
 
     One instance pins the benchmark list, the *cores*, *subsets* and
     window depths (*max_invocations*) a point may use, the workload
-    scale and the sweep plumbing (cache, arbitration spec).  Sweep
+    scale and the sweep plumbing (cache).  Sweep
     records are memoized per window depth.  The first point sweeps
     every core (reference first) x every subset x every depth not yet
     memoized in one ``run_sweep`` call, which evaluates each
@@ -124,7 +124,7 @@ class ExactEvaluator:
     """
 
     def __init__(self, benchmarks, scale=1.0, workers=1,
-                 cache_dir=None, use_cache=None, arbitration=None,
+                 cache_dir=None, use_cache=None,
                  reference_core=REFERENCE_CORE,
                  progress=None, cores=DEFAULT_CORES,
                  subsets=ALL_SUBSETS,
@@ -142,7 +142,6 @@ class ExactEvaluator:
         self.workers = int(workers)
         self.cache_dir = cache_dir
         self.use_cache = use_cache
-        self.arbitration = arbitration
         self.reference_core = reference_core
         self.progress = progress
         self._records = {}      # max_invocations -> {name: record}
@@ -162,7 +161,7 @@ class ExactEvaluator:
                 subsets=self.subsets, scale=self.scale,
                 max_invocations=depths, with_amdahl=False,
                 workers=self.workers, cache_dir=self.cache_dir,
-                use_cache=self.use_cache, arbitration=self.arbitration)
+                use_cache=self.use_cache)
         self.sweep_calls += 1
         missing = [name for name in self.benchmarks
                    if any(name not in sweep.results

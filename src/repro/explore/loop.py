@@ -182,7 +182,7 @@ def _candidate_rows(surrogate, space, evaluated, pool, seed,
 
 def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
                 batch_size=None, init=None, scale=1.0, workers=1,
-                cache_dir=None, use_cache=None, arbitration=None,
+                cache_dir=None, use_cache=None,
                 candidate_pool=DEFAULT_CANDIDATE_POOL,
                 n_models=DEFAULT_MEMBERS, l2=DEFAULT_L2,
                 explore_fraction=acquire.DEFAULT_EXPLORE_FRACTION,
@@ -211,8 +211,7 @@ def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
 
     evaluator = ExactEvaluator(
         benchmarks, scale=scale, workers=workers,
-        cache_dir=cache_dir, use_cache=use_cache,
-        arbitration=arbitration, cores=space.cores,
+        cache_dir=cache_dir, use_cache=use_cache, cores=space.cores,
         subsets=space.subsets, max_invocations=space.max_invocations)
     warm_points = training_points_from_records(train_records or [])
 
@@ -327,7 +326,9 @@ def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
             "n_models": n_models,
             "l2": l2,
             "explore_fraction": explore_fraction,
-            "arbitration": arbitration,
+            # Always null; kept so the payload's key set is unchanged
+            # (see repro.explore.artifact).
+            "arbitration": None,
             "space": space.to_json(),
         },
         "points": point_rows,

@@ -1,4 +1,4 @@
-"""repro.fidelity — model-fidelity validation sweep and arbitration.
+"""repro.fidelity — model-fidelity validation sweep.
 
 Three pieces, layered:
 
@@ -7,17 +7,15 @@ Three pieces, layered:
   snapshots).
 - :mod:`repro.fidelity.sweep` — the validation sweep itself: every
   benchmark x core under engine-vs-cycle, every benchmark x BSA under
-  fast-vs-detailed, sharded per benchmark and byte-stable at any
-  worker count.
+  fast-vs-detailed (a constant-sensitivity study: the detailed mode
+  runs the same transform and engine under a second set of
+  constants), sharded per benchmark and byte-stable at any worker
+  count.
 - :mod:`repro.fidelity.artifact` — the canonical
   ``FIDELITY_<date>.json`` (:mod:`repro.artifacts` conventions) and the
   :func:`check_fidelity` regression gate.
-- :mod:`repro.fidelity.arbiter` — :class:`ModelArbiter`, turning the
-  sweep's measured per-(BSA, class) error bounds into cheapest-model
-  decisions under a ``--max-error`` budget.
 """
 
-from repro.fidelity.arbiter import ModelArbiter
 from repro.fidelity.artifact import (
     ACCEL_MEAN_CEILING, ENGINE_MEAN_CEILING, SCHEMA_VERSION,
     canonical_fields, check_fidelity, dumps_fidelity,
@@ -41,7 +39,6 @@ __all__ = [
     "DEFAULT_SCALE",
     "ENGINE_MEAN_CEILING",
     "ErrorStats",
-    "ModelArbiter",
     "SCHEMA_VERSION",
     "canonical_fields",
     "check_fidelity",

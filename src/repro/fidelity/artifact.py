@@ -22,7 +22,8 @@ Schema (``"schema": 1``)::
                "fast_vs_detailed": {bsa: {speedup/energy: ...}}}
               each stat block {count, mean, p50, p95, max, infinite}
     bounds    {bsa: {class: worst fast-vs-detailed error}} — the
-              ModelArbiter's input
+              worst constant sensitivity; printed by format_fidelity,
+              read by no evaluation path
 
 Infinite errors are serialized as the string ``"inf"`` (never bare
 JSON ``Infinity``, which is not standard JSON).

@@ -5,9 +5,13 @@ Systematically measures model error across three timing tiers:
 - **engine vs cycle** — the TDG timing engine (the fast tier every
   sweep runs on) against the independent cycle-stepped reference
   simulator, per benchmark x core, as IPC and IPE error.
-- **fast vs detailed** — each BSA's windowed fast model against its
-  detailed reference mode, per benchmark x BSA, as relative-speedup
-  and energy-reduction error over the BSA's base core.
+- **fast vs detailed** — each BSA's fast model against its detailed
+  mode, per benchmark x BSA, as relative-speedup and
+  energy-reduction error over the BSA's base core.  The detailed mode
+  runs the same transform through the same engine and changes only
+  the BSA's constants, so this tier measures how sensitive results
+  are to those constants, not error against detail the fast model
+  drops.
 
 Each benchmark is an independent, pure shard (build the TDG once,
 share one :class:`~repro.accel.AnalysisContext` across BSAs), so the
@@ -17,8 +21,9 @@ the output is byte-identical at any worker count.
 The result is the canonical ``FIDELITY_<date>.json`` payload
 (:mod:`repro.fidelity.artifact`): every raw point, error
 distributions (mean/p50/p95/max) per tier and per behavior class, and
-the per-(BSA, class) *bounds* the :class:`~repro.fidelity.arbiter.
-ModelArbiter` consumes.  Error distributions are additionally exported
+the per-(BSA, class) *bounds*: the worst constant sensitivity, which
+:func:`~repro.fidelity.artifact.format_fidelity` prints and no
+evaluation path reads.  Error distributions are additionally exported
 through the obs metrics registry (``repro_fidelity_*``), never into
 the canonical bytes.
 """
@@ -140,7 +145,7 @@ class _StatsGroup:
 
 
 def summarize_shards(shards):
-    """Error distributions + arbitration bounds from merged shards.
+    """Error distributions + sensitivity bounds from merged shards.
 
     *shards* is ``{benchmark: shard}``; iteration is over sorted
     benchmark names so float accumulation order — and therefore every
@@ -178,10 +183,9 @@ def summarize_shards(shards):
             for bsa, groups in sorted(accel_groups.items())
         },
     }
-    # The arbiter's input: the worst observed fast-vs-detailed error
-    # per (BSA, behavior class), across both metrics.  Max, not p95 —
-    # class sample sets are small and the bound is a promise; for the
-    # same reason it rounds UP, so every measured point provably sits
+    # The worst observed fast-vs-detailed error per (BSA, behavior
+    # class), across both metrics.  Max, not p95 — class sample sets
+    # are small; it rounds UP, so every measured point provably sits
     # at or under its serialized bound.
     bounds = {}
     for (bsa, behavior), stats in sorted(bound_stats.items()):

@@ -29,14 +29,8 @@ from pathlib import Path
 
 
 def sweep_signature(names, scale, core_names, subsets,
-                    max_invocations, with_amdahl, engine_hash=None,
-                    arbitration=None):
-    """Digest identifying one sweep configuration (for the manifest).
-
-    *arbitration* (a ``ModelArbiter.to_spec()`` dict) participates
-    only when enabled, so unarbitrated signatures — and therefore
-    resumability of historical checkpoints — are unchanged.
-    """
+                    max_invocations, with_amdahl, engine_hash=None):
+    """Digest identifying one sweep configuration (for the manifest)."""
     if engine_hash is None:
         from repro.dse.cache import engine_version_hash
         engine_hash = engine_version_hash()
@@ -50,8 +44,6 @@ def sweep_signature(names, scale, core_names, subsets,
         "with_amdahl": bool(with_amdahl),
         "engine": engine_hash,
     }
-    if arbitration is not None:
-        material["arbitration"] = arbitration
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:32]
 

@@ -148,6 +148,31 @@ class TestEndpoints:
                 base, {"benchmark": "conv", "scale": -1})
             assert status == 400
 
+    def test_arbitration_field_refused_null_keeps_key(self):
+        """A non-null ``arbitration`` (model arbitration was removed)
+        is a 400 naming the removal on every evaluating endpoint, not
+        a silently ignored field; absent or null keeps the historical
+        cache key."""
+        from repro.dse.cache import cache_key
+        spec = {"bounds": {}, "max_error": 0.1}
+        with running_service(evaluator=StubEvaluator()) as (service,
+                                                            client):
+            root = f"http://127.0.0.1:{service.port}/v1"
+            for path, body in (("evaluate", {"benchmark": "conv"}),
+                               ("sweep", {"names": ["conv"]}),
+                               ("explore", {"benchmarks": ["conv"]})):
+                status, _, reply = post_raw(
+                    f"{root}/{path}", dict(body, arbitration=spec))
+                assert status == 400, path
+                assert "'arbitration' was removed" in reply["error"]
+            request = dict(benchmark="conv", cores=["IO2"],
+                           subsets=[[]], **EVAL_KW)
+            keys = {post_raw(f"{root}/evaluate", body)[2]["key"]
+                    for body in (request,
+                                 dict(request, arbitration=None))}
+        assert keys == {cache_key("conv", 0.1, ("IO2",), ((),), 2,
+                                  False)}
+
     def test_unknown_route_and_job(self):
         with running_service(evaluator=StubEvaluator()) as (_, client):
             with pytest.raises(ServiceError) as info:
