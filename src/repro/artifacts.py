@@ -84,9 +84,11 @@ def artifact_filename(prefix, when=None, env_var=None):
 
 
 def write_artifact(payload, prefix, directory=".", env_var=None):
-    """Write the canonical ``<prefix>_<date>.json``; returns its path."""
+    """Write the canonical ``<prefix>_<date>.json`` into *directory*
+    (created if missing); returns its path."""
     path = Path(directory) / artifact_filename(
         prefix, payload.get("date"), env_var)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(dumps_artifact(payload))
     return path
 
