@@ -23,6 +23,7 @@ import pytest
 from repro.accel import AnalysisContext
 from repro.accel.base import SeqAllocator
 from repro.accel.dp_cgra import DPCGRAModel
+from repro.dse.cache import SweepCache
 from repro.dse.sweep import record_to_json, run_sweep
 from repro.explore.space import DEFAULT_CORES, DesignSpace
 from repro.resilience import RetryPolicy
@@ -74,22 +75,19 @@ def test_a_tuple_of_one_depth_is_the_single_depth_call():
     assert _bytes(sweep.results["conv"]) == _bytes(single.results["conv"])
 
 
-def _manifests(root):
-    """``{signature: (completed, failed names)}`` of a cache's sweep
-    checkpoints."""
+def _entry_keys(root):
+    """``{depth: key set}`` of a cache's entries."""
     out = {}
-    for path in sorted((root / "sweeps").glob("*.json")):
-        data = json.loads(path.read_text())
-        out[path.stem] = (data["completed"],
-                          sorted(f["name"] for f in data["failures"]))
+    for key, payload in SweepCache(root).iter_entries():
+        out.setdefault(payload["meta"]["max_invocations"], set()).add(key)
     return out
 
 
-def test_each_depth_keeps_the_checkpoint_of_its_own_sweep(
+def test_each_depth_keeps_the_cache_entries_of_its_own_sweep(
         tmp_path, monkeypatch):
-    """Per depth, a multi-depth sweep leaves the cache entries and the
-    checkpoint manifest a sweep at that depth alone leaves, failures
-    included, and resumes from them."""
+    """Per depth, a multi-depth sweep leaves the cache entries a sweep
+    at that depth alone leaves, and a rerun recomputes only what
+    failed."""
     kwargs = dict(names=["conv", "fft"], scale=0.05, with_amdahl=False,
                   retry_policy=RetryPolicy(base_backoff=0.01,
                                            max_backoff=0.05))
@@ -105,17 +103,15 @@ def test_each_depth_keeps_the_checkpoint_of_its_own_sweep(
         monkeypatch.delenv(ENV_VAR)
         reset_plan()
     assert [f["name"] for f in sweeps[2].stats.failures] == ["fft"]
-    manifests = _manifests(tmp_path / "multi")
-    assert len(manifests) == 2
-    assert manifests == _manifests(tmp_path / "single")
-    assert all(failed == ["fft"] for _, failed in manifests.values())
+    entries = _entry_keys(tmp_path / "multi")
+    assert sorted(entries) == [2, 4]
+    assert all(len(keys) == 1 for keys in entries.values())
+    assert entries == _entry_keys(tmp_path / "single")
 
-    resumed = run_sweep(max_invocations=(2, 4), resume=True,
-                        cache_dir=tmp_path / "multi", **kwargs)
-    stats = resumed[2].stats
-    assert (stats.resumed, stats.misses) == (1, 1)
-    assert all(failed == [] for _, failed
-               in _manifests(tmp_path / "multi").values())
+    rerun = run_sweep(max_invocations=(2, 4),
+                      cache_dir=tmp_path / "multi", **kwargs)
+    stats = rerun[2].stats
+    assert (stats.hits, stats.misses) == (1, 1)
 
 
 @pytest.mark.parametrize("name", ("djpeg1", "453.povray"))
