@@ -2,17 +2,17 @@
 """Chaos smoke: fault-injected sweep must recover cleanly (CI).
 
 Runs the same two-worker sweep three times — clean, with a worker
-crash plus a transient error injected, and resumed after a simulated
-mid-run kill — and asserts the recovery invariants the resilience
-layer promises:
+crash plus a transient error injected, and again from the cache the
+injected run filled — and asserts the recovery invariants the
+resilience layer promises:
 
 1. the fault-injected run produces the byte-identical artifact of the
    clean run (retries converge, failures stay out of the bytes);
 2. the fault-tolerance counters are nonzero — the faults really fired
    and were really absorbed (``repro_retries_total``,
    ``repro_pool_restarts_total``);
-3. a resumed run recomputes nothing that was already cached, serving
-   every prior benchmark as ``resumed``.
+3. a rerun recomputes nothing that was already cached: every
+   benchmark is a cache hit and the bytes equal the clean run's.
 
 Exits nonzero with a message on any violation.
 
@@ -79,16 +79,16 @@ def main(argv=None):
 
         os.environ.pop(ENV_VAR, None)
         reset_plan()
-        print("[chaos] resume from the populated cache")
-        resumed = run_sweep(names=names, workers=2, cache_dir=workdir,
-                            resume=True, **kw)
-        if resumed.stats.resumed != len(names):
-            return fail(f"resume recomputed work: "
-                        f"resumed={resumed.stats.resumed} "
-                        f"misses={resumed.stats.misses}")
-        if dumps_sweep(resumed) != clean:
-            return fail("resumed artifact differs from the clean run")
-        print(f"[chaos] resume ok: {resumed.stats.resumed} resumed, "
+        print("[chaos] rerun from the populated cache")
+        rerun = run_sweep(names=names, workers=2, cache_dir=workdir,
+                          **kw)
+        if rerun.stats.hits != len(names) or rerun.stats.misses:
+            return fail(f"rerun recomputed work: "
+                        f"hits={rerun.stats.hits} "
+                        f"misses={rerun.stats.misses}")
+        if dumps_sweep(rerun) != clean:
+            return fail("rerun artifact differs from the clean run")
+        print(f"[chaos] rerun ok: {rerun.stats.hits} cached, "
               f"0 recomputed")
     finally:
         os.environ.pop(ENV_VAR, None)

@@ -193,8 +193,6 @@ def _cmd_sweep(args):
     if args.retries is not None:
         from repro.resilience import RetryPolicy
         retry_policy = RetryPolicy(max_attempts=max(1, args.retries + 1))
-    if args.resume and args.no_cache:
-        raise CLIError("--resume needs the cache (drop --no-cache)")
     sweep = run_sweep(names=names, scale=args.scale,
                       with_amdahl=False,
                       workers=args.workers,
@@ -203,13 +201,10 @@ def _cmd_sweep(args):
                       retry_policy=retry_policy,
                       task_timeout=args.task_timeout,
                       max_pool_restarts=args.max_pool_restarts,
-                      resume=args.resume,
                       progress=lambda n: print("  ...", n,
                                                file=sys.stderr))
     summary = sweep_stats_summary(sweep)
     extras = ""
-    if summary["resumed"]:
-        extras += f", resumed={summary['resumed']}"
     if summary["failures"]:
         extras += f", failures={summary['failures']}"
     print(f"[sweep] {summary['benchmarks']} benchmarks in "
@@ -591,11 +586,6 @@ def build_parser():
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: $REPRO_CACHE_DIR "
                         "or ~/.cache/repro-dse)")
-    p.add_argument("--resume", action="store_true",
-                   help="resume an interrupted run of this exact "
-                        "sweep from its checkpoint manifest "
-                        "(skips finished benchmarks, retries "
-                        "failures; needs the cache)")
     p.add_argument("--task-timeout", type=float, default=None,
                    help="per-benchmark wall-clock budget in seconds; "
                         "a benchmark over budget is reported as a "

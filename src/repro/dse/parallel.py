@@ -162,8 +162,8 @@ def run_tasks(tasks, workers=1, on_result=None, obs=False,
     *on_result* is called as ``on_result(name, payload, seconds,
     obs_payload)`` as each benchmark completes — in submission order
     when serial, in completion order when parallel — which is what
-    lets the sweep persist finished benchmarks immediately
-    (incremental resume).
+    lets the sweep persist finished benchmarks immediately (a rerun
+    after a kill recomputes only what is missing).
 
     With *obs*, pool tasks are flagged to record spans/metrics in the
     worker and ship them back (*obs_payload*); inline tasks record

@@ -211,8 +211,7 @@ def sweep_stats_summary(sweep_or_stats):
         "benchmarks": len(stats.entries),
         "cache_hits": stats.hits,
         "cache_misses": stats.misses,
-        "resumed": getattr(stats, "resumed", 0),
-        "failures": len(getattr(stats, "failures", []) or []),
+        "failures": len(stats.failures),
         "workers": stats.workers,
         "cache_dir": stats.cache_dir,
         "total_seconds": stats.total_seconds,
@@ -232,7 +231,7 @@ def sweep_failures_table(sweep_or_stats):
              "error": failure["error"],
              "attempts": failure["attempts"],
              "seconds": failure["seconds"]}
-            for failure in getattr(stats, "failures", []) or []]
+            for failure in stats.failures]
 
 
 def service_metrics_table(snapshot):

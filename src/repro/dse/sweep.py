@@ -7,11 +7,13 @@ Fig. 12).
 
 The sweep engine shards benchmarks across worker processes
 (``run_sweep(..., workers=N)``) and memoizes per-benchmark evaluations
-in a content-addressed on-disk cache (:mod:`repro.dse.cache`), so a
-killed sweep resumes from its completed benchmarks and a warm rerun is
-pure I/O.  Results are merged in sorted-benchmark order from canonical
-record payloads, making the outcome bit-identical regardless of worker
-count, shard order, or cache state.
+in a content-addressed on-disk cache (:mod:`repro.dse.cache`), writing
+each entry the moment its benchmark finishes.  The cache is the one
+record of finished work: rerunning a killed sweep recomputes only the
+benchmarks it lacks, and a warm rerun is pure I/O.  Results are merged
+in sorted-benchmark order from canonical record payloads, making the
+outcome bit-identical regardless of worker count, shard order, or
+cache state.
 """
 
 import itertools
@@ -165,11 +167,9 @@ def record_from_json(name, data, core_names=None, subsets=None):
 class SweepStats:
     """Structured progress record for one :func:`run_sweep` call.
 
-    One entry per benchmark: where its result came from (``computed``,
-    ``cached``, or ``resumed`` — a cache hit vouched for by a
-    ``--resume`` checkpoint manifest) and how long it took, plus
-    sweep-level counters the report layer surfaces
-    (:func:`repro.dse.report.sweep_stats_table`).
+    One entry per benchmark: where its result came from (``computed``
+    or ``cached``) and how long it took, plus sweep-level counters the
+    report layer surfaces (:func:`repro.dse.report.sweep_stats_table`).
 
     ``failures`` lists the benchmarks that failed terminally (as
     :meth:`repro.resilience.TaskFailure.to_json` dicts).  Failures
@@ -209,16 +209,11 @@ class SweepStats:
 
     @property
     def hits(self):
-        return sum(1 for e in self.entries
-                   if e["source"] in ("cached", "resumed"))
+        return sum(1 for e in self.entries if e["source"] == "cached")
 
     @property
     def misses(self):
         return sum(1 for e in self.entries if e["source"] == "computed")
-
-    @property
-    def resumed(self):
-        return sum(1 for e in self.entries if e["source"] == "resumed")
 
     @property
     def total_seconds(self):
@@ -300,7 +295,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
               scale=1.0, max_invocations=8, with_amdahl=True,
               progress=None, workers=1, cache_dir=None, use_cache=None,
               retry_policy=None, task_timeout=None,
-              max_pool_restarts=2, resume=False):
+              max_pool_restarts=2):
     """Run the design-space exploration.
 
     Parameters
@@ -347,11 +342,6 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
     max_pool_restarts:
         Worker-pool deaths tolerated (respawn + re-dispatch) before
         the sweep degrades to inline execution for the remainder.
-    resume:
-        Consult the checkpoint manifest of a previous (killed or
-        partial) run of this exact sweep; manifest-verified cache
-        hits are reported as ``resumed`` and prior failures are
-        retried.  Requires the cache.
 
     Returns a :class:`SweepResult` whose ``stats`` attribute records
     per-benchmark timing, cache hit/miss counts and terminal
@@ -372,7 +362,7 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
             with_amdahl=with_amdahl, progress=progress,
             workers=workers, cache_dir=cache_dir, use_cache=use_cache,
             retry_policy=retry_policy, task_timeout=task_timeout,
-            max_pool_restarts=max_pool_restarts, resume=resume)
+            max_pool_restarts=max_pool_restarts)
         sweep = sweeps[depths[0]]
         current.set(benchmarks=len(sweep), cached=sweep.stats.hits,
                     computed=sweep.stats.misses,
@@ -382,16 +372,13 @@ def run_sweep(names=None, core_names=DSE_CORES, subsets=ALL_SUBSETS,
 
 def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
                progress, workers, cache_dir, use_cache, retry_policy,
-               task_timeout, max_pool_restarts, resume):
+               task_timeout, max_pool_restarts):
     """``{depth: SweepResult}``, every result sharing one
     :class:`SweepStats` (one entry per benchmark, however many of its
     depths it computed).  Each benchmark is one task, carrying the
     depths it misses in the cache."""
     from repro.dse.cache import SweepCache, cache_key, default_cache_dir
     from repro.dse.parallel import make_task, run_tasks
-    from repro.resilience.checkpoint import (
-        SweepCheckpoint, sweep_signature,
-    )
 
     names = list(names) if names is not None else sorted(WORKLOADS)
     names = list(dict.fromkeys(names))      # dedupe, keep given order
@@ -408,28 +395,12 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
         # Postmortem dumps land next to the cache this run uses.
         from repro.obs import set_blackbox_dir
         set_blackbox_dir(cache.root / "blackbox")
-    if resume and cache is None:
-        raise ValueError("resume requires the on-disk cache "
-                         "(pass cache_dir or use_cache=True)")
-
-    # One manifest per depth: each is the one a sweep at that depth
-    # alone keeps.
-    checkpoints = {}
-    if cache is not None:
-        for depth in depths:
-            checkpoints[depth] = SweepCheckpoint(
-                cache.root,
-                sweep_signature(names, scale, core_names, subsets,
-                                depth, with_amdahl))
-            if resume:
-                checkpoints[depth].load()   # may be absent: cold is ok
 
     stats = SweepStats(workers=workers,
                        cache_dir=cache.root if cache else None)
 
     payloads = {depth: {} for depth in depths}
     keys = {}           # (name, depth) -> cache key
-    missing = {}        # name -> depths it computes
     pending = []
     for name in names:
         if name not in WORKLOADS:
@@ -438,7 +409,6 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
         if cache is not None:
             started = time.perf_counter()
             todo = []
-            resumed = resume
             for depth in depths:
                 key = keys[(name, depth)] = cache_key(
                     name, scale, core_names, subsets, depth,
@@ -448,27 +418,20 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
                     todo.append(depth)
                     continue
                 payloads[depth][name] = payload
-                # A manifest-listed completion whose key still matches
-                # is provably a leftover of the interrupted run.
-                resumed = resumed \
-                    and checkpoints[depth].completed_key(name) == key
-                checkpoints[depth].mark_done(name, key)
             if not todo:
-                stats.add(name, "resumed" if resumed else "cached",
-                          time.perf_counter() - started)
+                stats.add(name, "cached", time.perf_counter() - started)
                 if progress is not None:
                     progress(name)
                 continue
-        missing[name] = tuple(todo)
         pending.append(make_task(
             name, core_names, subsets, scale=scale,
-            max_invocations=missing[name],
+            max_invocations=tuple(todo),
             with_amdahl=with_amdahl))
 
     def on_result(name, payload, elapsed, obs_payload=None):
         for depth, record in payload.items():
             payloads[depth][name] = record
-            # Persist immediately so a killed sweep resumes from every
+            # Persist immediately so a rerun after a kill finds every
             # benchmark that finished, not just the ones before a
             # barrier.
             if cache is not None:
@@ -479,7 +442,6 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
                     "max_invocations": depth,
                     "engine": engine_version_hash(),
                 })
-                checkpoints[depth].mark_done(name, keys[(name, depth)])
         stats.add(name, "computed", elapsed)
         if obs_payload is not None:
             # Worker-side observability, shipped through the task
@@ -502,11 +464,8 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
 
     def on_failure(failure):
         # Contained, never fatal: the failure is carried in the stats
-        # (and checkpoints) while the rest of the sweep proceeds.
+        # while the rest of the sweep proceeds.
         stats.add_failure(failure)
-        if checkpoints:
-            for depth in missing[failure.name]:
-                checkpoints[depth].mark_failed(failure.to_json())
         if progress is not None:
             progress(failure.name)
 

@@ -51,20 +51,6 @@ DEFAULT_CANDIDATE_POOL = 2048
 #: bootstrap-ensemble spread.
 NOVELTY_WEIGHT = 1.5
 
-#: Weight of the same coverage term inside the optimistic (UCB)
-#: estimates that front peeling ranks on.  Smaller than
-#: NOVELTY_WEIGHT: the exploit share should lean on what the model
-#: predicts, with just enough optimism to let never-sampled regions
-#: onto the predicted front.
-UCB_NOVELTY_WEIGHT = 0.5
-
-#: Peel acquisition fronts on the optimistic estimates rather than
-#: the plain predictions.  Off by default: with the boosted-stump
-#: surrogate and the covered-candidate filter, plain predicted fronts
-#: recover the paper-space frontier more reliably (the novelty-driven
-#: explore tail already handles never-sampled regions).
-USE_UCB_FRONTS = False
-
 #: Round the surrogate-error statistic like every artifact metric.
 _ERROR_DIGITS = 9
 
@@ -166,14 +152,7 @@ def _candidate_rows(surrogate, space, evaluated, pool, seed,
                     + [NOVELTY_WEIGHT * novelty]),
             }
             for name in _TARGETS:
-                mean, std = predicted[name]
-                row[name] = mean
-                # Optimistic (UCB) estimate: one combined-uncertainty
-                # standard deviation up in log space.  Front peeling
-                # runs on these, so a region the model has never seen
-                # competes with a plateau it is sure about.
-                row[name + "_ucb"] = mean * math.exp(
-                    std + UCB_NOVELTY_WEIGHT * novelty)
+                row[name] = predicted[name][0]
             rows.append(row)
         current.set(scored=len(rows))
     counter("repro_explore_candidates_scored_total").inc(len(rows))
@@ -256,21 +235,11 @@ def run_explore(space=None, benchmarks=("conv",), budget=16, seed=0,
                     break
                 this_batch = min(batch_size, budget - spent)
                 by_key = {row["key"]: row for row in rows}
-                suffix = "_ucb" if USE_UCB_FRONTS else ""
-                # Exact metrics have zero uncertainty: their
-                # optimistic estimates are themselves.
-                exact_rows = [
-                    {"speedup" + suffix: entry["speedup"],
-                     "energy_eff" + suffix: entry["energy_eff"]}
-                    for entry in evaluated.values()
-                ]
                 with span("explore.select", candidates=len(rows)):
                     batch_keys = acquire.select_batch(
                         rows, this_batch,
                         explore_fraction=explore_fraction,
-                        evaluated=exact_rows,
-                        x_key="speedup" + suffix,
-                        y_key="energy_eff" + suffix)
+                        evaluated=list(evaluated.values()))
                 predictions = {key: by_key[key] for key in batch_keys}
                 batch_points = [by_key[key]["point"]
                                 for key in batch_keys]

@@ -18,8 +18,6 @@ evaluation service (:mod:`repro.service.workers`):
   path for ``workers <= 1`` and a degraded pool.  The service's
   :class:`~repro.service.workers.EvaluationPool` is the async adapter
   over the same supervisor.
-- :mod:`repro.resilience.checkpoint` — atomic sweep progress
-  manifests behind ``repro sweep --resume``.
 - :mod:`repro.resilience.faultinject` — the deterministic
   fault-injection harness (``$REPRO_FAULT_SPEC``) chaos tests and the
   CI chaos job drive.
@@ -32,7 +30,6 @@ from repro.resilience.policy import (
 )
 from repro.resilience.pool import PoolSupervisor
 from repro.resilience.runner import ResilientRunner
-from repro.resilience.checkpoint import SweepCheckpoint, sweep_signature
 from repro.resilience.faultinject import (
     FaultSpecError, parse_fault_spec,
 )
@@ -44,8 +41,6 @@ __all__ = [
     "TransientError",
     "PoolSupervisor",
     "ResilientRunner",
-    "SweepCheckpoint",
-    "sweep_signature",
     "FaultSpecError",
     "parse_fault_spec",
 ]

@@ -44,6 +44,13 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert "repro sweep: error:" in err
 
+    def test_sweep_has_no_resume_flag(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "conv", "--scale", "0.1", "--resume"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --resume" \
+            in capsys.readouterr().err
+
     def test_debug_env_reraises(self, monkeypatch):
         monkeypatch.setenv("REPRO_DEBUG", "1")
         with pytest.raises(Exception):

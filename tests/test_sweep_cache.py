@@ -118,23 +118,16 @@ class TestCacheKey:
 
 
 class TestPinnedBytes:
-    """Literal values of the evaluation codec: the cache key, the
-    checkpoint signature and the task dict.  Every cache entry and
-    resumable checkpoint on disk was written under these bytes, so a
-    change here is a deliberate cache invalidation, never a side
-    effect of refactoring the layers that carry them."""
+    """Literal values of the evaluation codec: the cache key and the
+    task dict.  Every cache entry on disk was written under these
+    bytes, so a change here is a deliberate cache invalidation, never
+    a side effect of refactoring the layers that carry them."""
 
     def test_cache_key_literal(self):
         assert cache_key("conv", 0.5, ("IO2",), ((),), 2, False,
                          engine_hash="0" * 16) == (
             "d7e5d7d569d5f8f0ea2c36e46e75536550be603ed87c36334f29ccb5"
             "da12252e")
-
-    def test_sweep_signature_literal(self):
-        from repro.resilience.checkpoint import sweep_signature
-        assert sweep_signature(("conv",), 0.5, ("IO2",), ((),), 2,
-                               False, engine_hash="0" * 16) == \
-            "e2016baad4ea0590d999f3d82e50e072"
 
     def test_task_dict_literal(self):
         from repro.dse.parallel import make_task
@@ -246,10 +239,20 @@ class TestSweepCacheStoreLoad:
 
     def test_iter_entries_skips_sweep_checkpoints(self, tmp_path):
         run_sweep(["conv"], scale=0.1, cache_dir=tmp_path)
-        assert (tmp_path / "sweeps").is_dir()
+        # Caches written before sweeps stopped keeping progress
+        # manifests still hold them under sweeps/.
+        (tmp_path / "sweeps").mkdir()
+        (tmp_path / "sweeps" / ("e2" * 16 + ".json")).write_text(
+            json.dumps({"format": 1, "signature": "e2" * 16,
+                        "completed": {"conv": "ab" * 32},
+                        "failures": []}, sort_keys=True))
         entries = list(SweepCache(tmp_path).iter_entries())
         assert len(entries) == 1
         assert "record" in entries[0][1]
+
+    def test_cached_sweep_keeps_no_progress_manifest(self, tmp_path):
+        run_sweep(["conv"], scale=0.1, cache_dir=tmp_path)
+        assert not (tmp_path / "sweeps").exists()
 
     def test_default_cache_dir_env_override(self, tmp_path,
                                             monkeypatch):
