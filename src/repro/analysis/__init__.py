@@ -17,9 +17,7 @@ transformation "plan" each BSA transform consumes:
 
 from repro.analysis.cfg import dominators, reverse_post_order
 from repro.analysis.loops import Loop, build_loop_forest
-from repro.analysis.regions import (
-    loop_intervals, attribute_baseline, RegionProfile,
-)
+from repro.analysis.regions import loop_intervals, attribute_baseline
 from repro.analysis.pathprof import profile_paths, LoopPathProfile
 from repro.analysis.memdep import analyze_loop_dependences, LoopDepInfo
 from repro.analysis.slicing import slice_loop_body, SliceInfo
@@ -33,7 +31,6 @@ __all__ = [
     "build_loop_forest",
     "loop_intervals",
     "attribute_baseline",
-    "RegionProfile",
     "profile_paths",
     "LoopPathProfile",
     "analyze_loop_dependences",

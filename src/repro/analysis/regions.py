@@ -76,10 +76,8 @@ def attribute_baseline(commit_times, intervals, total_cycles):
     *commit_times* is the per-instruction commit-time list from a
     full-trace engine run with ``collect_commit_times=True``.
 
-    Returns (per_key_cycles, uncovered_cycles) where *per_key_cycles*
-    maps each key of *intervals* to its summed cycles and
-    *uncovered_cycles* is ``total_cycles`` minus the cycles of the
-    top-level (non-overlapping) interval set.
+    Returns a dict mapping each key of *intervals* to its summed
+    cycles.
     """
     per_key = {}
     for key, spans in intervals.items():
@@ -91,31 +89,3 @@ def attribute_baseline(commit_times, intervals, total_cycles):
         per_key[key] = cycles
     return per_key
 
-
-class RegionProfile:
-    """Aggregate view of one static loop's dynamic behavior."""
-
-    def __init__(self, loop, intervals):
-        self.loop = loop
-        self.intervals = list(intervals)
-
-    @property
-    def key(self):
-        return self.loop.key
-
-    @property
-    def invocations(self):
-        return len(self.intervals)
-
-    @property
-    def dynamic_instructions(self):
-        return sum(end - start for start, end in self.intervals)
-
-    def streams(self, trace):
-        """Yield the trace slice of each invocation."""
-        for start, end in self.intervals:
-            yield trace.instructions[start:end]
-
-    def __repr__(self):
-        return (f"<RegionProfile {self.key} x{self.invocations} "
-                f"({self.dynamic_instructions} dyn insts)>")

@@ -7,13 +7,16 @@ an entry fetched from any peer is byte-identical to one computed
 locally.  That property is what makes peer transfer safe to verify
 with a checksum and safe to read-repair into the local tier.
 
-:class:`HTTPPeerBackend` speaks the coordinator's cache wire protocol
+:class:`HTTPPeerBackend` is the client of the peer-cache wire protocol
 (``GET``/``PUT /v1/cache/{key}``, body = canonical entry blob,
-``X-Repro-Checksum`` = hex sha256 of the body).  A response that fails
-the checksum, fails to parse, or claims the wrong key/format is
-*corrupt*: the bytes are quarantined for post-mortem (same capped
-quarantine as the on-disk backend), the miss is counted, and the
-caller recomputes — corruption on the wire can never poison a cache.
+``X-Repro-Checksum`` = hex sha256 of the body) and :func:`serve_cache`
+its one server side, mounted by both the coordinator and the
+evaluation service.  Both ends check a blob with the one
+:func:`repro.dse.cache.verify_entry`.  A response that fails the
+checksum, fails to parse, or claims the wrong key/format is *corrupt*:
+the bytes are quarantined for post-mortem (same capped quarantine as
+the on-disk backend), the miss is counted, and the caller recomputes —
+corruption on the wire can never poison a cache.
 
 :class:`TieredCache` stacks a local directory under a peer: loads read
 through (local first, then verified peer, repairing the local copy),
@@ -21,17 +24,17 @@ stores write through (local always, peer best-effort).  A stale or
 corrupt local entry is thereby healed from a verified peer copy.
 """
 
-import json
 import os
 import urllib.error
 import urllib.request
 from pathlib import Path
 
 from repro.dse.cache import (
-    CACHE_FORMAT, CacheBackend, dumps_entry, entry_checksum,
-    entry_payload,
+    CacheBackend, EntryError, dumps_entry, entry_checksum,
+    entry_payload, verify_entry,
 )
 from repro.obs import counter, flight_event
+from repro.service.http import Response
 
 #: Checksum header on every cache-entry transfer.
 CHECKSUM_HEADER = "X-Repro-Checksum"
@@ -79,11 +82,10 @@ class HTTPPeerBackend(CacheBackend):
     def load_entry(self, key):
         """Fetch and verify the full entry payload, or ``None``.
 
-        Verification layers, in order: transport success, body
-        checksum against ``X-Repro-Checksum``, JSON well-formedness,
-        and payload self-description (``format`` and ``key`` must
-        match what was asked for).  Any failure quarantines the bytes
-        and reports a miss.
+        Verification: transport success, then
+        :func:`~repro.dse.cache.verify_entry` with the
+        ``X-Repro-Checksum`` header.  Any failure quarantines the
+        bytes under the failed check's ``why`` and reports a miss.
         """
         from repro.resilience.faultinject import consume_torn_peer_get
 
@@ -113,19 +115,10 @@ class HTTPPeerBackend(CacheBackend):
         if consume_torn_peer_get():
             blob = blob[:len(blob) // 2]
 
-        if expected is not None and entry_checksum(blob) != expected:
-            self._quarantine(key, blob, "checksum-mismatch")
-            return None
         try:
-            payload = json.loads(blob.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            self._quarantine(key, blob, "unparseable")
-            return None
-        if not isinstance(payload, dict) \
-                or payload.get("format") != CACHE_FORMAT \
-                or payload.get("key") != key \
-                or "record" not in payload:
-            self._quarantine(key, blob, "wrong-identity")
+            payload = verify_entry(blob, key, checksum=expected)
+        except EntryError as exc:
+            self._quarantine(key, blob, exc.why)
             return None
         counter("repro_peer_cache_hits_total",
                 "verified peer cache hits").inc()
@@ -186,6 +179,45 @@ class HTTPPeerBackend(CacheBackend):
 
     def __contains__(self, key):
         return self.load_entry(key) is not None
+
+
+def serve_cache(router, local):
+    """Mount the protocol's server side for *local* on *router*.
+
+    ``GET /v1/cache/{key}`` answers the exact on-disk entry bytes with
+    their ``X-Repro-Checksum``; ``PUT`` checks the pushed blob with
+    :func:`~repro.dse.cache.verify_entry` and stores it atomically in
+    *local* (a :class:`~repro.dse.cache.LocalDirBackend`: a PUT never
+    echoes on to another peer).  A failed PUT is a 400; a checksum
+    mismatch is also counted as ``put-checksum`` corruption.  The
+    evaluation service and the coordinator both serve through here.
+    """
+    async def handle_get(request, params):
+        key = params["key"]
+        try:
+            blob = local.path_for(key).read_bytes()
+        except OSError:
+            return Response.error(404, f"no cache entry {key[:12]}...")
+        return Response(status=200, body=blob,
+                        headers={CHECKSUM_HEADER: entry_checksum(blob)})
+
+    async def handle_put(request, params):
+        key = params["key"]
+        try:
+            payload = verify_entry(
+                request.body, key,
+                checksum=request.headers.get(CHECKSUM_HEADER.lower()))
+        except EntryError as exc:
+            if exc.why == "checksum-mismatch":
+                counter("repro_peer_cache_corrupt_total",
+                        "peer cache responses that failed "
+                        "verification").inc(why="put-checksum")
+            return Response.error(400, str(exc))
+        local.store(key, payload["record"], meta=payload.get("meta"))
+        return Response.json({"stored": True})
+
+    router.add("GET", "/v1/cache/{key}", handle_get)
+    router.add("PUT", "/v1/cache/{key}", handle_put)
 
 
 class TieredCache(CacheBackend):

@@ -14,14 +14,16 @@ Protocol (all JSON over the same stdlib HTTP layer the service uses):
 - ``POST /v1/nodes/{id}/lease`` -> a shard, ``{idle}``, or ``{done}``
 - ``POST /v1/nodes/{id}/result`` — checksum-verified; first wins
 - ``GET/PUT /v1/cache/{key}`` — canonical entry bytes with an
-  ``X-Repro-Checksum`` header (the peer-cache wire protocol)
+  ``X-Repro-Checksum`` header (the peer-cache wire protocol, served by
+  :func:`repro.cluster.backends.serve_cache` like on every service)
 - ``GET /v1/healthz`` — nodes, shard states, live leases
 
-Determinism contract: the merged artifact is built exactly like
-:func:`repro.dse.sweep.run_sweep` builds its own — records rebuilt
-from canonical payloads, merged in sorted-benchmark order — so
-``dumps_sweep`` bytes are identical to a serial one-box run no matter
-which nodes lived, died, or answered twice.
+Determinism contract: the merged artifact is built by the same
+:func:`repro.dse.sweep.merge_sweep` that ends
+:func:`repro.dse.sweep.run_sweep` — records rebuilt from canonical
+payloads, merged in sorted-benchmark order — so ``dumps_sweep`` bytes
+are identical to a serial one-box run no matter which nodes lived,
+died, or answered twice.
 """
 
 import asyncio
@@ -30,18 +32,18 @@ import sys
 import time
 
 from repro.dse.cache import (
-    CACHE_FORMAT, LocalDirBackend, cache_key, default_cache_dir,
-    dumps_entry, entry_checksum, entry_payload, engine_version_hash,
+    LocalDirBackend, cache_key, default_cache_dir, entry_checksum,
+    entry_meta,
 )
 from repro.dse.parallel import make_task
-from repro.dse.sweep import SweepResult, SweepStats, record_from_json
+from repro.dse.sweep import SweepStats, merge_sweep
 from repro.obs import (
     counter, flight_event, set_blackbox_dir, span,
 )
 from repro.service.http import (
     MAX_HEADER_BYTES, Response, Router, handle_connection,
 )
-from repro.cluster.backends import CHECKSUM_HEADER
+from repro.cluster.backends import serve_cache
 from repro.cluster.leases import (
     DEFAULT_HEDGE_AFTER, DEFAULT_LEASE_TTL, LeaseTable,
 )
@@ -158,11 +160,8 @@ class Coordinator:
                         self.handle_lease)
         self.router.add("POST", "/v1/nodes/{id}/result",
                         self.handle_result)
-        self.router.add("GET", "/v1/cache/{key}",
-                        self.handle_cache_get)
-        self.router.add("PUT", "/v1/cache/{key}",
-                        self.handle_cache_put)
         self.router.add("GET", "/v1/healthz", self.handle_healthz)
+        serve_cache(self.router, self.cache)
 
     # ------------------------------------------------------------------
     # Completion accounting.
@@ -262,56 +261,14 @@ class Coordinator:
         if won:
             self.payloads[name] = record
             self.failed.pop(name, None)
-            self.cache.store(self.keys[name], record, meta={
-                "benchmark": name,
-                "scale": float(self.config.scale),
-                "max_invocations": int(self.config.max_invocations),
-                "engine": engine_version_hash(),
-            })
+            self.cache.store(self.keys[name], record, meta=entry_meta(
+                name, self.config.scale, self.config.max_invocations))
             self.stats.add(name, "computed",
                            float(body.get("seconds") or 0.0))
             self.registry.record_completion(node_id)
         self._check_done()
         return Response.json({"accepted": won,
                               "duplicate": not won})
-
-    # ------------------------------------------------------------------
-    # Shared-store handlers (the peer-cache wire protocol).
-
-    async def handle_cache_get(self, request, params):
-        """Serve the exact on-disk entry bytes, checksummed."""
-        path = self.cache.path_for(params["key"])
-        try:
-            blob = path.read_bytes()
-        except OSError:
-            return Response.error(
-                404, f"no cache entry {params['key'][:12]}...")
-        return Response(
-            status=200, body=blob,
-            headers={CHECKSUM_HEADER: entry_checksum(blob)})
-
-    async def handle_cache_put(self, request, params):
-        """Verify and persist a pushed entry (atomic local write)."""
-        key = params["key"]
-        expected = request.headers.get(CHECKSUM_HEADER.lower())
-        if expected is not None \
-                and entry_checksum(request.body) != expected:
-            counter("repro_peer_cache_corrupt_total",
-                    "peer cache responses that failed verification") \
-                .inc(why="put-checksum")
-            return Response.error(400, "checksum mismatch")
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return Response.error(400, "unparseable entry")
-        if not isinstance(payload, dict) \
-                or payload.get("format") != CACHE_FORMAT \
-                or payload.get("key") != key \
-                or "record" not in payload:
-            return Response.error(400, "entry identity mismatch")
-        self.cache.store(key, payload["record"],
-                         meta=payload.get("meta"))
-        return Response.json({"stored": True})
 
     async def handle_healthz(self, request, params):
         return Response.json({
@@ -328,22 +285,7 @@ class Coordinator:
         })
 
     # ------------------------------------------------------------------
-    # Dispatch + lifecycle.
-
-    async def dispatch(self, request):
-        handler, params, _template = self.router.match(
-            request.method, request.path)
-        if handler is None and params is None:
-            return Response.error(404, f"no route for {request.path}")
-        if handler is None:
-            return Response.error(
-                405, f"{request.method} not allowed",
-                headers={"Allow": ", ".join(params)})
-        try:
-            return await handler(request, params)
-        except Exception as exc:
-            return Response.error(
-                500, f"{type(exc).__name__}: {exc}")
+    # Lifecycle.
 
     async def _tick(self):
         """Periodic fleet maintenance: eviction + lease expiry."""
@@ -359,7 +301,7 @@ class Coordinator:
         self._done_event = asyncio.Event()
         self._check_done()          # all-warm sweeps finish instantly
         self._server = await asyncio.start_server(
-            lambda r, w: handle_connection(self.dispatch, r, w),
+            lambda r, w: handle_connection(self.router.dispatch, r, w),
             host=self.config.host, port=self.config.port,
             limit=MAX_HEADER_BYTES)
         sockname = self._server.sockets[0].getsockname()
@@ -389,25 +331,6 @@ class Coordinator:
                                        timeout=1.0)
             except asyncio.TimeoutError:
                 pass
-
-    def build_sweep(self):
-        """Merge resolved shards exactly like ``run_sweep`` does.
-
-        Sorted-name order over canonical payloads: worker count, node
-        deaths, hedged duplicates and cache state cannot perturb one
-        byte of the artifact.
-        """
-        sweep = SweepResult(self.core_names, self.subsets)
-        for name in sorted(self.payloads):
-            sweep.add(record_from_json(name, self.payloads[name],
-                                       self.core_names, self.subsets))
-        self.stats.workers = (len(self.registry)
-                              + len(self.registry.evicted))
-        self.stats.entries.sort(key=lambda e: e["name"])
-        self.stats.failures.sort(key=lambda f: f["name"])
-        sweep.stats = self.stats
-        return sweep
-
 
 def run_coordinated(config, announce=None):
     """Blocking entry point behind ``repro coordinate``.
@@ -439,7 +362,12 @@ def run_coordinated(config, announce=None):
             f"coordinated sweep timed out after {config.timeout}s "
             f"with {counts['done']}/{counts['total']} cold shards "
             f"done ({len(coordinator.registry)} live nodes)")
-    sweep = coordinator.build_sweep()
+    # Merged exactly like run_sweep merges: worker count, node deaths,
+    # hedged duplicates and cache state cannot perturb one byte.
+    coordinator.stats.workers = (len(coordinator.registry)
+                                 + len(coordinator.registry.evicted))
+    sweep = merge_sweep(coordinator.payloads, coordinator.core_names,
+                        coordinator.subsets, coordinator.stats)
     _append_runlog(coordinator.cache.root, sweep.stats,
                    sweep.stats.workers)
     return sweep

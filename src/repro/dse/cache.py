@@ -9,6 +9,15 @@ every core config, the BSA subsets, evaluation knobs, and a hash of the
 modeling source itself), so cache entries invalidate automatically when
 any modeling code or configuration changes.
 
+The cache entry has one codec, used by every node that reads or writes
+one (the sweep, the evaluation service, the fleet coordinator and the
+peer-cache protocol): :func:`entry_meta` is the evaluation-input dict
+every writer stores beside a record, :func:`entry_payload` and
+:func:`dumps_entry` give the canonical bytes, and :func:`verify_entry`
+is the one check of an entry blob (checksum, JSON object, format, key,
+record).  Identical evaluations therefore write byte-identical entries
+whichever node computed them.
+
 Entries are written atomically (temp file + rename), so a sweep killed
 mid-run leaves only complete entries behind and the next invocation
 resumes from them.  Corrupt or truncated entries never crash the
@@ -141,6 +150,22 @@ def default_cache_dir():
     return Path.home() / ".cache" / "repro-dse"
 
 
+def entry_meta(name, scale, max_invocations):
+    """The evaluation inputs every writer stores beside a record.
+
+    The content key alone cannot be inverted back to its inputs, so
+    without meta a cache entry is opaque; with it, ``repro cache
+    export`` can turn the cache into surrogate training records.  Meta
+    never participates in the key.
+    """
+    return {
+        "benchmark": name,
+        "scale": float(scale),
+        "max_invocations": int(max_invocations),
+        "engine": engine_version_hash(),
+    }
+
+
 def entry_payload(key, record, meta=None):
     """The canonical cache-entry payload dict for one record.
 
@@ -172,6 +197,57 @@ def entry_checksum(blob):
     return hashlib.sha256(blob).hexdigest()
 
 
+class EntryError(ValueError):
+    """An entry blob failed :func:`verify_entry`.
+
+    ``why`` names the failed check: ``checksum-mismatch``,
+    ``unparseable`` or ``wrong-identity``.
+    """
+
+    def __init__(self, why, message):
+        super().__init__(message)
+        self.why = why
+
+
+class StaleEntry(EntryError):
+    """An entry written by another cache format.
+
+    The format is part of what a key names, so to a peer this is a
+    wrong identity; a local reader treats it as a plain miss.
+    """
+
+
+def verify_entry(blob, key, checksum=None):
+    """The payload dict of one entry blob, or :class:`EntryError`.
+
+    Checks, in order: the sha256 *checksum* (when given), a JSON
+    object, the cache ``format`` (:class:`StaleEntry`), the ``key``
+    the entry was asked for, and a ``record``.
+    """
+    if checksum is not None and entry_checksum(blob) != checksum:
+        raise EntryError("checksum-mismatch", "checksum mismatch")
+    try:
+        payload = json.loads(blob)
+    except ValueError as exc:
+        raise EntryError("unparseable",
+                         f"unparseable entry: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise EntryError("wrong-identity",
+                         "entry identity mismatch: not a JSON object")
+    if payload.get("format") != CACHE_FORMAT:
+        raise StaleEntry(
+            "wrong-identity",
+            f"entry identity mismatch: format "
+            f"{payload.get('format')!r}, expected {CACHE_FORMAT}")
+    if payload.get("key") != key:
+        raise EntryError("wrong-identity",
+                         "entry identity mismatch: wrong key")
+    if "record" not in payload:
+        raise EntryError("wrong-identity",
+                         "entry identity mismatch: no record")
+    return payload
+
+
 class CacheBackend:
     """Protocol for content-addressed record storage.
 
@@ -191,7 +267,10 @@ class CacheBackend:
     Byte determinism is the load-bearing property: a record stored
     through any backend and loaded from any other must re-serialize
     (via :func:`dumps_entry`) to identical bytes, which is what makes
-    multi-node sweeps safe to merge and to hedge.
+    multi-node sweeps safe to merge and to hedge.  It holds because
+    every writer (the sweep, the service, the coordinator) stores the
+    same :func:`entry_meta` and every reader checks blobs with the one
+    :func:`verify_entry`.
     """
 
     def load(self, key):
@@ -228,8 +307,9 @@ class LocalDirBackend(CacheBackend):
     def load(self, key):
         """Return the cached record payload, or None on miss.
 
-        A corrupt / truncated / unreadable entry is quarantined (moved
-        to ``<root>/quarantine/`` for inspection, capped — see
+        A corrupt / truncated / unreadable entry, or one that fails
+        :func:`verify_entry`, is quarantined (moved to
+        ``<root>/quarantine/`` for inspection, capped — see
         :meth:`_quarantine`) and reported as a warning (and counted in
         ``repro_cache_corrupt_total``); an entry written by a
         different cache format is a silent miss.  Every outcome is
@@ -239,23 +319,17 @@ class LocalDirBackend(CacheBackend):
         path = self.path_for(key)
         with span("dse.cache.load", key=key[:12]) as current:
             try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-                if not isinstance(payload, dict):
-                    raise ValueError("cache entry is not an object")
-                if payload.get("format") != CACHE_FORMAT:
-                    self._count("misses", current, "stale-format")
-                    flight_event("cache.miss", key=key[:12],
-                                 outcome="stale-format")
-                    return None
-                self._count("hits", current, "hit")
-                flight_event("cache.hit", key=key[:12])
-                return payload["record"]
+                payload = verify_entry(path.read_bytes(), key)
             except FileNotFoundError:
                 self._count("misses", current, "miss")
                 flight_event("cache.miss", key=key[:12])
                 return None
-            except (ValueError, KeyError, OSError) as exc:
+            except StaleEntry:
+                self._count("misses", current, "stale-format")
+                flight_event("cache.miss", key=key[:12],
+                             outcome="stale-format")
+                return None
+            except (EntryError, OSError) as exc:
                 warnings.warn(
                     f"quarantining corrupt sweep cache entry {path}: "
                     f"{exc}", RuntimeWarning, stacklevel=2)
@@ -264,6 +338,9 @@ class LocalDirBackend(CacheBackend):
                 self._count("misses", current, "corrupt")
                 flight_event("cache.quarantine", key=key[:12])
                 return None
+            self._count("hits", current, "hit")
+            flight_event("cache.hit", key=key[:12])
+            return payload["record"]
 
     def _quarantine(self, path):
         """Move a corrupt entry aside instead of destroying evidence.
@@ -299,13 +376,9 @@ class LocalDirBackend(CacheBackend):
     def store(self, key, record, meta=None):
         """Atomically persist one benchmark record under *key*.
 
-        *meta* (optional) is a small self-describing dict of the
-        evaluation inputs (benchmark name, scale, max_invocations,
-        engine hash, ...).  The content key alone cannot be inverted
-        back to its inputs, so without meta a cache entry is opaque;
-        with it, ``repro cache export`` can turn the cache into
-        surrogate training records.  Meta never participates in the
-        key and old entries without it still load normally.
+        *meta* is the evaluation inputs from :func:`entry_meta`, which
+        every writer passes; entries without it (written before meta
+        existed) still load normally.
         """
         # Deterministic chaos hook: a ``torn:store=N`` fault truncates
         # this write mid-blob, simulating the torn entry a power cut
@@ -338,31 +411,27 @@ class LocalDirBackend(CacheBackend):
         """Yield ``(key, payload)`` for every well-formed entry.
 
         Sorted by key, so export output is deterministic for a given
-        cache population regardless of write order.  Quarantined,
-        corrupt and foreign-format files and flight-recorder dumps are
-        skipped silently — this is a read-only maintenance walk, not
-        the hot load path.  ``sweeps/`` is skipped too: sweeps no
-        longer write there, but older caches hold sweep progress
-        manifests in it, which are not entries.
+        cache population regardless of write order.  Quarantined
+        files, flight-recorder dumps and every file that fails
+        :func:`verify_entry` under its own name (corrupt, foreign
+        format, or the sweep progress manifests older caches hold in
+        ``sweeps/``) are skipped silently — this is a read-only
+        maintenance walk, not the hot load path.
         """
         if not self.root.is_dir():
             return
         paths = []
         for shard in self.root.iterdir():
             if not shard.is_dir() \
-                    or shard.name in ("quarantine", "blackbox", "sweeps"):
+                    or shard.name in ("quarantine", "blackbox"):
                 continue
             paths.extend(shard.glob("*.json"))
         for path in sorted(paths, key=lambda p: p.stem):
             try:
-                with open(path) as handle:
-                    payload = json.load(handle)
-            except (ValueError, OSError):
+                payload = verify_entry(path.read_bytes(), path.stem)
+            except (EntryError, OSError):
                 continue
-            if not isinstance(payload, dict) \
-                    or payload.get("format") != CACHE_FORMAT:
-                continue
-            yield payload.get("key", path.stem), payload
+            yield path.stem, payload
 
     def __contains__(self, key):
         return self.path_for(key).exists()

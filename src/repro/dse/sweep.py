@@ -65,11 +65,6 @@ class BenchmarkResult:
             ref_cycles = self.baseline[ref_core or core][0]
         return ref_cycles / max(1, self.oracle[(core, subset)]["cycles"])
 
-    def energy_ratio(self, core, subset, ref_core=None):
-        ref_energy = self.baseline[ref_core or core][1]
-        return self.oracle[(core, subset)]["energy_pj"] \
-            / max(1.0, ref_energy)
-
 
 def _summarize(schedule):
     return {
@@ -377,7 +372,9 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
     :class:`SweepStats` (one entry per benchmark, however many of its
     depths it computed).  Each benchmark is one task, carrying the
     depths it misses in the cache."""
-    from repro.dse.cache import SweepCache, cache_key, default_cache_dir
+    from repro.dse.cache import (
+        SweepCache, cache_key, default_cache_dir, entry_meta,
+    )
     from repro.dse.parallel import make_task, run_tasks
 
     names = list(names) if names is not None else sorted(WORKLOADS)
@@ -435,13 +432,8 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
             # benchmark that finished, not just the ones before a
             # barrier.
             if cache is not None:
-                from repro.dse.cache import engine_version_hash
-                cache.store(keys[(name, depth)], record, meta={
-                    "benchmark": name,
-                    "scale": float(scale),
-                    "max_invocations": depth,
-                    "engine": engine_version_hash(),
-                })
+                cache.store(keys[(name, depth)], record,
+                            meta=entry_meta(name, scale, depth))
         stats.add(name, "computed", elapsed)
         if obs_payload is not None:
             # Worker-side observability, shipped through the task
@@ -475,23 +467,32 @@ def _run_sweep(names, core_names, subsets, scale, depths, with_amdahl,
               max_pool_restarts=max_pool_restarts,
               on_failure=on_failure)
 
-    # Deterministic merge: records enter each result in sorted-name
-    # order, rebuilt from canonical payloads, so worker count, shard
-    # completion order and cache state cannot perturb the output.
-    # Failed benchmarks are simply absent — the artifact over the
-    # surviving subset is byte-stable, with failures listed in stats.
-    stats.entries.sort(key=lambda e: e["name"])
-    stats.failures.sort(key=lambda f: f["name"])
-    sweeps = {}
-    for depth in depths:
-        sweep = sweeps[depth] = SweepResult(core_names, subsets)
-        for name in sorted(payloads[depth]):
-            sweep.add(record_from_json(name, payloads[depth][name],
-                                       core_names, subsets))
-        sweep.stats = stats
+    sweeps = {depth: merge_sweep(payloads[depth], core_names, subsets,
+                                 stats)
+              for depth in depths}
     if cache is not None:
         _append_runlog(cache.root, stats, workers)
     return sweeps
+
+
+def merge_sweep(payloads, core_names, subsets, stats):
+    """One :class:`SweepResult` from ``{name: record payload}``.
+
+    Deterministic merge: records enter in sorted-name order, rebuilt
+    from canonical payloads, so worker count, shard completion order
+    (or which fleet node answered) and cache state cannot perturb the
+    output.  Failed benchmarks are simply absent — the artifact over
+    the surviving subset is byte-stable, with failures listed in
+    *stats*, whose entries and failures are sorted by name here.
+    """
+    stats.entries.sort(key=lambda e: e["name"])
+    stats.failures.sort(key=lambda f: f["name"])
+    sweep = SweepResult(core_names, subsets)
+    for name in sorted(payloads):
+        sweep.add(record_from_json(name, payloads[name], core_names,
+                                   subsets))
+    sweep.stats = stats
+    return sweep
 
 
 def _append_runlog(cache_root, stats, workers):

@@ -32,7 +32,7 @@ from repro.obs import (
 from repro.resilience.policy import EvaluationTimeout
 from repro.service.coalesce import Coalescer
 from repro.service.http import (
-    MAX_HEADER_BYTES, ParseError, Response, Router, handle_connection,
+    MAX_HEADER_BYTES, BadRequest, Response, Router, handle_connection,
 )
 from repro.service.jobs import JobRegistry, QueueFull, Slots
 from repro.service.metrics import Metrics
@@ -65,10 +65,6 @@ class ServiceConfig:
         self.worker_of = worker_of
         #: Advertised node name when joining a fleet.
         self.node_name = node_name
-
-
-class BadRequest(Exception):
-    """Client-side request error; surfaces as HTTP 400."""
 
 
 def _normalize_params(body):
@@ -220,8 +216,19 @@ class EvaluationService:
             evaluator=evaluator,
             task_timeout=self.config.task_timeout,
             max_pool_restarts=self.config.max_pool_restarts)
+        self.router = Router()
+        self.router.add("POST", "/v1/evaluate", self.handle_evaluate)
+        self.router.add("POST", "/v1/sweep", self.handle_sweep)
+        self.router.add("POST", "/v1/explore", self.handle_explore)
+        self.router.add("GET", "/v1/jobs/{id}", self.handle_job)
+        self.router.add("GET", "/v1/healthz", self.handle_healthz)
+        self.router.add("GET", "/v1/metrics", self.handle_metrics)
+        self.router.add("GET", "/v1/benchmarks", self.handle_benchmarks)
+        self.router.add("GET", "/v1/dash", self.handle_dash)
+
         self.cache = None
         if self.config.use_cache:
+            from repro.cluster.backends import serve_cache
             from repro.dse.cache import SweepCache, default_cache_dir
             self.cache = SweepCache(
                 self.config.cache_dir if self.config.cache_dir is not None
@@ -229,6 +236,8 @@ class EvaluationService:
             # Postmortem dumps land next to the cache this service uses.
             from repro.obs import set_blackbox_dir
             set_blackbox_dir(self.cache.root / "blackbox")
+            # Peers read and push entries in the local directory.
+            serve_cache(self.router, self.cache)
             if self.config.worker_of:
                 # Fleet member: local dir under the coordinator's
                 # store — peer hits read-repair the local tier, local
@@ -255,18 +264,6 @@ class EvaluationService:
         self._stop_event = None
         self._active_requests = 0
         self._job_tasks = set()
-
-        self.router = Router()
-        self.router.add("POST", "/v1/evaluate", self.handle_evaluate)
-        self.router.add("POST", "/v1/sweep", self.handle_sweep)
-        self.router.add("POST", "/v1/explore", self.handle_explore)
-        self.router.add("GET", "/v1/jobs/{id}", self.handle_job)
-        self.router.add("GET", "/v1/healthz", self.handle_healthz)
-        self.router.add("GET", "/v1/metrics", self.handle_metrics)
-        self.router.add("GET", "/v1/benchmarks", self.handle_benchmarks)
-        self.router.add("GET", "/v1/dash", self.handle_dash)
-        self.router.add("GET", "/v1/cache/{key}", self.handle_cache_get)
-        self.router.add("PUT", "/v1/cache/{key}", self.handle_cache_put)
 
     # ------------------------------------------------------------------
     # Core evaluation path: cache -> coalesce -> slots -> pool.
@@ -314,7 +311,10 @@ class EvaluationService:
             self.metrics.record_computation(
                 time.perf_counter() - started)
             if self.cache is not None:
-                self.cache.store(key, payload)
+                from repro.dse.cache import entry_meta
+                self.cache.store(key, payload, meta=entry_meta(
+                    task["name"], task["scale"],
+                    task["max_invocations"]))
         except BaseException as exc:
             self.coalescer.finish(key, future, error=exc)
             raise
@@ -577,59 +577,7 @@ class EvaluationService:
             content_type="text/html; charset=utf-8")
 
     # ------------------------------------------------------------------
-    # Peer-cache wire protocol (fleet entry sharing).
-
-    def _local_cache(self):
-        """The local tier (PUTs must not echo back to the peer)."""
-        if self.cache is None:
-            return None
-        return getattr(self.cache, "local", self.cache)
-
-    async def handle_cache_get(self, request, params):
-        """Serve the exact on-disk entry bytes, checksummed."""
-        from repro.cluster.backends import CHECKSUM_HEADER
-        from repro.dse.cache import entry_checksum
-
-        local = self._local_cache()
-        if local is None:
-            return Response.error(404, "cache disabled")
-        try:
-            blob = local.path_for(params["key"]).read_bytes()
-        except OSError:
-            return Response.error(
-                404, f"no cache entry {params['key'][:12]}...")
-        return Response(
-            status=200, body=blob,
-            headers={CHECKSUM_HEADER: entry_checksum(blob)})
-
-    async def handle_cache_put(self, request, params):
-        """Verify and persist a pushed entry into the local tier."""
-        from repro.cluster.backends import CHECKSUM_HEADER
-        from repro.dse.cache import CACHE_FORMAT, entry_checksum
-
-        local = self._local_cache()
-        if local is None:
-            return Response.error(404, "cache disabled")
-        key = params["key"]
-        expected = request.headers.get(CHECKSUM_HEADER.lower())
-        if expected is not None \
-                and entry_checksum(request.body) != expected:
-            return Response.error(400, "checksum mismatch")
-        import json
-        try:
-            payload = json.loads(request.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return Response.error(400, "unparseable entry")
-        if not isinstance(payload, dict) \
-                or payload.get("format") != CACHE_FORMAT \
-                or payload.get("key") != key \
-                or "record" not in payload:
-            return Response.error(400, "entry identity mismatch")
-        local.store(key, payload["record"], meta=payload.get("meta"))
-        return Response.json({"stored": True})
-
-    # ------------------------------------------------------------------
-    # Dispatch: routing + metrics + failure containment.
+    # Dispatch: tracing + metrics around the router.
 
     async def dispatch(self, request):
         self._active_requests += 1
@@ -647,28 +595,8 @@ class EvaluationService:
                         method=request.method, trace_id=trace_id)
         try:
             with trace_context(trace_id), obs_span:
-                handler, params, template = self.router.match(
-                    request.method, request.path)
-                if handler is None and params is None:
-                    response = Response.error(
-                        404, f"no route for {request.path}")
-                elif handler is None:
-                    endpoint = template
-                    response = Response.error(
-                        405, f"{request.method} not allowed "
-                             f"(try {', '.join(params)})",
-                        headers={"Allow": ", ".join(params)})
-                else:
-                    endpoint = template
-                    try:
-                        response = await handler(request, params)
-                    except (BadRequest, ParseError) as exc:
-                        response = Response.error(400, str(exc))
-                    except asyncio.CancelledError:
-                        raise
-                    except Exception as exc:
-                        response = Response.error(
-                            500, f"{type(exc).__name__}: {exc}")
+                response = await self.router.dispatch(request)
+                endpoint = request.endpoint or endpoint
                 obs_span.set(endpoint=endpoint,
                              status=response.status)
                 response.headers.setdefault("X-Trace-Id", trace_id)

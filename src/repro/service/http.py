@@ -29,6 +29,10 @@ class ParseError(Exception):
     """Malformed request; the connection is answered 400 and closed."""
 
 
+class BadRequest(Exception):
+    """Client-side request error; surfaces as HTTP 400."""
+
+
 class Request:
     """One parsed HTTP request."""
 
@@ -40,6 +44,8 @@ class Request:
         self.query = parse_qs(parts.query)
         self.headers = headers          # keys lower-cased
         self.body = body
+        #: Matched route template, set by :meth:`Router.dispatch`.
+        self.endpoint = None
 
     def json(self):
         """Decode the body as a JSON object (``{}`` when empty)."""
@@ -188,13 +194,39 @@ class Router:
             return None, sorted(allowed), template_hit
         return None, None, None
 
+    async def dispatch(self, request):
+        """Route *request* to its handler; always returns a Response.
+
+        404 for no route, 405 with ``Allow`` for a known path under
+        another method, 400 when the handler raises
+        :class:`ParseError` or :class:`BadRequest`, 500 when it raises
+        anything else.  ``request.endpoint`` is set to the matched
+        template (``None`` when no route matched).
+        """
+        handler, params, template = self.match(request.method,
+                                               request.path)
+        request.endpoint = template
+        if template is None:
+            return Response.error(404, f"no route for {request.path}")
+        if handler is None:
+            return Response.error(
+                405, f"{request.method} not allowed "
+                     f"(try {', '.join(params)})",
+                headers={"Allow": ", ".join(params)})
+        try:
+            return await handler(request, params)
+        except (BadRequest, ParseError) as exc:
+            return Response.error(400, str(exc))
+        except Exception as exc:
+            return Response.error(500, f"{type(exc).__name__}: {exc}")
+
 
 async def handle_connection(dispatch, reader, writer):
     """Serve requests on one connection until close/EOF.
 
     *dispatch* is ``async (request) -> Response`` and must not raise —
-    the application layer converts handler failures to 500s so that a
-    broken handler can never wedge the connection loop.
+    :meth:`Router.dispatch` converts handler failures to 500s so that
+    a broken handler can never wedge the connection loop.
     """
     try:
         while True:

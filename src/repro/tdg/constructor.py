@@ -2,8 +2,9 @@
 
 ``construct_tdg`` runs the interpreter (the gem5 stand-in) over a
 program and produces a :class:`TDG` — the original ``TDG_{GPP,0}`` —
-holding the dynamic trace, the program IR, and lazy handles to the
-analyses (loop tree, path profiles) the transforms need.
+holding the dynamic trace, the program IR, and a lazy handle to the
+loop tree the transforms need (path profiles live on
+:class:`repro.accel.base.AnalysisContext`).
 """
 
 from repro.sim.interpreter import run_program
@@ -18,7 +19,6 @@ class TDG:
         self.trace = trace
         self.memory_image = memory_image
         self._loop_tree = None
-        self._path_profile = None
 
     # -- lazy analyses ---------------------------------------------------
     @property
@@ -28,14 +28,6 @@ class TDG:
             from repro.analysis.loops import build_loop_forest
             self._loop_tree = build_loop_forest(self.program)
         return self._loop_tree
-
-    @property
-    def path_profile(self):
-        """Ball-Larus-style per-loop path profile from the trace."""
-        if self._path_profile is None:
-            from repro.analysis.pathprof import profile_paths
-            self._path_profile = profile_paths(self)
-        return self._path_profile
 
     # -- explicit window graphs ------------------------------------------
     def window_graph(self, config, start=0, end=None):

@@ -2,14 +2,15 @@
 
 Lease mechanics, node registry eviction, and the peer-cache backends
 are tested with injected clocks and a stub HTTP peer, so every timing
-and corruption scenario is deterministic.  The service-level tests run
-a real ``EvaluationService`` on an ephemeral port and exercise the
-peer-cache wire protocol over genuine HTTP.  Process-level chaos
+and corruption scenario is deterministic.  The server-level tests run
+a real ``EvaluationService`` and a real ``Coordinator`` on ephemeral
+ports and exercise the peer-cache wire protocol over genuine HTTP.  Process-level chaos
 (SIGKILLed workers) lives in ``test_cluster_chaos.py``.
 """
 
 import json
 import threading
+import urllib.error
 import urllib.request
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -437,6 +438,94 @@ class TestQuarantineCapBoundary:
             state.entries[KEY] = b"{torn"
             assert backend.load(KEY) is None
             assert not (tmp_path / f"peer-{KEY}.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# The server side of the peer-cache protocol, on both node types.
+
+@contextmanager
+def running_node(kind, cache_dir):
+    """The URL of a live service (cache on) or coordinator."""
+    if kind == "coordinator":
+        from tests.test_cluster_chaos import running_coordinator
+        with running_coordinator(cache_dir) as coordinator:
+            yield f"http://127.0.0.1:{coordinator.port}"
+        return
+    from repro.service import ServiceConfig
+    from tests.test_service import StubEvaluator, running_service
+
+    config = ServiceConfig(port=0, workers=1, pool_mode="thread",
+                           cache_dir=cache_dir, use_cache=True)
+    with running_service(config, evaluator=StubEvaluator()) \
+            as (service, _client):
+        yield f"http://127.0.0.1:{service.port}"
+
+
+def http(method, url, body=None, headers=None):
+    """``(status, body bytes)`` without raising on 4xx/5xx."""
+    request = urllib.request.Request(url, data=body, method=method,
+                                     headers=headers or {})
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        with exc:
+            return exc.code, exc.read()
+
+
+@pytest.mark.parametrize("kind", ["service", "coordinator"])
+def test_peer_cache_protocol_on_both_servers(kind, tmp_path):
+    """Both node types answer the protocol through one handler pair:
+    the same status codes, a good PUT read back byte-identical, and a
+    checksum-mismatched PUT counted as ``put-checksum`` corruption."""
+    from repro.obs import get_registry
+
+    def put(url, blob, checksum=None):
+        headers = {"Content-Type": "application/json"}
+        if checksum is not None:
+            headers[CHECKSUM_HEADER] = checksum
+        return http("PUT", url, blob, headers)[0]
+
+    blob = make_entry(KEY, RECORD, meta={"benchmark": "conv"})
+    stale = json.dumps({"format": 99, "key": KEY, "record": RECORD},
+                       sort_keys=True).encode()
+
+    def corrupt():
+        return get_registry().value("repro_peer_cache_corrupt_total",
+                                    why="put-checksum")
+
+    with running_node(kind, tmp_path / kind) as base:
+        url = f"{base}/v1/cache/{KEY}"
+        statuses = {"get-miss": http("GET", url)[0]}
+        before = corrupt()
+        statuses["put-checksum"] = put(url, blob, checksum="0" * 64)
+        assert corrupt() == before + 1
+        statuses["put-unparseable"] = put(url, b"{torn nonsense")
+        statuses["put-wrong-key"] = put(
+            url, make_entry("cd" * 32, RECORD))
+        statuses["put-wrong-format"] = put(url, stale)
+        assert http("GET", url)[0] == 404, "a refused PUT stored"
+        statuses["put-good"] = put(url, blob, entry_checksum(blob))
+        status, body = http("GET", url)
+        statuses["get-hit"] = status
+        assert body == blob
+        payload = HTTPPeerBackend(base).load_entry(KEY)
+        assert dumps_entry(payload).encode("utf-8") == blob
+        statuses["wrong-method"] = http("POST", url, b"{}")[0]
+    assert statuses == {
+        "get-miss": 404, "put-checksum": 400, "put-unparseable": 400,
+        "put-wrong-key": 400, "put-wrong-format": 400, "put-good": 200,
+        "get-hit": 200, "wrong-method": 405,
+    }
+
+
+def test_coordinator_answers_400_to_a_malformed_body(tmp_path):
+    with running_node("coordinator", tmp_path) as base:
+        status, body = http(
+            "POST", f"{base}/v1/nodes/register", b"{not json",
+            {"Content-Type": "application/json"})
+    assert status == 400
+    assert "invalid JSON body" in json.loads(body)["error"]
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,28 @@ class TestCliParity:
         assert sweep.stats.hits == 1
         assert sweep.stats.misses == 0
 
+    def test_service_entry_is_byte_identical_to_sweep_entry(
+            self, tmp_path):
+        """One evaluation writes the same entry file, meta included,
+        whether it arrives as ``POST /v1/evaluate`` or ``run_sweep``,
+        so the service's cache exports rows with evaluation inputs."""
+        from repro.dse import run_sweep
+        from repro.dse.cache import SweepCache, export_records
+        config = ServiceConfig(port=0, workers=1, pool_mode="thread",
+                               cache_dir=tmp_path / "svc",
+                               use_cache=True)
+        with running_service(config) as (_, client):
+            key = client.evaluate("conv", **EVAL_KW)["key"]
+        run_sweep(names=["conv"], cache_dir=tmp_path / "sweep",
+                  **EVAL_KW)
+        service_cache = SweepCache(tmp_path / "svc")
+        assert service_cache.path_for(key).read_bytes() \
+            == SweepCache(tmp_path / "sweep").path_for(key).read_bytes()
+        rows = list(export_records(service_cache))
+        assert len(rows) == 64
+        assert {(row["benchmark"], row["scale"], row["max_invocations"])
+                for row in rows} == {("conv", 0.1, 2)}
+
 
 class TestBackpressure:
     def test_429_with_retry_after_when_slots_full(self):

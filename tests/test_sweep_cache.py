@@ -230,6 +230,17 @@ class TestSweepCacheStoreLoad:
         assert cache.load("cd" * 32) is None
         assert ("cd" * 32) not in cache
 
+    def test_entry_under_another_key_is_quarantined(self, tmp_path):
+        cache = SweepCache(tmp_path)
+        cache.store("ab" * 32, {"x": 1})
+        misplaced = cache.path_for("cd" * 32)
+        misplaced.parent.mkdir(parents=True)
+        misplaced.write_bytes(cache.path_for("ab" * 32).read_bytes())
+        with pytest.warns(RuntimeWarning, match="wrong key"):
+            assert cache.load("cd" * 32) is None
+        assert not misplaced.exists()
+        assert (cache.quarantine_dir / misplaced.name).exists()
+
     def test_atomic_store_leaves_no_temp_files(self, tmp_path):
         cache = SweepCache(tmp_path)
         cache.store("ef" * 32, {"x": 1})
