@@ -16,7 +16,8 @@ from repro.energy.mcpat import EnergyModel
 from repro.isa.opcodes import Opcode
 from repro.obs import counter, span
 from repro.tdg.fastpath import (
-    SYNTHESIZED_SEQ_BASE, FastTimingEngine, LoweredStream, StreamBuilder,
+    SYNTHESIZED_SEQ_BASE, FastTimingEngine, LoweredStream, OffloadTable,
+    StreamBuilder, trace_facts,
 )
 
 
@@ -168,6 +169,33 @@ def offload_dataflow(dyn, loop_uids, accel, edges, slots, chains,
     return seq
 
 
+def offload_table(ctx, plan, accel, forward, **latencies):
+    """*plan* (NS-DF, Trace-P) compiled for the C offload
+    (:class:`~repro.tdg.fastpath.OffloadTable`), or None without a
+    lowered trace (:attr:`AnalysisContext.trace_facts`).
+
+    The offload applies :func:`offload_dataflow` to an interval of the
+    lowered trace and lowers the result, with no Python row per
+    instruction.  The plan becomes a per-static-instruction table:
+    outside the loop (a stray), or inside it with the instruction's CFU
+    slot ``(chain, position, length)`` when it has one.  What an
+    in-loop instance becomes (a dropped ``jmp``, a ``switch``, an
+    accelerator memory op, a compound op or a row kept on the core)
+    follows its opcode, as in :func:`offload_dataflow`.  *forward* is
+    the model's dataflow latency; *latencies* its switch latency or
+    mispeculation penalty.
+    """
+    if ctx.trace_facts is None:
+        return None
+    schedule = plan["schedule"]
+    slots = schedule.slots
+    table = [-2, 0, 0] * len(ctx.tdg.program.static_instructions)
+    for uid in plan["loop"].uids:
+        table[3 * uid:3 * uid + 3] = slots.get(uid, (-1, 0, 0))
+    return OffloadTable(table, len(schedule.cfus), accel, forward,
+                        **latencies)
+
+
 def iteration_groups(trace, spans, group_len, seq_map, out):
     """Yield the iteration *spans* in full groups of *group_len*.
 
@@ -244,6 +272,32 @@ class AnalysisContext:
         self._slices = {}
         self._iteration_spans = {}
         self._energy_models = {}
+        self._baseline = None
+        self._trace_facts = False
+
+    def baseline(self):
+        """``(timed, events)`` of the whole trace, as
+        :meth:`~repro.tdg.fastpath.StreamBuilder.finish` gives them:
+        the trace is lowered once, for the baseline runs and the
+        dataflow offload alike."""
+        if self._baseline is None:
+            out = StreamBuilder()
+            out.extend(self.tdg.trace.instructions)
+            self._baseline = out.finish()
+        return self._baseline
+
+    @property
+    def trace_facts(self):
+        """The lowered trace with the per-row facts the dataflow
+        offload reads (:class:`~repro.tdg.fastpath.TraceFacts`), or
+        None when the trace is not lowered (no kernel, or an
+        unlowerable trace) or the offload cannot read it."""
+        if self._trace_facts is False:
+            timed, events = self.baseline()
+            self._trace_facts = None \
+                if timed.__class__ is not LoweredStream \
+                else trace_facts(self.tdg.trace.instructions, timed, events)
+        return self._trace_facts
 
     def dep_info(self, loop):
         key = loop.key
@@ -353,6 +407,19 @@ class BSAModel:
         value transfer).  Default: the class attribute."""
         return self.entry_overhead
 
+    def dataflow_offload(self, ctx, plan):
+        """*plan* compiled for the C dataflow offload
+        (:func:`offload_table`), or None: for a BSA whose transform is
+        not :func:`offload_dataflow` alone (the default), or without a
+        lowered trace.  A BSA that returns one also gives
+        :meth:`offload_spans`."""
+        return None
+
+    def offload_spans(self, ctx, plan, interval):
+        """One interval as the offload's flat ``(start, end, mode)``
+        spans (``SPAN_*`` of :mod:`repro.tdg.fastpath`)."""
+        raise NotImplementedError
+
     def estimate_speedup(self, ctx, plan, core_config):
         """Approximate speedup from static/profile information only —
         what a profile-based compiler would embed in the binary for the
@@ -455,13 +522,25 @@ class BSAModel:
         :class:`~repro.tdg.fastpath.StreamBuilder`, which lowers it and
         reduces it to energy events in one walk; returns
         ``[(timed stream, EnergyEvents), ...]``, each stream in the form
-        :meth:`~repro.tdg.fastpath.StreamBuilder.finish` picks.
+        :meth:`~repro.tdg.fastpath.StreamBuilder.finish` picks.  A
+        region with a :meth:`dataflow_offload` skips the builder: the C
+        offload gives the same lowered stream and events.
         """
         seq_alloc = SeqAllocator()
         costed = []
         emitted = lowered = 0
         with span("accel.transform", bsa=self.name):
+            offload = self.dataflow_offload(ctx, plan)
             for interval in evaluated:
+                if offload is not None:
+                    timed, events, seq_alloc._next = offload.run(
+                        ctx.trace_facts, interval,
+                        self.offload_spans(ctx, plan, interval),
+                        seq_alloc._next)
+                    lowered += len(timed)
+                    emitted += len(timed)
+                    costed.append((timed, events))
+                    continue
                 out = StreamBuilder(self.dataflow_latency)
                 self.transform_interval(ctx, plan, interval, vector_len,
                                         seq_alloc, out)

@@ -18,9 +18,10 @@ is why NS-DF's energy gain exceeds its time gain in paper Fig. 13.
 """
 
 from repro.isa.opcodes import Opcode
-from repro.accel.base import BSAModel, offload_dataflow
+from repro.accel.base import BSAModel, offload_dataflow, offload_table
 from repro.analysis.cfu import schedule_cfus
 from repro.tdg.engine import AccelResources
+from repro.tdg.fastpath import SPAN_NS_DF
 
 #: Hardware budget: static compound instructions (paper: "targets
 #: inlined nested loops with 256 static compound instructions").
@@ -115,6 +116,16 @@ class NSDataflowModel(BSAModel):
                    * control_discount)
 
     # ------------------------------------------------------------------
+    def dataflow_offload(self, ctx, plan):
+        if type(self).transform_interval \
+                is not NSDataflowModel.transform_interval:
+            return None
+        return offload_table(ctx, plan, self.name, self.dataflow_latency,
+                             switch_latency=self.switch_latency)
+
+    def offload_spans(self, ctx, plan, interval):
+        return (*interval, SPAN_NS_DF)
+
     def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc, out):
         loop = plan["loop"]

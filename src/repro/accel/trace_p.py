@@ -14,9 +14,12 @@ engine restarts.
 """
 
 from repro.isa.opcodes import Opcode
-from repro.accel.base import BSAModel, offload_dataflow, remap
+from repro.accel.base import (
+    BSAModel, offload_dataflow, offload_table, remap,
+)
 from repro.analysis.cfu import schedule_cfus
 from repro.tdg.engine import AccelResources
+from repro.tdg.fastpath import SPAN_ON_TRACE, SPAN_REPLAY
 
 #: Minimum loop-back probability (paper: "higher than 80%").
 LOOP_BACK_THRESHOLD = 0.80
@@ -122,23 +125,44 @@ class TraceProcessorModel(BSAModel):
                    * replay_discount)
 
     # ------------------------------------------------------------------
+    def offload_spans(self, ctx, plan, interval):
+        """One interval's iterations as a flat ``(start, end, mode)``
+        sequence: an iteration that follows the hot path runs on the
+        trace (``SPAN_ON_TRACE``), any other replays on the core
+        (``SPAN_REPLAY``)."""
+        loop = plan["loop"]
+        hot_path = plan["hot_path"]
+        trace = ctx.tdg.trace.instructions
+        spans = []
+        for span_start, span_end in ctx.spans_of(loop, interval):
+            path = _iteration_path(trace, span_start, span_end, loop)
+            spans += (span_start, span_end,
+                      SPAN_ON_TRACE if tuple(path) == hot_path
+                      else SPAN_REPLAY)
+        return spans
+
+    def dataflow_offload(self, ctx, plan):
+        if type(self).transform_interval \
+                is not TraceProcessorModel.transform_interval:
+            return None
+        return offload_table(ctx, plan, self.name, self.dataflow_latency,
+                             mispec_penalty=self.mispec_penalty)
+
     def transform_interval(self, ctx, plan, interval, vector_len,
                            seq_alloc, out):
         loop = plan["loop"]
         slots = plan["schedule"].slots
-        hot_path = plan["hot_path"]
         trace = ctx.tdg.trace.instructions
-        spans = ctx.spans_of(loop, interval)
         loop_uids = loop.uids
+        spans = self.offload_spans(ctx, plan, interval)
 
         seq_map = {}
         last_accel_seq = None
         restart_edge = None   # (seq, latency) after a mispeculation
 
-        for span_start, span_end in spans:
-            path = _iteration_path(trace, span_start, span_end, loop)
-            on_trace = tuple(path) == hot_path
-            if on_trace:
+        for at in range(0, len(spans), 3):
+            span_start, span_end, mode = spans[at:at + 3]
+            if mode == SPAN_ON_TRACE:
                 # Speculative: branches become cheap verify ops with no
                 # control dependence; only the iteration's first loop
                 # instruction waits, behind a replay's restart edge.

@@ -70,7 +70,7 @@ def loop_intervals(tdg, forest=None):
     return intervals
 
 
-def attribute_baseline(commit_times, intervals, total_cycles):
+def attribute_baseline(commit_times, intervals):
     """Baseline core cycles attributed to each interval list.
 
     *commit_times* is the per-instruction commit-time list from a

@@ -261,8 +261,11 @@ class Coordinator:
         if won:
             self.payloads[name] = record
             self.failed.pop(name, None)
-            self.cache.store(self.keys[name], record, meta=entry_meta(
-                name, self.config.scale, self.config.max_invocations))
+            # A worker's write-through PUT has usually stored the
+            # entry already; store it only when that PUT did not land.
+            if self.keys[name] not in self.cache:
+                self.cache.store(self.keys[name], record, meta=entry_meta(
+                    name, self.config.scale, self.config.max_invocations))
             self.stats.add(name, "computed",
                            float(body.get("seconds") or 0.0))
             self.registry.record_completion(node_id)

@@ -16,7 +16,7 @@ from repro.analysis.regions import attribute_baseline
 from repro.core_model import core_by_name
 from repro.obs import counter, span
 from repro.tdg.fastpath import (
-    FastTimingEngine, LoweredStream, StreamBuilder, stream_events,
+    FastTimingEngine, LoweredStream, stream_events,
 )
 
 
@@ -100,13 +100,12 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
 
         # ---- baselines --------------------------------------------------
         # The trace takes the builder every BSA stream takes: one walk
-        # puts it in the engine's form and reduces it to energy events.
-        # Each loop's spans are reduced to events alone; both are then
-        # timed and priced on every core.
+        # puts it in the engine's form and reduces it to energy events
+        # (AnalysisContext.baseline; the dataflow offload reads the same
+        # lowered trace).  Each loop's spans are reduced to events
+        # alone; both are then timed and priced on every core.
         with span("tdg.lower", path="baseline"):
-            out = StreamBuilder()
-            out.extend(trace)
-            baseline_stream, trace_events = out.finish()
+            baseline_stream, trace_events = ctx.baseline()
         count_work("repro_insts_lowered_total",
                    len(trace) if baseline_stream.__class__ is LoweredStream
                    else 0, "baseline")
@@ -123,8 +122,8 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
                 result = FastTimingEngine(
                     config, collect_commit_times=True).run(baseline_stream)
                 commit_times = result.commit_times
-                per_loop_cycles = attribute_baseline(
-                    commit_times, ctx.intervals, result.cycles)
+                per_loop_cycles = attribute_baseline(commit_times,
+                                                     ctx.intervals)
                 energy_model = ctx.energy_model(config)
                 total_energy = energy_model.price(trace_events,
                                                   result.cycles)

@@ -170,9 +170,11 @@ UNPIPELINED = frozenset((
 # Per-opcode facts, set once as member attributes: hot loops read
 # ``opcode.latency`` with no dict probe, since every probe of a dict
 # keyed by an Enum member calls the Python-level ``Enum.__hash__``.
-# ``class_id`` is the op class's position in ``tuple(OpClass)``.
+# ``class_id`` is the op class's position in ``tuple(OpClass)``, and
+# ``op_id`` the opcode's own in ``tuple(Opcode)``.
 _OP_CLASSES = tuple(OpClass)
-for _op in Opcode:
+for _op_id, _op in enumerate(Opcode):
+    _op.op_id = _op_id
     _op.op_class = _OP_CLASS[_op]
     _op.class_id = _OP_CLASSES.index(_op.op_class)
     _op.latency = FU_LATENCY.get(_op, 1)

@@ -163,3 +163,23 @@ def test_torn_peer_response_quarantines_then_read_repairs(
         assert local.path_for(key).read_bytes() == canonical
         # From here on it is a pure local hit (no peer dependency).
         assert tier.load(key) == record
+
+
+def test_coordinator_stores_each_computed_entry_once(tmp_path):
+    """A worker's write-through PUT lands each computed entry on the
+    coordinator; the coordinator's own result handler then finds it
+    there and writes nothing more (4 writes for 2 entries when it
+    stored every result again)."""
+    from repro.obs import isolated
+
+    cache_dir = tmp_path / "coordinator-cache"
+    config = CoordinatorConfig(port=0, names=["conv", "fft"], scale=SCALE,
+                               cache_dir=cache_dir, timeout=240)
+    with isolated() as (registry, _):
+        sweep, _handles = run_cluster(
+            config, workers=1, worker_cache_dirs=[tmp_path / "w0"])
+        stores = registry.counter("repro_cache_stores_total").value()
+    entries = list(LocalDirBackend(cache_dir).iter_entries())
+    assert not sweep.stats.failures
+    assert len(entries) == 2
+    assert stores == len(entries)

@@ -112,8 +112,7 @@ class TestBaselineAttribution:
         engine = TimingEngine(OOO2, collect_commit_times=True)
         result = engine.run(nested_tdg.trace.instructions)
         intervals = loop_intervals(nested_tdg)
-        per_loop = attribute_baseline(result.commit_times, intervals,
-                                      result.cycles)
+        per_loop = attribute_baseline(result.commit_times, intervals)
         outer_key = nested_tdg.loop_tree.roots[0].key
         assert 0 < per_loop[outer_key] <= result.cycles
 
@@ -121,8 +120,7 @@ class TestBaselineAttribution:
         engine = TimingEngine(OOO2, collect_commit_times=True)
         result = engine.run(nested_tdg.trace.instructions)
         intervals = loop_intervals(nested_tdg)
-        per_loop = attribute_baseline(result.commit_times, intervals,
-                                      result.cycles)
+        per_loop = attribute_baseline(result.commit_times, intervals)
         forest = nested_tdg.loop_tree
         outer = forest.roots[0]
         inner = outer.children[0]

@@ -178,8 +178,8 @@ def seed_evaluate_benchmark(tdg, core_names, bsa_names, max_invocations,
     for core_name in core_names:
         config = core_by_name(core_name)
         result = TimingEngine(config, collect_commit_times=True).run(trace)
-        per_loop_cycles = attribute_baseline(
-            result.commit_times, ctx.intervals, result.cycles)
+        per_loop_cycles = attribute_baseline(result.commit_times,
+                                             ctx.intervals)
         energy_model = EnergyModel(config)
         total = seed_price(energy_model, trace, result.cycles)
         per_loop_energy = {}
