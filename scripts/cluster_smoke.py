@@ -11,7 +11,12 @@ invariants:
    flight ring as a blackbox dump (``evict-<node_id>.json``);
 3. the orphaned shard was re-dispatched and the merged artifact's
    ``dumps_sweep`` bytes are identical to the serial run;
-4. a torn peer-cache response (injected against the now-warm
+4. the run reads as one trace: the coordinator's request spans for
+   the workers' register, lease and result calls all carry the trace
+   id of the run's ``cluster.coordinate`` span (a worker subprocess
+   runs inside its own trace, so its lease and result calls carry the
+   run's id only if it adopted the id echoed on register);
+5. a torn peer-cache response (injected against the now-warm
    coordinator store) is quarantined and reported as a miss, and the
    retry read-repairs the local tier to the coordinator's exact
    on-disk bytes.
@@ -30,9 +35,31 @@ import tempfile
 from pathlib import Path
 
 
+#: The fleet calls every worker makes, as the coordinator's request
+#: spans name their endpoints.
+FLEET_ENDPOINTS = ("/v1/nodes/register", "/v1/nodes/{id}/lease",
+                   "/v1/nodes/{id}/result")
+
+
 def fail(message):
     print(f"[cluster] FAIL: {message}", file=sys.stderr)
     return 1
+
+
+def stray_traces(spans):
+    """``{endpoint: traces}`` of fleet calls not traced under the run.
+
+    An endpoint that was never called shows an empty set.
+    """
+    (run_trace,) = {record.get("trace") for record in spans
+                    if record["name"] == "cluster.coordinate"}
+    traces = {endpoint: set() for endpoint in FLEET_ENDPOINTS}
+    for record in spans:
+        if record["name"] == "service.request" \
+                and record["args"].get("endpoint") in traces:
+            traces[record["args"]["endpoint"]].add(record.get("trace"))
+    return {endpoint: seen for endpoint, seen in traces.items()
+            if seen != {run_trace}}
 
 
 def main(argv=None):
@@ -48,6 +75,7 @@ def main(argv=None):
     )
     from repro.dse import dumps_sweep, run_sweep
     from repro.dse.cache import LocalDirBackend
+    from repro.obs import enable, get_recorder
     from repro.resilience.faultinject import ENV_VAR, reset_plan
 
     workdir = Path(tempfile.mkdtemp(prefix="cluster-smoke-"))
@@ -66,6 +94,7 @@ def main(argv=None):
             port=0, names=names, scale=args.scale,
             cache_dir=coord_cache, lease_ttl=6.0, heartbeat_ttl=2.0,
             hedge_after=4.0, poll_interval=0.1, timeout=args.timeout)
+        enable(reset=True)
         sweep, handles = run_cluster(
             config, workers=2,
             worker_cache_dirs=[workdir / "w0", workdir / "w1"],
@@ -86,6 +115,12 @@ def main(argv=None):
                         "serial run")
         print(f"[cluster] recovered byte-identical "
               f"({len(serial)} bytes); eviction dump {dumps[0].name}")
+        strays = stray_traces(get_recorder().export())
+        if strays:
+            return fail(f"fleet calls outside the run's trace: "
+                        f"{strays}")
+        print("[cluster] register, lease and result calls all carry "
+              "the run's trace id")
 
         print("[cluster] torn peer-cache response against the warm "
               "store")

@@ -11,14 +11,14 @@ byte-deterministic.  See ``docs/cluster.md``.
 """
 
 from repro.cluster.backends import (
-    CHECKSUM_HEADER, HTTPPeerBackend, PeerUnavailable, TieredCache,
+    CHECKSUM_HEADER, HTTPPeerBackend, TieredCache,
 )
 from repro.cluster.coordinator import (
     Coordinator, CoordinatorConfig, announce_stderr, record_checksum,
     run_coordinated,
 )
 from repro.cluster.harness import (
-    WorkerHandle, kill_worker, run_cluster, spawn_worker,
+    WorkerHandle, run_cluster, spawn_worker,
 )
 from repro.cluster.leases import (
     DEFAULT_HEDGE_AFTER, DEFAULT_LEASE_TTL, Lease, LeaseTable,
@@ -46,11 +46,9 @@ __all__ = [
     "LeaseTable",
     "Node",
     "NodeRegistry",
-    "PeerUnavailable",
     "TieredCache",
     "WorkerHandle",
     "announce_stderr",
-    "kill_worker",
     "normalize_cluster_task",
     "record_checksum",
     "run_cluster",

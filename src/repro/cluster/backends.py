@@ -9,14 +9,15 @@ with a checksum and safe to read-repair into the local tier.
 
 :class:`HTTPPeerBackend` is the client of the peer-cache wire protocol
 (``GET``/``PUT /v1/cache/{key}``, body = canonical entry blob,
-``X-Repro-Checksum`` = hex sha256 of the body) and :func:`serve_cache`
-its one server side, mounted by both the coordinator and the
-evaluation service.  Both ends check a blob with the one
-:func:`repro.dse.cache.verify_entry`.  A response that fails the
-checksum, fails to parse, or claims the wrong key/format is *corrupt*:
-the bytes are quarantined for post-mortem (same capped quarantine as
-the on-disk backend), the miss is counted, and the caller recomputes —
-corruption on the wire can never poison a cache.
+``X-Repro-Checksum`` = hex sha256 of the body; sent through
+:func:`repro.service.http.send_request` in the caller's trace) and
+:func:`serve_cache` its one server side, mounted by both the
+coordinator and the evaluation service.  Both ends check a blob with
+the one :func:`repro.dse.cache.verify_entry`.  A response that fails
+the checksum, fails to parse, or claims the wrong key/format is
+*corrupt*: the bytes are quarantined for post-mortem (same capped
+quarantine as the on-disk backend), the miss is counted, and the
+caller recomputes — corruption on the wire can never poison a cache.
 
 :class:`TieredCache` stacks a local directory under a peer: loads read
 through (local first, then verified peer, repairing the local copy),
@@ -25,8 +26,6 @@ corrupt local entry is thereby healed from a verified peer copy.
 """
 
 import os
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 from repro.dse.cache import (
@@ -34,7 +33,9 @@ from repro.dse.cache import (
     entry_payload, verify_entry,
 )
 from repro.obs import counter, flight_event
-from repro.service.http import Response
+from repro.service.http import (
+    HTTPStatusError, Response, TransportError, send_request,
+)
 
 #: Checksum header on every cache-entry transfer.
 CHECKSUM_HEADER = "X-Repro-Checksum"
@@ -42,10 +43,6 @@ CHECKSUM_HEADER = "X-Repro-Checksum"
 #: Max files kept in the peer quarantine directory (same cap as the
 #: on-disk backend's, and shared with it when tiers share a root).
 PEER_QUARANTINE_CAP = 32
-
-
-class PeerUnavailable(Exception):
-    """The peer could not be reached (connection/timeout/5xx)."""
 
 
 class HTTPPeerBackend(CacheBackend):
@@ -89,24 +86,16 @@ class HTTPPeerBackend(CacheBackend):
         """
         from repro.resilience.faultinject import consume_torn_peer_get
 
-        request = urllib.request.Request(self._url(key), method="GET")
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout) as response:
-                blob = response.read()
-                expected = response.headers.get(CHECKSUM_HEADER)
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            if exc.code == 404:
+            _status, headers, blob = send_request(
+                "GET", self._url(key), timeout=self.timeout)
+        except (HTTPStatusError, TransportError) as exc:
+            if isinstance(exc, HTTPStatusError) and exc.status == 404:
                 counter("repro_peer_cache_misses_total",
                         "peer cache lookups that missed").inc()
-                return None
-            counter("repro_peer_cache_errors_total",
-                    "peer cache transfers that failed").inc()
-            return None
-        except (urllib.error.URLError, OSError, TimeoutError):
-            counter("repro_peer_cache_errors_total",
-                    "peer cache transfers that failed").inc()
+            else:
+                counter("repro_peer_cache_errors_total",
+                        "peer cache transfers that failed").inc()
             return None
 
         # Deterministic chaos hook: a ``tornpeer:get=N`` fault tears
@@ -116,7 +105,8 @@ class HTTPPeerBackend(CacheBackend):
             blob = blob[:len(blob) // 2]
 
         try:
-            payload = verify_entry(blob, key, checksum=expected)
+            payload = verify_entry(
+                blob, key, checksum=headers.get(CHECKSUM_HEADER))
         except EntryError as exc:
             self._quarantine(key, blob, exc.why)
             return None
@@ -159,17 +149,12 @@ class HTTPPeerBackend(CacheBackend):
         """
         blob = dumps_entry(entry_payload(key, record, meta=meta)) \
             .encode("utf-8")
-        request = urllib.request.Request(
-            self._url(key), data=blob, method="PUT",
-            headers={"Content-Type": "application/json",
-                     CHECKSUM_HEADER: entry_checksum(blob)})
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout) as response:
-                response.read()
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            if isinstance(exc, urllib.error.HTTPError):
-                exc.close()
+            send_request("PUT", self._url(key), blob,
+                         {"Content-Type": "application/json",
+                          CHECKSUM_HEADER: entry_checksum(blob)},
+                         timeout=self.timeout)
+        except (HTTPStatusError, TransportError):
             counter("repro_peer_cache_errors_total",
                     "peer cache transfers that failed").inc()
             return False

@@ -38,7 +38,8 @@ from repro.dse.cache import (
 from repro.dse.parallel import make_task
 from repro.dse.sweep import SweepStats, merge_sweep
 from repro.obs import (
-    counter, flight_event, set_blackbox_dir, span,
+    counter, current_trace_id, flight_event, new_trace_id,
+    set_blackbox_dir, span, trace_context,
 )
 from repro.service.http import (
     MAX_HEADER_BYTES, Response, Router, handle_connection,
@@ -147,6 +148,9 @@ class Coordinator:
         self.host = config.host
         self.port = config.port
         self.started_at = time.time()
+        #: The run's trace (the caller's, if bound); a request that
+        #: brings no trace of its own is served in it.
+        self.trace_id = current_trace_id() or new_trace_id()
         self._server = None
         self._tick_task = None
         self._done_event = None
@@ -304,7 +308,8 @@ class Coordinator:
         self._done_event = asyncio.Event()
         self._check_done()          # all-warm sweeps finish instantly
         self._server = await asyncio.start_server(
-            lambda r, w: handle_connection(self.router.dispatch, r, w),
+            lambda r, w: handle_connection(self.router.dispatch, r, w,
+                                           self.trace_id),
             host=self.config.host, port=self.config.port,
             limit=MAX_HEADER_BYTES)
         sockname = self._server.sockets[0].getsockname()
@@ -348,8 +353,9 @@ def run_coordinated(config, announce=None):
     coordinator = Coordinator(config)
 
     async def _main():
-        with span("cluster.coordinate",
-                  benchmarks=len(coordinator.names)):
+        with trace_context(coordinator.trace_id), \
+                span("cluster.coordinate",
+                     benchmarks=len(coordinator.names)):
             await coordinator.start()
             if announce is not None:
                 announce(coordinator)

@@ -17,7 +17,6 @@ equal a serial ``run_sweep`` of the same definition.
 """
 
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -170,13 +169,3 @@ def run_cluster(config, workers=2, worker_cache_dirs=None,
         for handle in handles:
             handle.reap()
     return sweep, handles
-
-
-def kill_worker(handle):
-    """SIGKILL one worker's whole session (pool children included)."""
-    if not handle.alive:
-        return
-    try:
-        os.killpg(os.getpgid(handle.pid), signal.SIGKILL)
-    except (OSError, ProcessLookupError):
-        handle.kill()

@@ -5,7 +5,9 @@ one :class:`FleetWorker`: an asyncio loop that registers with the
 coordinator, heartbeats on its own cadence (so a long evaluation
 never looks like a death), pulls shard leases, evaluates them through
 the service's standard path (tiered cache -> coalesce -> slots ->
-pool), and pushes checksummed results back.
+pool), and pushes checksummed results back.  Its calls go through
+:func:`repro.service.http.send_request` inside the run's trace, which
+``register``'s answer echoes, peer-cache transfers included.
 
 Failure handling mirrors the circuit-breaker client's philosophy —
 the coordinator being unreachable is an expected state, not an error:
@@ -18,15 +20,15 @@ on lease accept, ``hbdrop``/``hbdelay`` starve or slow heartbeats,
 """
 
 import asyncio
+import contextvars
 import json
 import os
 import signal
 import socket
-import urllib.error
-import urllib.request
 
-from repro.obs import counter, flight_event
+from repro.obs import counter, flight_event, trace_context
 from repro.resilience.policy import EvaluationTimeout
+from repro.service.http import HTTPStatusError, TransportError, send_request
 
 #: Base seconds between reconnect attempts when the coordinator is
 #: unreachable (doubles up to the max below).
@@ -59,54 +61,49 @@ class ClusterClient:
         if partition_active():
             raise CoordinatorUnreachable(
                 "injected partition: coordinator unreachable")
-        data = json.dumps(body or {}).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.base_url}{path}", data=data, method="POST",
-            headers={"Content-Type": "application/json"})
         try:
-            with urllib.request.urlopen(
-                    request, timeout=self.timeout) as response:
-                return response.status, json.loads(
-                    response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
+            status, headers, blob = send_request(
+                "POST", f"{self.base_url}{path}",
+                json.dumps(body or {}).encode("utf-8"),
+                {"Content-Type": "application/json"},
+                timeout=self.timeout)
+            return status, json.loads(blob), headers
+        except HTTPStatusError as exc:
+            if exc.status >= 500:
+                raise CoordinatorUnreachable(f"coordinator {exc}") from None
             try:
-                payload = json.loads(exc.read().decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
+                payload = json.loads(exc.body)
+            except ValueError:
                 payload = {"error": str(exc)}
-            finally:
-                exc.close()
-            if exc.code >= 500:
-                raise CoordinatorUnreachable(
-                    f"coordinator 5xx: {payload.get('error')}"
-                ) from None
-            return exc.code, payload
-        except (urllib.error.URLError, OSError, TimeoutError,
-                ValueError) as exc:
+            return exc.status, payload, exc.headers
+        except (TransportError, ValueError) as exc:
             raise CoordinatorUnreachable(str(exc)) from None
 
     def register(self, name, pid=None):
-        status, payload = self._post("/v1/nodes/register",
-                                     {"name": name, "pid": pid})
+        """``(payload, the run's trace id)``; sent outside any trace,
+        so the coordinator answers in the run's and echoes its id."""
+        status, payload, headers = contextvars.Context().run(
+            self._post, "/v1/nodes/register", {"name": name, "pid": pid})
         if status != 200:
             raise CoordinatorUnreachable(
                 f"register rejected: {payload.get('error')}")
-        return payload
+        return payload, headers.get("X-Trace-Id")
 
     def heartbeat(self, node_id):
         """True while the coordinator knows us; False = re-register."""
-        status, _payload = self._post(f"/v1/nodes/{node_id}/heartbeat")
+        status, _payload, _ = self._post(f"/v1/nodes/{node_id}/heartbeat")
         return status == 200
 
     def lease(self, node_id):
         """Claim a shard; the payload says shard/idle/done/404."""
-        status, payload = self._post(f"/v1/nodes/{node_id}/lease")
+        status, payload, _ = self._post(f"/v1/nodes/{node_id}/lease")
         if status == 404:
             return None             # evicted: caller re-registers
         return payload
 
     def result(self, node_id, body):
-        status, payload = self._post(f"/v1/nodes/{node_id}/result",
-                                     body)
+        status, payload, _ = self._post(f"/v1/nodes/{node_id}/result",
+                                        body)
         if status != 200:
             raise CoordinatorUnreachable(
                 f"result rejected ({status}): {payload.get('error')}")
@@ -158,7 +155,7 @@ class FleetWorker:
         backoff = BACKOFF_BASE
         while not self.service.draining:
             try:
-                info = await asyncio.to_thread(
+                info, trace_id = await asyncio.to_thread(
                     self.client.register, self.node_name, os.getpid())
             except CoordinatorUnreachable:
                 self.state = "disconnected"
@@ -168,21 +165,23 @@ class FleetWorker:
             backoff = BACKOFF_BASE
             self.node_id = info["node_id"]
             self.state = "registered"
-            flight_event("cluster.worker_joined",
-                         node=self.node_id,
-                         coordinator=self.client.base_url)
-            self._reregister = asyncio.Event()
-            heartbeats = asyncio.create_task(
-                self._heartbeat_loop(info.get(
-                    "heartbeat_interval", 1.0)))
-            try:
-                await self._lease_loop(info)
-            finally:
-                heartbeats.cancel()
+            # The heartbeat task and to_thread calls copy this context.
+            with trace_context(trace_id):
+                flight_event("cluster.worker_joined",
+                             node=self.node_id,
+                             coordinator=self.client.base_url)
+                self._reregister = asyncio.Event()
+                heartbeats = asyncio.create_task(
+                    self._heartbeat_loop(info.get(
+                        "heartbeat_interval", 1.0)))
                 try:
-                    await heartbeats
-                except asyncio.CancelledError:
-                    pass
+                    await self._lease_loop(info)
+                finally:
+                    heartbeats.cancel()
+                    try:
+                        await heartbeats
+                    except asyncio.CancelledError:
+                        pass
 
     async def _heartbeat_loop(self, interval):
         """Liveness on its own cadence, independent of evaluations."""

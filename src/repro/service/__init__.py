@@ -10,7 +10,7 @@ and graceful drain.  Start one with ``repro serve``; talk to it with
 
 Module map
 ----------
-- :mod:`repro.service.http` -- minimal HTTP/1.1 over asyncio streams
+- :mod:`repro.service.http` -- HTTP/1.1 listener + the one client transport
 - :mod:`repro.service.app` -- routes, request lifecycle, drain logic
 - :mod:`repro.service.jobs` -- compute slots (backpressure) + job table
 - :mod:`repro.service.coalesce` -- in-flight request coalescing

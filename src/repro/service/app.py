@@ -25,10 +25,7 @@ import signal
 import sys
 import time
 
-from repro.obs import (
-    current_trace_id, format_traceparent, new_trace_id,
-    parse_traceparent, span, trace_context,
-)
+from repro.obs import current_trace_id
 from repro.resilience.policy import EvaluationTimeout
 from repro.service.coalesce import Coalescer
 from repro.service.http import (
@@ -577,39 +574,20 @@ class EvaluationService:
             content_type="text/html; charset=utf-8")
 
     # ------------------------------------------------------------------
-    # Dispatch: tracing + metrics around the router.
+    # Dispatch: metrics around the router (the listener adds tracing).
 
     async def dispatch(self, request):
         self._active_requests += 1
         started = time.perf_counter()
-        endpoint = "unmatched"
-        # Honor a client-supplied correlation id — a W3C ``traceparent``
-        # or the service's own ``X-Trace-Id`` — so a caller can stitch
-        # its own traces to ours; mint one otherwise.  The id is bound
-        # as the handler's trace context (every span it records carries
-        # it), echoed in the response, and attached to the request span.
-        trace_id = parse_traceparent(
-            request.headers.get("traceparent")) \
-            or request.headers.get("x-trace-id") or new_trace_id()
-        obs_span = span("service.request", cat="service",
-                        method=request.method, trace_id=trace_id)
+        status = 500
         try:
-            with trace_context(trace_id), obs_span:
-                response = await self.router.dispatch(request)
-                endpoint = request.endpoint or endpoint
-                obs_span.set(endpoint=endpoint,
-                             status=response.status)
-                response.headers.setdefault("X-Trace-Id", trace_id)
-                response.headers.setdefault(
-                    "traceparent",
-                    format_traceparent(
-                        trace_id, getattr(obs_span, "id", None)))
+            response = await self.router.dispatch(request)
+            status = response.status
             return response
         finally:
             self._active_requests -= 1
             self.metrics.observe_request(
-                endpoint,
-                response.status if "response" in locals() else 500,
+                request.endpoint or "unmatched", status,
                 time.perf_counter() - started)
 
     # ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Python client for the evaluation service.
 
-Stdlib-only (``urllib``), synchronous, with the retry discipline the
+Synchronous, over :func:`repro.service.http.send_request` (which
+sends the caller's trace context), with the retry discipline the
 server's backpressure contract expects:
 
 - 429/503 responses retry with exponential backoff; when the server
@@ -15,6 +16,7 @@ server's backpressure contract expects:
   call after the window is the half-open probe that closes the
   circuit on success.
 - 4xx client errors are never retried.
+- A 2xx answer that is not JSON is a :class:`ServiceError` too.
 
 The clock and sleep functions are injectable so the retry schedule is
 unit-testable against a fake clock (no real sleeping in tests).
@@ -26,10 +28,9 @@ unit-testable against a fake clock (no real sleeping in tests).
 """
 
 import json
-import socket
 import time
-import urllib.error
-import urllib.request
+
+from repro.service.http import HTTPStatusError, TransportError, send_request
 
 #: Statuses worth retrying — the server is alive but shedding load.
 RETRYABLE_STATUSES = (429, 503)
@@ -125,66 +126,44 @@ class ServiceClient:
         self._check_circuit(url)
         data = None
         headers = {"Accept": "application/json"}
-        # Propagate the caller's distributed trace context (if any) so
-        # spans the server records for this request parent back to the
-        # span that issued it — one causal story across processes.
-        from repro.obs import (
-            current_span_id, current_trace_id, format_traceparent,
-        )
-        trace_id = current_trace_id()
-        if trace_id is not None:
-            headers["X-Trace-Id"] = trace_id
-            headers["traceparent"] = format_traceparent(
-                trace_id, current_span_id())
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        last_error = None
         budget_left = self.retry_budget
         for attempt in range(self.retries + 1):
-            request = urllib.request.Request(
-                url, data=data, headers=headers, method=method)
             try:
-                with urllib.request.urlopen(
-                        request, timeout=self.timeout) as response:
-                    self._record_success()
-                    return json.loads(response.read().decode("utf-8"))
-            except urllib.error.HTTPError as exc:
+                status, _headers, blob = send_request(
+                    method, url, data, headers, timeout=self.timeout)
+            except HTTPStatusError as exc:
                 # Any HTTP response means the transport works.
                 self._record_success()
-                payload = {}
                 try:
-                    payload = json.loads(exc.read().decode("utf-8"))
-                except (ValueError, OSError):
-                    pass
-                if exc.code in RETRYABLE_STATUSES \
-                        and attempt < self.retries:
-                    delay = self._retry_delay(
-                        attempt, exc.headers.get("Retry-After"))
-                    if budget_left is None or delay <= budget_left:
-                        if budget_left is not None:
-                            budget_left -= delay
-                        last_error = exc
-                        self.sleep(delay)
-                        continue
-                raise ServiceError(
-                    payload.get("error", f"HTTP {exc.code}"),
-                    status=exc.code, payload=payload) from exc
-            except (urllib.error.URLError, socket.timeout,
-                    ConnectionError, TimeoutError) as exc:
+                    payload = json.loads(exc.body)
+                except ValueError:
+                    payload = {}
+                error = ServiceError(payload.get("error", str(exc)),
+                                     status=exc.status, payload=payload)
+                retry = exc.status in RETRYABLE_STATUSES
+                delay = self._retry_delay(
+                    attempt, exc.headers.get("Retry-After"))
+            except TransportError as exc:
                 self._record_transport_failure()
-                if attempt < self.retries and not self.circuit_open:
-                    delay = self._retry_delay(attempt)
-                    if budget_left is None or delay <= budget_left:
-                        if budget_left is not None:
-                            budget_left -= delay
-                        last_error = exc
-                        self.sleep(delay)
-                        continue
-                raise ServiceError(
-                    f"cannot reach {url}: {exc}") from exc
-        raise ServiceError(           # pragma: no cover — loop always
-            f"retries exhausted for {url}: {last_error}")  # returns/raises
+                error = ServiceError(f"cannot reach {url}: {exc}")
+                retry = not self.circuit_open
+                delay = self._retry_delay(attempt)
+            else:
+                self._record_success()
+                try:
+                    return json.loads(blob)
+                except ValueError:
+                    raise ServiceError(f"non-JSON answer from {url}",
+                                       status=status) from None
+            if not retry or attempt == self.retries \
+                    or (budget_left is not None and delay > budget_left):
+                raise error
+            if budget_left is not None:
+                budget_left -= delay
+            self.sleep(delay)
 
     # -- API surface ---------------------------------------------------
 

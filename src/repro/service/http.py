@@ -1,4 +1,4 @@
-"""Minimal asyncio HTTP/1.1 layer for the evaluation service.
+"""Minimal HTTP/1.1 layer: the service's server side and every client.
 
 The service is stdlib-only, so this module implements just enough of
 HTTP/1.1 over :func:`asyncio.start_server` streams to carry a JSON
@@ -8,8 +8,16 @@ general web server — no chunked transfer, no TLS, no multipart.
 """
 
 import asyncio
+import http.client
 import json
+import urllib.error
+import urllib.request
 from urllib.parse import parse_qs, unquote, urlsplit
+
+from repro.obs import (
+    current_trace_id, format_traceparent, new_trace_id, parse_traceparent,
+    span, trace_context,
+)
 
 #: Stream limit for the header block (also start_server's read limit).
 MAX_HEADER_BYTES = 64 * 1024
@@ -221,12 +229,15 @@ class Router:
             return Response.error(500, f"{type(exc).__name__}: {exc}")
 
 
-async def handle_connection(dispatch, reader, writer):
+async def handle_connection(dispatch, reader, writer, default_trace=None):
     """Serve requests on one connection until close/EOF.
 
     *dispatch* is ``async (request) -> Response`` and must not raise —
     :meth:`Router.dispatch` converts handler failures to 500s so that
-    a broken handler can never wedge the connection loop.
+    a broken handler can never wedge the connection loop.  Each call
+    runs in the trace of the request's ``traceparent``, else of its
+    ``X-Trace-Id``, else *default_trace*, else a fresh one, under a
+    ``service.request`` span; the response echoes both headers.
     """
     try:
         while True:
@@ -239,7 +250,19 @@ async def handle_connection(dispatch, reader, writer):
                 break
             if request is None:
                 break
-            response = await dispatch(request)
+            trace_id = parse_traceparent(
+                request.headers.get("traceparent")) \
+                or request.headers.get("x-trace-id") \
+                or default_trace or new_trace_id()
+            obs_span = span("service.request", cat="service",
+                            method=request.method, trace_id=trace_id)
+            with trace_context(trace_id), obs_span:
+                response = await dispatch(request)
+                obs_span.set(endpoint=request.endpoint or "unmatched",
+                             status=response.status)
+            response.headers.setdefault("X-Trace-Id", trace_id)
+            response.headers.setdefault("traceparent", format_traceparent(
+                trace_id, getattr(obs_span, "id", None)))
             close = not request.keep_alive
             writer.write(response.encode(close=close))
             await writer.drain()
@@ -253,3 +276,45 @@ async def handle_connection(dispatch, reader, writer):
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
+
+
+# ---------------------------------------------------------------------------
+# Client side.
+
+class TransportError(Exception):
+    """No HTTP answer: refused, reset, timed out or torn."""
+
+
+class HTTPStatusError(Exception):
+    """A non-2xx answer: its ``status``, ``headers`` and ``body``."""
+
+    def __init__(self, status, headers, body):
+        super().__init__(f"HTTP {status}")
+        self.status, self.headers, self.body = status, headers, body
+
+
+def send_request(method, url, body=None, headers=None, *, timeout):
+    """The one client transport: ``(status, headers, body)`` of a 2xx.
+
+    One connection per request; sends the bound trace, if any, as
+    ``X-Trace-Id`` and ``traceparent``.  A non-2xx answer raises
+    :class:`HTTPStatusError`, no answer :class:`TransportError`;
+    retries and fault hooks are the caller's.
+    """
+    headers = dict(headers or {})
+    trace_id = current_trace_id()
+    if trace_id is not None:
+        headers["X-Trace-Id"] = trace_id
+        headers["traceparent"] = format_traceparent()
+    outgoing = urllib.request.Request(url, body, headers, method=method)
+    try:
+        try:
+            with urllib.request.urlopen(outgoing, timeout=timeout) as ok:
+                return ok.status, ok.headers, ok.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                failure = HTTPStatusError(exc.code, exc.headers,
+                                          exc.read())
+    except (OSError, http.client.HTTPException) as exc:
+        raise TransportError(str(exc) or type(exc).__name__) from exc
+    raise failure

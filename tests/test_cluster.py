@@ -528,6 +528,43 @@ def test_coordinator_answers_400_to_a_malformed_body(tmp_path):
     assert "invalid JSON body" in json.loads(body)["error"]
 
 
+def test_coordinator_honours_the_callers_trace_context(tmp_path):
+    """A request that brings a ``traceparent`` is served inside that
+    trace, and the answer echoes its id in both trace headers."""
+    from repro.obs import format_traceparent, parse_traceparent
+
+    trace_id = "cafe0123cafe0123"
+    with running_node("coordinator", tmp_path) as base:
+        request = urllib.request.Request(
+            f"{base}/v1/nodes/register", data=b'{"name": "w0"}',
+            method="POST",
+            headers={"Content-Type": "application/json",
+                     "traceparent": format_traceparent(trace_id, 7)})
+        with urllib.request.urlopen(request, timeout=30) as response:
+            headers = response.headers
+    assert headers["X-Trace-Id"] == trace_id
+    assert parse_traceparent(headers["traceparent"]) == trace_id
+
+
+def test_peer_cache_transfers_carry_the_callers_trace(tmp_path):
+    """The peer client's PUT and GET are served in the caller's trace:
+    the service's request spans for ``/v1/cache/{key}`` carry it."""
+    from repro.obs import isolated, trace_context
+
+    with isolated() as (_registry, recorder), \
+            running_node("service", tmp_path) as base:
+        peer = HTTPPeerBackend(base)
+        with trace_context() as trace_id:
+            assert peer.store(KEY, RECORD)
+            assert peer.load_entry(KEY)["record"] == RECORD
+        transfers = [
+            (record["args"]["method"], record.get("trace"))
+            for record in recorder.export()
+            if record["name"] == "service.request"
+            and record["args"].get("endpoint") == "/v1/cache/{key}"]
+    assert transfers == [("PUT", trace_id), ("GET", trace_id)]
+
+
 # ---------------------------------------------------------------------------
 # Result checksums and task normalization.
 

@@ -14,6 +14,7 @@ once serially and once under chaos.
 """
 
 import asyncio
+import json
 import threading
 from contextlib import contextmanager
 
@@ -183,3 +184,41 @@ def test_coordinator_stores_each_computed_entry_once(tmp_path):
     assert not sweep.stats.failures
     assert len(entries) == 2
     assert stores == len(entries)
+
+
+def test_one_trace_per_coordinated_run(tmp_path):
+    """Every fleet hop of a coordinated run carries the run's trace.
+
+    The coordinator's request spans for the worker's register, lease,
+    result and peer-cache calls all carry the trace id of the run's
+    ``cluster.coordinate`` span.  The worker is a subprocess, so its
+    shutdown dump shows that it adopted the id: the flight event of
+    its joining the fleet carries it as well.
+    """
+    from repro.obs import isolated
+
+    worker_cache = tmp_path / "w0"
+    config = CoordinatorConfig(port=0, names=["conv"], scale=SCALE,
+                               cache_dir=tmp_path / "coordinator-cache",
+                               timeout=240)
+    with isolated() as (_registry, recorder):
+        sweep, handles = run_cluster(config, workers=1,
+                                     worker_cache_dirs=[worker_cache])
+        spans = recorder.export()
+    assert not sweep.stats.failures
+    assert handles[0].returncode == 0
+    (run_trace,) = {record["trace"] for record in spans
+                    if record["name"] == "cluster.coordinate"}
+    traces = {}
+    for record in spans:
+        if record["name"] == "service.request":
+            traces.setdefault(record["args"]["endpoint"], set()).add(
+                record.get("trace"))
+    for endpoint in ("/v1/nodes/register", "/v1/nodes/{id}/lease",
+                     "/v1/nodes/{id}/result", "/v1/cache/{key}"):
+        assert traces.get(endpoint) == {run_trace}, endpoint
+
+    (dump,) = (worker_cache / "blackbox").glob("*.json")
+    joined = [event for event in json.loads(dump.read_text())["events"]
+              if event["kind"] == "cluster.worker_joined"]
+    assert [event.get("trace") for event in joined] == [run_trace]

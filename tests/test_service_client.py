@@ -41,7 +41,8 @@ class ScriptedServer:
     """HTTP server answering from a fixed script of responses."""
 
     def __init__(self, script):
-        self.script = list(script)      # [(status, headers, payload)]
+        # [(status, headers, payload)]; bytes payloads go out raw.
+        self.script = list(script)
         self.requests = []              # [(method, path, body)]
         server = self
 
@@ -54,7 +55,8 @@ class ScriptedServer:
                 status, headers, payload = (
                     server.script.pop(0) if server.script
                     else (500, {}, {"error": "script exhausted"}))
-                blob = json.dumps(payload).encode()
+                blob = payload if isinstance(payload, bytes) \
+                    else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(blob)))
@@ -137,6 +139,14 @@ class TestRetries:
         assert info.value.status == 400
         assert info.value.payload["error"] == "bad benchmark"
         assert len(server.requests) == 1
+
+    def test_non_json_2xx_is_a_service_error(self, scripted):
+        """A proxy's HTML page answering 200 surfaces as ServiceError
+        with the status, not as a raw JSONDecodeError."""
+        server = scripted([(200, {}, b"<html>proxy</html>")])
+        with pytest.raises(ServiceError) as info:
+            ServiceClient(server.url, retries=0).healthz()
+        assert info.value.status == 200
 
     def test_connection_refused_surfaces_after_retries(self):
         client = make_client("http://127.0.0.1:9", retries=1)
