@@ -82,37 +82,43 @@ def profile_paths(tdg, forest=None, intervals=None):
     profiles = {}
     for loop in forest:
         profile = LoopPathProfile(loop)
-        spans = intervals.get(loop.key, ())
         header = loop.header
-        function_name = loop.function.name
-        blocks = loop.blocks
-        for start, end in spans:
+        # The loop's own static instructions (callee code and blocks
+        # outside the loop read None): (branch, block entry, in the
+        # header, block label).
+        facts = {static: (static.opcode is Opcode.BR, static.index == 0,
+                          label == header, label)
+                 for label in loop.blocks
+                 for static in loop.function.block(label)}
+        facts_get = facts.get
+        dyn_insts = branch_insts = 0
+        path_counts = profile.path_counts
+        for start, end in intervals.get(loop.key, ()):
             profile.invocations += 1
             current_path = []
             for dyn in trace[start:end]:
-                static = dyn.static
-                if static is None:
+                fact = facts_get(dyn.static)
+                if fact is None:
                     continue
-                block = static.block
-                if block.function.name != function_name \
-                        or block.label not in blocks:
-                    continue  # callee code or non-loop block
-                profile.dyn_insts += 1
-                if static.opcode is Opcode.BR:
-                    profile.branch_insts += 1
+                dyn_insts += 1
+                is_branch, entry, in_header, label = fact
+                if is_branch:
+                    branch_insts += 1
                 # A block entry is the execution of its first inst.
-                if static.index == 0:
-                    if block.label == header and current_path:
-                        profile.path_counts[tuple(current_path)] += 1
+                if entry:
+                    if in_header and current_path:
+                        path_counts[tuple(current_path)] += 1
                         profile.iterations += 1
                         current_path = []
-                    current_path.append(block.label)
+                    current_path.append(label)
                 elif not current_path:
                     # Invocation started mid-block (do-while latch):
                     # count the header implicitly.
-                    current_path.append(block.label)
+                    current_path.append(label)
             if current_path:
-                profile.path_counts[tuple(current_path)] += 1
+                path_counts[tuple(current_path)] += 1
                 profile.iterations += 1
+        profile.dyn_insts = dyn_insts
+        profile.branch_insts = branch_insts
         profiles[loop.key] = profile
     return profiles

@@ -10,9 +10,13 @@ nesting (a callee's instructions stay inside the caller's interval).
 
 
 def _loop_chains(forest):
-    """Map static uid -> tuple of loops from outermost to innermost."""
+    """Map static uid -> tuple of loops from outermost to innermost.
+
+    Equal chains are one object, so an identity test tells whether two
+    instructions sit in the same loops."""
     program = forest.program
     chains = {}
+    interned = {}
     for inst in program.static_instructions:
         loop = forest.innermost_at(inst.block.function.name,
                                    inst.block.label)
@@ -20,7 +24,8 @@ def _loop_chains(forest):
         while loop is not None:
             chain.append(loop)
             loop = loop.parent
-        chains[inst.uid] = tuple(reversed(chain))
+        chain = tuple(reversed(chain))
+        chains[inst.uid] = interned.setdefault(chain, chain)
     return chains
 
 
@@ -42,15 +47,25 @@ def loop_intervals(tdg, forest=None):
         if end > start:
             intervals[loop.key].append((start, end))
 
+    ret, call = Opcode.RET, Opcode.CALL
+    # After an instruction with chain C (not a ret), every loop of C is
+    # on the stack and every entry at the current call depth is in C (a
+    # call only raises the depth), so a next instruction with chain C
+    # closes and opens nothing.
+    last_chain = None
     for index, dyn in enumerate(trace):
         opcode = dyn.opcode
-        if opcode is Opcode.RET:
+        if opcode is ret:
             # Leaving the callee: close its loops before popping depth.
             while stack and stack[-1][2] == call_depth:
                 close(stack.pop(), index)
             call_depth -= 1
+            last_chain = None
             continue
         chain = chains.get(dyn.uid, ())
+        if chain is last_chain and opcode is not call:
+            continue    # same loops: nothing closes or opens
+        last_chain = chain
         chain_set = set(chain)
         # Close loops we are no longer inside (same call depth only).
         while stack and stack[-1][2] == call_depth \
@@ -62,7 +77,7 @@ def loop_intervals(tdg, forest=None):
             if loop not in on_stack:
                 stack.append([loop, index, call_depth])
                 on_stack.add(loop)
-        if opcode is Opcode.CALL:
+        if opcode is call:
             call_depth += 1
     end = len(trace)
     while stack:

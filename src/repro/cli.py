@@ -34,7 +34,12 @@ ALL_BSAS = ("simd", "dp_cgra", "ns_df", "trace_p")
 
 
 class CLIError(Exception):
-    """Operational failure with a user-facing message (exit code 1)."""
+    """Operational failure with a user-facing message (exit code 1, or
+    2 for arguments that cannot work)."""
+
+    def __init__(self, message, exit_code=1):
+        super().__init__(message)
+        self.exit_code = exit_code
 
 
 def _workload(name):
@@ -335,10 +340,28 @@ def _cmd_cache(args):
     return 0
 
 
+def _is_host_port_url(url):
+    """Whether *url* is ``http://host:port``, optionally with a
+    trailing slash."""
+    from urllib.parse import urlsplit
+    try:
+        parts = urlsplit(url)
+        port = parts.port
+    except ValueError:
+        return False
+    return (parts.scheme == "http" and bool(parts.hostname)
+            and port is not None and parts.path in ("", "/")
+            and not (parts.query or parts.fragment or parts.username
+                     or parts.password))
+
+
 def _cmd_serve(args):
     from repro.service import ServiceConfig, serve
     if args.node_name and not args.worker_of:
         raise CLIError("--node-name does nothing without --worker-of")
+    if args.worker_of is not None and not _is_host_port_url(args.worker_of):
+        raise CLIError(f"--worker-of {args.worker_of!r} is not an "
+                       "http://host:port URL", exit_code=2)
     config = ServiceConfig(
         host=args.host, port=args.port, workers=args.workers,
         pool_mode=args.pool, max_pending=args.queue_depth,
@@ -851,7 +874,7 @@ def main(argv=None):
             message = f"{type(exc).__name__}: {message}"
         print(f"repro {args.command}: error: {message}",
               file=sys.stderr)
-        return 1
+        return exc.exit_code if isinstance(exc, CLIError) else 1
 
 
 if __name__ == "__main__":

@@ -103,15 +103,19 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         # puts it in the engine's form and reduces it to energy events
         # (AnalysisContext.baseline; the dataflow offload reads the same
         # lowered trace).  Each loop's spans are reduced to events
-        # alone; both are then timed and priced on every core.
+        # alone, in C over the lowered trace when there is one
+        # (TraceFacts.span_events); both are then timed and priced on
+        # every core.
         with span("tdg.lower", path="baseline"):
             baseline_stream, trace_events = ctx.baseline()
         count_work("repro_insts_lowered_total",
                    len(trace) if baseline_stream.__class__ is LoweredStream
                    else 0, "baseline")
         with span("energy.price", path="baseline"):
+            facts = ctx.trace_facts
             loop_events = {
-                key: stream_events(_concat(trace, spans))
+                key: stream_events(_concat(trace, spans)) if facts is None
+                else facts.span_events(spans)
                 for key, spans in ctx.intervals.items() if spans
             }
         count_work("repro_insts_priced_total", len(trace) + sum(

@@ -224,6 +224,9 @@ class EvaluationService:
         self.router.add("GET", "/v1/dash", self.handle_dash)
 
         self.cache = None
+        # Whether cache loads and stores may block on a peer's HTTP
+        # answer; they then run in a thread, off the event loop.
+        self._cache_io_blocks = False
         if self.config.use_cache:
             from repro.cluster.backends import serve_cache
             from repro.dse.cache import SweepCache, default_cache_dir
@@ -247,6 +250,7 @@ class EvaluationService:
                     HTTPPeerBackend(
                         self.config.worker_of,
                         quarantine_dir=self.cache.quarantine_dir))
+                self._cache_io_blocks = True
         self.fleet = None
         if self.config.worker_of:
             from repro.cluster.worker import FleetWorker
@@ -274,6 +278,14 @@ class EvaluationService:
                         params["with_amdahl"])
         return task, key
 
+    async def _cache_io(self, call, *args, **kwargs):
+        """One cache load or store: in a thread when it may wait on a
+        peer (a fleet worker's tiered cache), else inline, since a
+        local-directory hit costs less than a thread hand-off."""
+        if self._cache_io_blocks:
+            return await asyncio.to_thread(call, *args, **kwargs)
+        return call(*args, **kwargs)
+
     async def _evaluate_keyed(self, task, key, blocking=False):
         """Resolve one keyed evaluation; ``(payload, source)``.
 
@@ -283,7 +295,7 @@ class EvaluationService:
         compute slot is free.
         """
         if self.cache is not None:
-            payload = self.cache.load(key)
+            payload = await self._cache_io(self.cache.load, key)
             if payload is not None:
                 self.metrics.record_cache_hit()
                 return payload, "cache"
@@ -309,9 +321,10 @@ class EvaluationService:
                 time.perf_counter() - started)
             if self.cache is not None:
                 from repro.dse.cache import entry_meta
-                self.cache.store(key, payload, meta=entry_meta(
-                    task["name"], task["scale"],
-                    task["max_invocations"]))
+                await self._cache_io(
+                    self.cache.store, key, payload, meta=entry_meta(
+                        task["name"], task["scale"],
+                        task["max_invocations"]))
         except BaseException as exc:
             self.coalescer.finish(key, future, error=exc)
             raise

@@ -44,6 +44,10 @@ class Cache:
         set_index = line % self.config.num_sets
         tag = line // self.config.num_sets
         ways = self._sets[set_index]
+        if ways and ways[0] == tag:
+            # Already the MRU way: the LRU order stays as it is.
+            self.hits += 1
+            return True
         if tag in ways:
             ways.remove(tag)
             ways.insert(0, tag)

@@ -10,7 +10,7 @@ import math
 
 from repro.isa.opcodes import Opcode
 from repro.sim.branch import GSharePredictor
-from repro.sim.cache import CacheHierarchy
+from repro.sim.cache import LINE_WORDS, CacheHierarchy
 from repro.sim.trace import DynInst, Trace
 
 #: Hard cap on memory image growth (words).
@@ -69,6 +69,7 @@ class Interpreter:
         memory = self.memory
         registers = self.registers
         caches = self.caches
+        l1i = caches.l1i
         predictor = self.predictor
 
         dyn_instructions = []
@@ -82,6 +83,10 @@ class Interpreter:
         call_stack = []
         trace.record_block(function.name, block.label)
         seq = 0
+        # Only fetches touch the L1I, so a fetch from the line the
+        # previous fetch left most recently used is a hit that leaves
+        # the LRU order as it is: count it without the lookup.
+        fetch_line = -1
 
         while True:
             if seq >= max_instructions:
@@ -104,11 +109,16 @@ class Interpreter:
 
             inst = block.instructions[inst_index]
             opcode = inst.opcode
-            icache_lat, icache_level = caches.access_inst(inst.uid)
-            dyn = DynInst(
-                seq, inst, opcode,
-                icache_lat=(icache_lat if icache_level != "l1" else 0),
-            )
+            line = inst.uid // LINE_WORDS
+            if line == fetch_line:
+                l1i.hits += 1
+                icache_lat = 0
+            else:
+                fetch_line = line
+                icache_lat, icache_level = caches.access_inst(inst.uid)
+                if icache_level == "l1":
+                    icache_lat = 0
+            dyn = DynInst(seq, inst, opcode, icache_lat=icache_lat)
 
             # ---- control flow --------------------------------------
             if opcode is _HALT:

@@ -34,7 +34,10 @@ Trace-P plan to an interval of the lowered trace (:class:`TraceFacts`)
 and lowers the result, giving what the Python transform plus
 :meth:`StreamBuilder.finish` give.  The Python transform is the
 reference: ``tests/test_dataflow_offload.py`` checks the offload
-against it field for field.
+against it field for field.  With every static instruction a stray,
+the same entry point reduces the baseline's per-loop spans to energy
+events (:meth:`TraceFacts.span_events`), checked against
+:func:`stream_events` by ``tests/test_baseline_loop_events.py``.
 
 There is one implementation choice and one place that makes it:
 :meth:`StreamBuilder.finish` lowers a stream when the kernel loads
@@ -602,7 +605,7 @@ class TraceFacts:
     seqs are its positions and whose rows carry no transform fields.
     """
 
-    __slots__ = ("lowered", "addrs", "_addrs", "_columns")
+    __slots__ = ("lowered", "addrs", "_addrs", "_columns", "_strays")
 
     def __init__(self, lowered, columns):
         self.lowered = lowered
@@ -612,6 +615,26 @@ class TraceFacts:
             lowered.lat, lowered.is_mem, lowered.memdep, lowered.dep_ptr,
             lowered.dep_idx, lowered.mispred, lowered.icache, *columns)))
         self.addrs = _addr_of(self._addrs)
+        # Every static instruction a stray: every row stays on the core.
+        n_statics = max(columns[0], default=-1) + 1
+        self._strays = OffloadTable(
+            array.array("q", (-2, 0, 0)) * n_statics, 0, None, 0)
+
+    def span_events(self, spans):
+        """:class:`~repro.energy.mcpat.EnergyEvents` of the trace rows in
+        *spans* (non-empty ``(start, end)`` pairs in trace order), as
+        :func:`stream_events` over those rows gives them: one offload
+        call with every static instruction a stray, so every row stays
+        on the core and is charged in row order."""
+        dep_ptr = self.lowered.dep_ptr
+        flat = []
+        rows = deps = 0
+        for start, end in spans:
+            flat += (start, end, SPAN_ON_TRACE)
+            rows += end - start
+            deps += dep_ptr[end] - dep_ptr[start]
+        return self._strays._offload(
+            self, (spans[0][0], spans[-1][1]), flat, 0, rows, deps, 0)[1]
 
 
 def trace_facts(trace, lowered, events):
@@ -675,9 +698,17 @@ class OffloadTable:
         start, end = interval
         rows = end - start
         deps = facts.lowered.dep_ptr[end] - facts.lowered.dep_ptr[start]
+        return self._offload(facts, interval, spans, seq_base, rows, deps,
+                             rows + deps)
+
+    def _offload(self, facts, interval, spans, seq_base, rows, deps,
+                 edges):
+        """:meth:`run`, with output room for at most *rows* rows,
+        *deps* deps and *edges* extra edges."""
+        start, end = interval
         buffers = [_ZERO * size for size in (
             rows, rows, rows, rows, rows, rows, rows, rows + 1, deps,
-            rows + 1, rows + deps, rows + deps, rows, rows, rows, rows)]
+            rows + 1, edges, edges, rows, rows, rows, rows)]
         outs = array.array("q", map(_addr_of, buffers))
         cfg = array.array("q", (start, end, len(spans) // 3,
                                 *self._latencies, seq_base,

@@ -52,6 +52,18 @@ class TestCacheBehavior:
         assert cache.lookup(0) is True
         assert cache.lookup(stride) is False
 
+    def test_repeated_mru_hits_keep_the_lru_order(self):
+        cache = self.make()
+        stride = 8 * LINE_WORDS
+        cache.lookup(0)
+        cache.lookup(stride)
+        assert cache.lookup(stride) is True   # already MRU
+        assert cache.lookup(stride + 1) is True
+        cache.lookup(2 * stride)     # evicts line 0, the LRU one
+        assert cache.lookup(stride) is True
+        assert cache.lookup(0) is False
+        assert (cache.hits, cache.misses) == (3, 4)
+
     def test_stats(self):
         cache = self.make()
         cache.lookup(0)

@@ -60,6 +60,34 @@ class TestErrorExitCodes:
         assert main(["trace", "conv", "--scale", "0.1"]) == 0
 
 
+class TestWorkerOfUrl:
+    @pytest.mark.parametrize("url", [
+        "notaurl", "127.0.0.1:8900", "https://coord:8900", "http://coord",
+        "http://:8900", "http://coord:port", "http://coord:8900/v1",
+        "http://coord:8900?x=1", "http://user@coord:8900", "http://[::1",
+    ])
+    def test_a_url_without_the_host_port_shape_is_refused(
+            self, url, capsys, monkeypatch):
+        def serve(_config):
+            raise AssertionError(f"serve started for {url!r}")
+
+        monkeypatch.setattr("repro.service.serve", serve)
+        assert main(["serve", "--port", "0", "--no-cache",
+                     "--worker-of", url]) == 2
+        err = capsys.readouterr().err
+        assert "repro serve: error: --worker-of" in err
+        assert "http://host:port" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("url", [
+        "http://127.0.0.1:8900", "http://coord-host:8900/",
+        "http://[::1]:8900",
+    ])
+    def test_host_port_urls_are_accepted(self, url):
+        from repro.cli import _is_host_port_url
+        assert _is_host_port_url(url)
+
+
 class TestServeParser:
     def test_serve_flags_parse(self):
         from repro.cli import build_parser

@@ -9,7 +9,9 @@ ports and exercise the peer-cache wire protocol over genuine HTTP.  Process-leve
 """
 
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from contextlib import contextmanager
@@ -563,6 +565,90 @@ def test_peer_cache_transfers_carry_the_callers_trace(tmp_path):
             if record["name"] == "service.request"
             and record["args"].get("endpoint") == "/v1/cache/{key}"]
     assert transfers == [("PUT", trace_id), ("GET", trace_id)]
+
+
+class SilentPeer:
+    """A socket that accepts HTTP requests and never answers them until
+    :meth:`release`, which drops every held connection and every later
+    one, as a peer that died would."""
+
+    def __init__(self):
+        self._server = socket.socket()
+        self._server.bind(("127.0.0.1", 0))
+        self._server.listen(16)
+        self._server.settimeout(0.05)
+        self.url = f"http://127.0.0.1:{self._server.getsockname()[1]}"
+        self.requests = []
+        self._held = []
+        self._released = threading.Event()
+        self._closed = threading.Event()
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
+
+    def _accept(self):
+        while not self._closed.is_set():
+            try:
+                conn, _ = self._server.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(None)
+            self.requests.append(conn.recv(65536).split(b"\r\n", 1)[0])
+            if self._released.is_set():
+                conn.close()
+            else:
+                self._held.append(conn)
+
+    def wait_for(self, prefix, timeout=10.0):
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if any(line.startswith(prefix) for line in self.requests):
+                return True
+            time.sleep(0.01)
+        return False
+
+    def release(self):
+        self._released.set()
+        for conn in self._held:
+            conn.close()
+
+    def close(self):
+        self.release()
+        self._closed.set()
+        self._thread.join(5)
+        self._server.close()
+
+
+def test_a_silent_peer_does_not_stall_the_workers_event_loop(tmp_path):
+    """A fleet worker's peer-cache GET waits off the event loop: while
+    an evaluate waits on a coordinator that accepts and never answers,
+    the worker's healthz still answers at once."""
+    from repro.service import ServiceConfig
+    from tests.test_service import StubEvaluator, post_raw, running_service
+
+    peer = SilentPeer()
+    config = ServiceConfig(port=0, workers=1, pool_mode="thread",
+                           cache_dir=tmp_path, use_cache=True,
+                           worker_of=peer.url)
+    answers = []
+    try:
+        with running_service(config, evaluator=StubEvaluator()) \
+                as (service, _client):
+            base = f"http://127.0.0.1:{service.port}"
+            poster = threading.Thread(target=lambda: answers.append(
+                post_raw(f"{base}/v1/evaluate", {"benchmark": "conv"})))
+            poster.start()
+            assert peer.wait_for(b"GET /v1/cache/"), peer.requests
+            started = time.perf_counter()
+            status, _ = http("GET", f"{base}/v1/healthz")
+            elapsed = time.perf_counter() - started
+            peer.release()      # the GET fails: a peer miss
+            poster.join(30)
+    finally:
+        peer.close()
+    assert status == 200
+    assert elapsed < 1.0, f"healthz took {elapsed:.1f} s"
+    assert [(status, body["source"]) for status, _, body in answers] \
+        == [(200, "computed")]
 
 
 # ---------------------------------------------------------------------------

@@ -322,3 +322,19 @@ loop:
         assert [d.mem_lat for d in t1] == [d.mem_lat for d in t2]
         assert [d.mispredicted for d in t1] == \
             [d.mispredicted for d in t2]
+
+
+class TestInstructionFetch:
+    def test_every_fetch_counts_and_only_line_changes_miss(self):
+        from repro.sim.cache import LINE_WORDS, CacheHierarchy
+        from repro.sim.interpreter import Interpreter
+        program = assemble(".func main\n" + " li r3, 1\n" * 20
+                           + " halt")
+        caches = CacheHierarchy()
+        trace = Interpreter(program, caches=caches,
+                            warm_icache=False).run()
+        lines = -(-len(trace) // LINE_WORDS)
+        assert caches.l1i.accesses == len(trace) == 21
+        assert (caches.l1i.misses, caches.dram_accesses) == (lines, lines)
+        assert [inst.seq for inst in trace if inst.icache_lat] \
+            == list(range(0, len(trace), LINE_WORDS))
