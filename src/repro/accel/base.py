@@ -1,14 +1,14 @@
 """Shared machinery for BSA models.
 
 :class:`AnalysisContext` caches the per-TDG analyses (loop forest,
-intervals, path profiles, dependence info, slices) so multiple BSA
-models share them.  :class:`BSAModel` is the analyzer+transformer
-interface; :class:`RegionEstimate` is the per-static-region output the
-ExoCore schedulers consume.
+intervals, path profiles with every loop's iterations, dependence
+info, slices) so multiple BSA models share them.  :class:`BSAModel` is
+the analyzer+transformer interface; :class:`RegionEstimate` is the
+per-static-region output the ExoCore schedulers consume.
 """
 
 from repro.analysis.loops import build_loop_forest
-from repro.analysis.memdep import analyze_loop_dependences, iteration_spans
+from repro.analysis.memdep import analyze_loop_dependences
 from repro.analysis.pathprof import profile_paths
 from repro.analysis.regions import loop_intervals
 from repro.analysis.slicing import slice_loop_body
@@ -264,13 +264,17 @@ class AnalysisContext:
 
     def __init__(self, tdg):
         self.tdg = tdg
-        self.forest = build_loop_forest(tdg.program)
-        self.intervals = loop_intervals(tdg, self.forest)
-        self.path_profiles = profile_paths(tdg, self.forest,
-                                           self.intervals)
+        with span("analysis.context"):
+            self.forest = build_loop_forest(tdg.program)
+            self.intervals = loop_intervals(tdg, self.forest)
+            self.path_profiles = profile_paths(tdg, self.forest,
+                                               self.intervals)
+        counter("repro_loop_iterations_total",
+                "loop iterations recorded by the path profiler").inc(
+            sum(profile.iterations
+                for profile in self.path_profiles.values()))
         self._dep_info = {}
         self._slices = {}
-        self._iteration_spans = {}
         self._energy_models = {}
         self._baseline = None
         self._trace_facts = False
@@ -302,25 +306,26 @@ class AnalysisContext:
     def dep_info(self, loop):
         key = loop.key
         if key not in self._dep_info:
-            self._dep_info[key] = analyze_loop_dependences(
-                self.tdg, loop, self.intervals.get(key, ()))
+            with span("analysis.dep_info", loop=loop.header):
+                self._dep_info[key] = analyze_loop_dependences(
+                    self.tdg.trace.instructions, loop,
+                    self.path_profiles[key].spans.values())
         return self._dep_info[key]
 
     def slice_info(self, loop):
         key = loop.key
         if key not in self._slices:
-            self._slices[key] = slice_loop_body(
-                self.tdg, loop, self.intervals.get(key, ()))
+            with span("analysis.slice_info", loop=loop.header):
+                self._slices[key] = slice_loop_body(
+                    self.tdg.trace.instructions, loop,
+                    self.path_profiles[key].spans.values())
         return self._slices[key]
 
     def spans_of(self, loop, interval):
-        """Per-iteration spans of one invocation interval (cached)."""
-        cache_key = (loop.key, interval)
-        if cache_key not in self._iteration_spans:
-            start, end = interval
-            self._iteration_spans[cache_key] = iteration_spans(
-                self.tdg.trace.instructions, loop, start, end)
-        return self._iteration_spans[cache_key]
+        """The ``[start, end)`` span of each iteration of the
+        invocation *interval* (one of ``intervals[loop.key]``), as the
+        path profiler recorded them."""
+        return self.path_profiles[loop.key].spans[interval]
 
     def energy_model(self, core_config):
         if core_config.name not in self._energy_models:

@@ -2,8 +2,9 @@
 
 Analyzer: inner loops with loop-back probability above 80% and a
 configuration that fits the hardware limit; the hot path comes from
-path profiling.  Compound instructions may cross control boundaries
-(so Trace-P fuses larger CFUs than NS-DF, paper Table 2).
+path profiling, which also records each iteration's own path.
+Compound instructions may cross control boundaries (so Trace-P fuses
+larger CFUs than NS-DF, paper Table 2).
 
 Transformer: iterations following the hot path run speculatively on
 the accelerator — branches become cheap verify ops with *no* control
@@ -127,18 +128,17 @@ class TraceProcessorModel(BSAModel):
     # ------------------------------------------------------------------
     def offload_spans(self, ctx, plan, interval):
         """One interval's iterations as a flat ``(start, end, mode)``
-        sequence: an iteration that follows the hot path runs on the
-        trace (``SPAN_ON_TRACE``), any other replays on the core
+        sequence: an iteration whose recorded path is the hot path runs
+        on the trace (``SPAN_ON_TRACE``), any other replays on the core
         (``SPAN_REPLAY``)."""
         loop = plan["loop"]
         hot_path = plan["hot_path"]
-        trace = ctx.tdg.trace.instructions
+        paths = ctx.path_profiles[loop.key].paths[interval]
         spans = []
-        for span_start, span_end in ctx.spans_of(loop, interval):
-            path = _iteration_path(trace, span_start, span_end, loop)
+        for (span_start, span_end), path in zip(
+                ctx.spans_of(loop, interval), paths):
             spans += (span_start, span_end,
-                      SPAN_ON_TRACE if tuple(path) == hot_path
-                      else SPAN_REPLAY)
+                      SPAN_ON_TRACE if path == hot_path else SPAN_REPLAY)
         return spans
 
     def dataflow_offload(self, ctx, plan):
@@ -189,20 +189,3 @@ class TraceProcessorModel(BSAModel):
                     penalty = ()
                 restart_edge = (trace[span_end - 1].seq, 2)
 
-
-def _iteration_path(trace, start, end, loop):
-    """Block-label path of one iteration (loop's own blocks)."""
-    path = []
-    function_name = loop.function.name
-    for index in range(start, end):
-        static = trace[index].static
-        if static is None:
-            continue
-        block = static.block
-        if block.function.name != function_name \
-                or block.label not in loop.blocks:
-            continue
-        if static.index == 0 or not path:
-            if not path or path[-1] != block.label:
-                path.append(block.label)
-    return path

@@ -7,7 +7,8 @@ transformation "plan" each BSA transform consumes:
 - :mod:`repro.analysis.cfg` — dominators and CFG orderings
 - :mod:`repro.analysis.loops` — natural loops and the nesting forest
 - :mod:`repro.analysis.regions` — dynamic loop-invocation intervals
-- :mod:`repro.analysis.pathprof` — Ball-Larus-style path profiling
+- :mod:`repro.analysis.pathprof` — Ball-Larus-style path profiling,
+  whose one walk records every loop iteration's span and path
 - :mod:`repro.analysis.memdep` — inter-iteration dependence analysis
   (vectorization legality)
 - :mod:`repro.analysis.slicing` — access/execute slicing (DP-CGRA)

@@ -47,13 +47,6 @@ class Loop:
     def is_inner(self):
         return not self.children
 
-    def own_blocks(self):
-        """Blocks of this loop not inside any child loop."""
-        nested = set()
-        for child in self.children:
-            nested |= child.blocks
-        return self.blocks - nested
-
     def instructions(self):
         """All static instructions in the loop (including children)."""
         for label in sorted(self.blocks):
@@ -61,16 +54,6 @@ class Loop:
 
     def static_size(self):
         return sum(len(self.function.block(b)) for b in self.blocks)
-
-    def descendants(self):
-        """All loops nested inside (not including self)."""
-        out = []
-        stack = list(self.children)
-        while stack:
-            node = stack.pop()
-            out.append(node)
-            stack.extend(node.children)
-        return out
 
     def __repr__(self):
         return (f"<Loop {self.function.name}/{self.header} "
@@ -146,12 +129,6 @@ class LoopForest:
     def innermost_at(self, function_name, label):
         """The innermost loop containing block *label*, or None."""
         return self._innermost.get((function_name, label))
-
-    def loop_of_uid(self, uid):
-        """Innermost loop containing the static instruction *uid*."""
-        inst = self.program.instruction(uid)
-        return self.innermost_at(inst.block.function.name,
-                                 inst.block.label)
 
     def __iter__(self):
         return iter(self.loops)

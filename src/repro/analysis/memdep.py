@@ -23,31 +23,6 @@ _REDUCTION_OPS = {
 _MEM_DEP_WINDOW = 8
 
 
-def iteration_spans(trace, loop, start, end):
-    """Split invocation [start, end) into per-iteration [s, e) spans.
-
-    An iteration begins when the first instruction of the loop header
-    executes.
-    """
-    header = loop.header
-    function_name = loop.function.name
-    spans = []
-    iter_start = start
-    for index in range(start, end):
-        static = trace[index].static
-        if static is None:
-            continue
-        block = static.block
-        if (block.label == header
-                and block.function.name == function_name
-                and static.index == 0 and index > iter_start):
-            spans.append((iter_start, index))
-            iter_start = index
-    if end > iter_start:
-        spans.append((iter_start, end))
-    return spans
-
-
 class LoopDepInfo:
     """Dependence facts about one loop, per the SIMD analysis."""
 
@@ -119,38 +94,33 @@ def _is_reduction(producer_static, consumer_static):
             and consumer_static.dest in consumer_static.srcs)
 
 
-def analyze_loop_dependences(tdg, loop, intervals, max_iterations=512):
-    """Build :class:`LoopDepInfo` for *loop* from its trace intervals.
+def analyze_loop_dependences(trace, loop, invocations,
+                             max_iterations=512):
+    """Build :class:`LoopDepInfo` for *loop* from the first
+    *max_iterations* of its *invocations*, each a list of iteration
+    ``[start, end)`` spans into *trace*.
 
     Analysis is trace-based and optimistic, as in the paper ("we use
     dynamic information from the trace to estimate these features").
     """
-    trace = tdg.trace.instructions
     info = LoopDepInfo(loop)
-    function_name = loop.function.name
-    blocks = loop.blocks
+    loop_uids = loop.uids
 
-    # Map seq -> iteration ordinal, per invocation.
     prev_addr = {}     # static uid -> last address (stride tracking)
     stride_votes = {}  # static uid -> {stride: count}
 
-    for start, end in intervals:
-        spans = iteration_spans(trace, loop, start, end)
+    for spans in invocations:
+        # Iteration ordinals count within one invocation.
         seq_iter = {}
         store_addrs = {}   # addr -> iteration of last store
         access_addrs = {}  # addr -> iteration of last access
+        spans = spans[:max_iterations - info.iterations_seen]
+        info.iterations_seen += len(spans)
         for ordinal, (span_start, span_end) in enumerate(spans):
-            if info.iterations_seen >= max_iterations:
-                break
-            info.iterations_seen += 1
             for index in range(span_start, span_end):
                 dyn = trace[index]
                 static = dyn.static
-                if static is None:
-                    continue
-                in_loop = (static.block.function.name == function_name
-                           and static.block.label in blocks)
-                if not in_loop:
+                if static is None or static.uid not in loop_uids:
                     continue
                 seq_iter[dyn.seq] = ordinal
                 # ---- register loop-carried deps -------------------

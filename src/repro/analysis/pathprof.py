@@ -1,9 +1,20 @@
-"""Loop path profiling (the Ball-Larus role in the paper).
+"""Loop path profiling (the Ball-Larus role in the paper) and the loop
+iterations every analysis reads.
 
-For each loop we profile, per dynamic iteration, the sequence of its
-own basic blocks executed — a "path".  Trace-P uses the hot path and
-its probability; SIMD's profitability test uses expected dynamic
-instructions per iteration; the Amdahl tree uses trip counts.
+One walk over each loop's invocations defines its iterations.  An
+iteration starts wherever the first instruction of the loop header
+runs, except at the invocation's first row; callee rows stay inside
+the iteration.  Its path is the loop's own blocks it enters, one label
+per block entry (a first row that starts mid-block counts as its
+block).  The walk records every iteration's ``[start, end)`` span and
+path per invocation (:attr:`LoopPathProfile.spans`,
+:attr:`LoopPathProfile.paths`) and counts the paths.
+
+Trace-P uses the hot path and its probability, and runs an iteration
+on the trace when its recorded path is the hot path; SIMD's
+profitability test uses expected dynamic instructions per iteration;
+the dependence and slicing analyses and every per-iteration transform
+read the spans; the Amdahl tree uses trip counts.
 """
 
 from collections import Counter
@@ -22,6 +33,10 @@ class LoopPathProfile:
         self.dyn_insts = 0
         self.branch_insts = 0           # dynamic conditional branches
         self.path_counts = Counter()    # tuple(labels) -> count
+        # Invocation interval -> its iterations, in trace order: the
+        # [start, end) spans and, one per span, the path.
+        self.spans = {}
+        self.paths = {}
 
     @property
     def key(self):
@@ -92,11 +107,14 @@ def profile_paths(tdg, forest=None, intervals=None):
                  for static in loop.function.block(label)}
         facts_get = facts.get
         dyn_insts = branch_insts = 0
-        path_counts = profile.path_counts
-        for start, end in intervals.get(loop.key, ()):
+        for interval in intervals.get(loop.key, ()):
+            start, end = interval
             profile.invocations += 1
+            spans = []
+            paths = []
+            iter_start = start
             current_path = []
-            for dyn in trace[start:end]:
+            for index, dyn in enumerate(trace[start:end], start):
                 fact = facts_get(dyn.static)
                 if fact is None:
                     continue
@@ -106,18 +124,23 @@ def profile_paths(tdg, forest=None, intervals=None):
                     branch_insts += 1
                 # A block entry is the execution of its first inst.
                 if entry:
-                    if in_header and current_path:
-                        path_counts[tuple(current_path)] += 1
-                        profile.iterations += 1
+                    if in_header and index > iter_start:
+                        spans.append((iter_start, index))
+                        paths.append(tuple(current_path))
+                        iter_start = index
                         current_path = []
                     current_path.append(label)
                 elif not current_path:
                     # Invocation started mid-block (do-while latch):
-                    # count the header implicitly.
+                    # the block counts as entered.
                     current_path.append(label)
-            if current_path:
-                path_counts[tuple(current_path)] += 1
-                profile.iterations += 1
+            if end > iter_start:
+                spans.append((iter_start, end))
+                paths.append(tuple(current_path))
+            profile.spans[interval] = spans
+            profile.paths[interval] = paths
+            profile.path_counts.update(paths)
+            profile.iterations += len(spans)
         profile.dyn_insts = dyn_insts
         profile.branch_insts = branch_insts
         profiles[loop.key] = profile

@@ -7,11 +7,12 @@ communication instructions; the paper's analysis "disregards loops with
 more communication instructions than offloaded computation".
 
 The slice is computed from dynamic sample iterations (the TDG carries
-the dynamic DFG), then expressed per static instruction.
+the dynamic DFG), the loop's first iterations as the path profiler
+recorded them (:attr:`~repro.analysis.pathprof.LoopPathProfile.spans`),
+then expressed per static instruction.
 """
 
 from repro.isa.opcodes import Opcode, is_compute
-from repro.analysis.memdep import iteration_spans
 
 #: Roles a static instruction can take in the slice.
 ROLE_ACCESS = "access"      # stays on the core
@@ -54,8 +55,10 @@ class SliceInfo:
                 f"{self.comm_count} comm>")
 
 
-def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
-    """Compute the access/execute slice for *loop*.
+def slice_loop_body(trace, loop, invocations, sample_iterations=4):
+    """Compute the access/execute slice for *loop* from the first
+    *sample_iterations* of its *invocations*, each a list of iteration
+    ``[start, end)`` spans into *trace*.
 
     Strategy (mirrors the DySER slicing the paper borrows):
 
@@ -65,10 +68,7 @@ def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
     4. values flowing core->CGRA (load results, induction values) and
        CGRA->core (store data, live-outs) are communication.
     """
-    trace = tdg.trace.instructions
     info = SliceInfo(loop)
-    function_name = loop.function.name
-    blocks = loop.blocks
 
     # Seed roles from static properties.
     for inst in loop.instructions():
@@ -84,11 +84,8 @@ def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
 
     # Walk sample iterations to pull address slices back to the core.
     samples = []
-    for start, end in intervals:
-        for span in iteration_spans(trace, loop, start, end):
-            samples.append(span)
-            if len(samples) >= sample_iterations:
-                break
+    for spans in invocations:
+        samples += spans[:sample_iterations - len(samples)]
         if len(samples) >= sample_iterations:
             break
 
@@ -105,14 +102,10 @@ def slice_loop_body(tdg, loop, intervals, sample_iterations=4):
             if dyn.mem_addr is not None and dyn.src_deps:
                 # First operand of a memory op is the address base.
                 address_seqs.add(dyn.src_deps[0])
-            if static.opcode is Opcode.BR and dyn.src_deps:
+            if static.opcode is Opcode.BR and dyn.src_deps \
+                    and static.target == loop.header:
                 # The latch condition's slice stays on the core.
-                block = static.block
-                is_latch = (block.label in blocks
-                            and block.function.name == function_name
-                            and static.target == loop.header)
-                if is_latch:
-                    control_seqs.add(dyn.src_deps[0])
+                control_seqs.add(dyn.src_deps[0])
         # Backward closure of address/control slices.
         worklist = list(address_seqs | control_seqs)
         on_core = set(worklist)

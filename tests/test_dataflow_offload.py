@@ -28,6 +28,7 @@ from repro.accel.base import SeqAllocator
 from repro.accel.ns_df import NSDataflowModel
 from repro.accel.trace_p import TraceProcessorModel
 from repro.analysis.cfu import CFUSchedule
+from repro.analysis.pathprof import LoopPathProfile
 from repro.exocore import evaluate_benchmark
 from repro.isa import Instruction, Opcode
 from repro.obs import current_span_id, isolated
@@ -152,10 +153,13 @@ def drawn_region(seed, stray_rate, break_rate, cold_rate):
     the interval, as live-ins), loads and stores carry memory deps.
 
     The loop has a hot block ``H`` and a cold block ``C``; an iteration
-    that enters ``C`` leaves Trace-P's hot path.  Compute ops are
-    scheduled in CFU chains whose instances are sometimes skipped or
-    repeated (broken chains); stray instructions (another function, or
-    no static at all) are mixed in at *stray_rate*.
+    that enters ``C`` (runs its first instruction) leaves Trace-P's hot
+    path.  Each span's path is planted in the path profile, where
+    :class:`AnalysisContext` keeps it: the blocks the iteration
+    entered, ``()`` for an empty span.  Compute ops are scheduled in
+    CFU chains whose instances are sometimes skipped or repeated
+    (broken chains); stray instructions (another function, or no
+    static at all) are mixed in at *stray_rate*.
     """
     rng = random.Random(seed)
     hot, cold, stray_block = _block("H"), _block("C"), _block("S", "callee")
@@ -190,6 +194,7 @@ def drawn_region(seed, stray_rate, break_rate, cold_rate):
 
     trace = []
     spans = []
+    paths = []     # per span: the blocks the iteration entered
     last_store = {}
 
     def emit(static):
@@ -223,16 +228,20 @@ def drawn_region(seed, stray_rate, break_rate, cold_rate):
         span_start = len(trace)
         body = hot_body[:-1] + (cold_body if rng.random() < cold_rate
                                 else []) + hot_body[-1:]
+        entered_cold = False
         for inst in body:
             maybe_stray()
             if rng.random() < break_rate:
                 continue                        # a skipped member
             emit(inst)
+            entered_cold |= inst is cold_body[0]
             if rng.random() < break_rate:
                 emit(inst)                      # a repeated one
         spans.append((span_start, len(trace)))
+        paths.append(("H", "C") if entered_cold else ("H",))
         if rng.random() < 0.1:
             spans.append((len(trace), len(trace)))
+            paths.append(())
     end = len(trace)
 
     loop = SimpleNamespace(key=("loop_fn", "H"), uids=loop_uids,
@@ -244,7 +253,10 @@ def drawn_region(seed, stray_rate, break_rate, cold_rate):
         program=SimpleNamespace(static_instructions=statics))
     ctx._baseline = None
     ctx._trace_facts = False
-    ctx._iteration_spans = {(loop.key, (start, end)): spans}
+    profile = LoopPathProfile(loop)
+    profile.spans[start, end] = spans
+    profile.paths[start, end] = paths
+    ctx.path_profiles = {loop.key: profile}
     plan = {"loop": loop, "schedule": schedule, "hot_path": ("H",)}
     return ctx, plan, (start, end)
 

@@ -26,31 +26,16 @@ class TestLoopForest:
         assert inner.depth == 1
         assert inner.is_inner and not outer.is_inner
 
-    def test_own_blocks_excludes_children(self, nested_tdg):
-        outer = nested_tdg.loop_tree.roots[0]
-        inner = outer.children[0]
-        assert not (outer.own_blocks() & inner.blocks)
-
     def test_innermost_lookup(self, nested_tdg):
         forest = nested_tdg.loop_tree
         inner = forest.roots[0].children[0]
         for label in inner.blocks:
             assert forest.innermost_at("main", label) is inner
 
-    def test_loop_of_uid(self, nested_tdg):
-        forest = nested_tdg.loop_tree
-        inner = forest.roots[0].children[0]
-        uid = next(iter(inner.instructions())).uid
-        assert forest.loop_of_uid(uid) is inner
-
     def test_static_size(self, vector_tdg):
         for loop in vector_tdg.loop_tree:
             assert loop.static_size() == sum(
                 1 for _ in loop.instructions())
-
-    def test_descendants(self, nested_tdg):
-        outer = nested_tdg.loop_tree.roots[0]
-        assert outer.descendants() == outer.children
 
     def test_no_loops_program(self):
         from repro.programs import assemble

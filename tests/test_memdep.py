@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accel import AnalysisContext
-from repro.analysis.memdep import iteration_spans
+from repro.analysis.memdep import analyze_loop_dependences
 from repro.programs import KernelBuilder
 from repro.tdg import construct_tdg
 
@@ -120,12 +120,14 @@ class TestStrides:
 
 
 class TestIterationSpans:
+    """The iterations the path profiler records, which every analysis
+    reads."""
+
     def test_spans_partition_interval(self, vector_tdg):
         ctx = AnalysisContext(vector_tdg)
         loop = [l for l in ctx.forest if l.is_inner][0]
         interval = ctx.intervals[loop.key][0]
-        spans = iteration_spans(vector_tdg.trace.instructions, loop,
-                                *interval)
+        spans = ctx.path_profiles[loop.key].spans[interval]
         assert spans[0][0] == interval[0]
         assert spans[-1][1] == interval[1]
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
@@ -135,15 +137,14 @@ class TestIterationSpans:
         ctx = AnalysisContext(vector_tdg)
         loop = [l for l in ctx.forest if l.is_inner][0]
         interval = ctx.intervals[loop.key][0]
-        spans = iteration_spans(vector_tdg.trace.instructions, loop,
-                                *interval)
+        spans = ctx.path_profiles[loop.key].spans[interval]
         assert len(spans) == 128
 
     def test_max_iterations_cap(self, vector_tdg):
-        from repro.analysis.memdep import analyze_loop_dependences
         ctx = AnalysisContext(vector_tdg)
         loop = [l for l in ctx.forest if l.is_inner][0]
         info = analyze_loop_dependences(
-            vector_tdg, loop, ctx.intervals[loop.key],
+            vector_tdg.trace.instructions, loop,
+            ctx.path_profiles[loop.key].spans.values(),
             max_iterations=16)
         assert info.iterations_seen == 16
