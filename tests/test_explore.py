@@ -8,6 +8,7 @@ on-disk cache (module-scoped fixture), so the determinism tests pay
 for each (core, subset) triple once.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -958,6 +959,33 @@ class TestExploreLoop:
         with pytest.raises(Exception):
             run_explore(space=paper_space, benchmarks=("nope",),
                         budget=2, use_cache=False)
+
+
+#: sha256 of the canonical explore-full payload per explore seed.
+EXPLORE_GOLDEN = Path(__file__).parent / "golden" / "explore_digests.json"
+
+#: Three seeds of perfbench's explore-full pool.
+GOLDEN_SEEDS = (0, 5, 11)
+
+
+def test_default_space_payloads_match_golden(tmp_path, update_golden):
+    """explore-full's configuration (conv, budget 8, scale 0.25, the
+    1,259,712-point default space) at three pool seeds: the canonical
+    bytes are pinned, so a scoring or acquisition rewrite that moves
+    any prediction, pick or rounding fails here."""
+    digests = {}
+    for seed in GOLDEN_SEEDS:
+        payload = run_explore(DesignSpace(), benchmarks=("conv",),
+                              budget=8, scale=0.25, seed=seed,
+                              cache_dir=tmp_path)
+        text = dumps_explore(strip_provenance(payload))
+        digests[str(seed)] = hashlib.sha256(
+            text.encode("utf-8")).hexdigest()
+    if update_golden:
+        EXPLORE_GOLDEN.write_text(
+            json.dumps(digests, indent=2, sort_keys=True) + "\n")
+        pytest.skip(f"golden digests {EXPLORE_GOLDEN.name} updated")
+    assert digests == json.loads(EXPLORE_GOLDEN.read_text())
 
 
 def strip_provenance(payload):
