@@ -11,7 +11,9 @@ Front ranking reuses :func:`repro.dse.report.pareto_frontier` by
 *peeling*: rank 1 is the predicted frontier, rank 2 the frontier of
 what remains, and so on — standard NSGA-style non-dominated sorting,
 but implemented as repeated deterministic scans so the order is
-reproducible for any input order.  Every tie anywhere breaks on the
+reproducible for any input order.  :func:`fronts` peels lazily, so the
+selector computes only the fronts its exploit share reaches.  Every
+tie anywhere breaks on the
 canonical point key; nothing here consults an RNG, so acquisition is
 a pure function of (predictions, batch size, explore fraction).
 """
@@ -30,26 +32,17 @@ DEFAULT_EXPLORE_FRACTION = 0.5
 DEFAULT_COVERED_TOLERANCE = 0.05
 
 
-def peel_fronts(rows, max_rows=None, x_key="speedup",
-                y_key="energy_eff", tie_key="key"):
-    """Annotate *rows* with ``front_rank`` by repeated Pareto peeling.
-
-    Returns the annotated rows in peel order (rank 1 first).  Stops
-    early once *max_rows* rows are ranked — the batch selector only
-    needs a few fronts, not a full sort of a 10^6-point pool.
-    """
+def fronts(rows, x_key="speedup", y_key="energy_eff", tie_key="key"):
+    """Yield the peeled Pareto fronts of *rows*, rank 1 first, each
+    computed only when the caller asks for it."""
     remaining = {row[tie_key]: row for row in rows}
-    ranked = []
-    rank = 0
-    while remaining and (max_rows is None or len(ranked) < max_rows):
-        rank += 1
+    while remaining:
         front = pareto_frontier(list(remaining.values()),
                                 x_key=x_key, y_key=y_key,
                                 tie_key=tie_key)
         for row in front:
-            ranked.append(dict(row, front_rank=rank))
             del remaining[row[tie_key]]
-    return ranked
+        yield front
 
 
 def _spread(members, need, x_key, tie_key):
@@ -122,27 +115,21 @@ def select_batch(rows, batch_size,
     informative = uncovered(rows, evaluated,
                             tolerance=covered_tolerance,
                             x_key=x_key, y_key=y_key)
-    ranked = peel_fronts(informative or rows, max_rows=None,
-                         x_key=x_key, y_key=y_key, tie_key=tie_key)
-    by_rank = {}
-    for row in ranked:
-        by_rank.setdefault(row["front_rank"], []).append(row)
-
     chosen = set()
-    for rank in sorted(by_rank):
-        need = n_exploit - len(chosen)
-        if need <= 0:
-            break
-        chosen.update(_spread(by_rank[rank], need, x_key, tie_key))
+    if n_exploit > 0:
+        for front in fronts(informative or rows, x_key=x_key,
+                            y_key=y_key, tie_key=tie_key):
+            chosen.update(_spread(front, n_exploit - len(chosen),
+                                  x_key, tie_key))
+            if len(chosen) >= n_exploit:
+                break
 
+    # The tail scans every row, so no later pass could add a key:
+    # each peeled row is one of *rows*.  That is why the fronts stop
+    # as soon as the exploit share is met.
     for row in sorted(rows, key=lambda r: (-r["uncertainty"],
                                            r[tie_key])):
         if len(chosen) >= batch_size:
-            break
-        chosen.add(row[tie_key])
-    for row in sorted(ranked, key=lambda r: (r["front_rank"],
-                                             r[x_key], r[tie_key])):
-        if len(chosen) >= batch_size:    # backfill on uncertainty ties
             break
         chosen.add(row[tie_key])
     return sorted(chosen)

@@ -46,6 +46,10 @@ from repro.obs import counter, span
 #: Cap on the per-round surrogate-ranked candidate pool.
 DEFAULT_CANDIDATE_POOL = 2048
 
+#: Candidates per batch that the surrogate scores: its column tables
+#: are rebuilt per batch, and a bounded batch bounds their memory.
+SCORE_CHUNK = 256
+
 #: Weight of the coverage (distance-to-training-set) term in the
 #: explore-tail acquisition uncertainty, relative to the
 #: bootstrap-ensemble spread.
@@ -135,25 +139,26 @@ def _candidate_rows(surrogate, space, evaluated, pool, seed,
     else:
         candidates = space.sample(
             pool, seed=seed * 1_000_003 + round_index)
+    fresh = [(point.key(), point) for point in candidates]
+    fresh = [(key, point) for key, point in fresh if key not in evaluated]
     rows = []
     with span("explore.rank", candidates=len(candidates)) as current:
-        for point in candidates:
-            key = point.key()
-            if key in evaluated:
-                continue
-            features = point_features(point)
-            predicted = surrogate.predict(features)
-            novelty = surrogate.novelty(features)
-            row = {
-                "key": key,
-                "point": point,
-                "uncertainty": math.fsum(
-                    [predicted[name][1] for name in _TARGETS]
-                    + [NOVELTY_WEIGHT * novelty]),
-            }
-            for name in _TARGETS:
-                row[name] = predicted[name][0]
-            rows.append(row)
+        for start in range(0, len(fresh), SCORE_CHUNK):
+            chunk = fresh[start:start + SCORE_CHUNK]
+            features = [point_features(point) for _, point in chunk]
+            for (key, point), predicted, novelty in zip(
+                    chunk, surrogate.predict(features),
+                    surrogate.novelty(features)):
+                row = {
+                    "key": key,
+                    "point": point,
+                    "uncertainty": math.fsum(
+                        [predicted[name][1] for name in _TARGETS]
+                        + [NOVELTY_WEIGHT * novelty]),
+                }
+                for name in _TARGETS:
+                    row[name] = predicted[name][0]
+                rows.append(row)
         current.set(scored=len(rows))
     counter("repro_explore_candidates_scored_total").inc(len(rows))
     return rows

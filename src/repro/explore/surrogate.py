@@ -21,12 +21,26 @@ as tuples, ``array('d')`` or numpy arrays; scoring converts them to
 Python floats once, which is exact for all three.)
 
 Scoring is the explorer's inner loop (thousands of candidates per
-round), so :meth:`SurrogateEnsemble.predict` standardizes a candidate
-once per distinct member *geometry* — the (means, scales) of a fit,
-shared by member k of every target because they fit the same bootstrap
-rows — and each member's stump leaves are pre-scaled by ``boost_lr``.
-Every :func:`math.fsum` keeps its exact term multiset, so the fast
-path is bit-identical to scoring member by member.
+round), so :meth:`SurrogateEnsemble.predict` and
+:meth:`~SurrogateEnsemble.novelty` take a **batch** of feature vectors
+and work column by column.  Every feature takes only a few values (at
+most 8 per column on the default space), so each column's distinct
+values get small integer codes, and everything a member needs from a
+value becomes a **column table** indexed by code: the standardized
+value (once per distinct member geometry, the (means, scales) that
+member k of every target shares), the linear term ``weights[j] *
+value``, and, for each feature the member's stumps split on, the exact
+partials of the pre-scaled leaves that value selects.  The tables
+belong to the fit and grow only when a batch brings a value no earlier
+batch had.  A candidate's log estimate is then two :func:`math.fsum`
+calls over table lookups.  :func:`math.fsum` is correctly rounded, so
+it depends only on the exact sum of its terms: feeding it a split
+feature's exact leaf partials instead of the leaves themselves gives
+the same float, and the batch path is bit-identical to scoring member
+by member.  Fitting shares work the same way: member k of every target
+fits the same bootstrap rows, so one :class:`_Design` per bootstrap
+holds the standardization, the eliminated normal matrix and the stump
+partitions, and each target solves only its own right-hand side.
 
 Bootstrap resampling uses integer-seeded :class:`random.Random`
 instances only — never hash-based or global-state randomness.
@@ -34,7 +48,8 @@ instances only — never hash-based or global-state randomness.
 
 import math
 import random
-from operator import mul, sub
+from itertools import chain, repeat
+from operator import concat, mul, neg, sub, truediv
 
 #: Floor for log-space targets: a non-positive metric (degenerate
 #: benchmark) trains as "very bad", not as a crash.
@@ -113,14 +128,16 @@ def _best_stump(partitions, residuals):
     """
     best = None
     best_sse = None
+    residual = residuals.__getitem__
     for feature, threshold, left_ids, right_ids in partitions:
-        left = math.fsum(residuals[i] for i in left_ids) / len(left_ids)
-        right = math.fsum(residuals[i] for i in right_ids) \
-            / len(right_ids)
-        sse = math.fsum(
-            (residuals[i] - left) ** 2 for i in left_ids) \
-            + math.fsum(
-                (residuals[i] - right) ** 2 for i in right_ids)
+        lefts = list(map(residual, left_ids))
+        rights = list(map(residual, right_ids))
+        left = math.fsum(lefts) / len(lefts)
+        right = math.fsum(rights) / len(rights)
+        sse = math.fsum(map(pow, map(sub, lefts, repeat(left)),
+                            repeat(2))) \
+            + math.fsum(map(pow, map(sub, rights, repeat(right)),
+                            repeat(2)))
         if best_sse is None or sse < best_sse - 1e-15:
             best_sse = sse
             best = _Stump(feature, threshold, left, right)
@@ -132,12 +149,37 @@ def _standardize(features, means, scales):
             for x, mean, scale in zip(features, means, scales)]
 
 
-def _solve(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` by Gaussian elimination with partial
-    pivoting.  *matrix* is a list of row-lists (modified in place)."""
+def _exact_parts(values):
+    """Floats whose exact sum is the exact sum of the list *values*.
+
+    The first part is the correctly rounded sum (:func:`math.fsum`),
+    each next one the correctly rounded remainder.  A remainder is at
+    most half an ulp of the part before it, so a few parts bring it to
+    zero.  :func:`math.fsum` depends only on the exact sum of its
+    terms, so any sum that takes these parts in place of *values*
+    rounds to the same float.
+    """
+    parts = []
+    while True:
+        part = math.fsum(chain(values, map(neg, parts)))
+        if not part:
+            return tuple(parts)
+        parts.append(part)
+
+
+def _lookup(tables, codes):
+    """Per table, an iterator over the entries that *codes* select."""
+    return [map(table.__getitem__, column_codes)
+            for table, column_codes in zip(tables, codes)]
+
+
+def _eliminate(matrix):
+    """Gaussian elimination with partial pivoting of the square
+    *matrix* (a list of row-lists, reduced in place to its upper
+    triangle).  Returns the steps ``[(pivot, [(row, factor), ...]),
+    ...]`` that :func:`_substitute` replays on a right-hand side."""
     n = len(matrix)
-    for row, value in zip(matrix, rhs):
-        row.append(value)
+    steps = []
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(matrix[r][col]))
         if abs(matrix[pivot][col]) < 1e-30:
@@ -145,20 +187,81 @@ def _solve(matrix, rhs):
         if pivot != col:
             matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
         head = matrix[col]
+        eliminated = []
         for r in range(col + 1, n):
             row = matrix[r]
             factor = row[col] / head[col]
             if factor == 0.0:
                 continue
-            for c in range(col, n + 1):
-                row[c] -= factor * head[c]
+            row[col:] = map(sub, row[col:],
+                            map(mul, repeat(factor), head[col:]))
+            eliminated.append((r, factor))
+        steps.append((pivot, eliminated))
+    return steps
+
+
+def _substitute(upper, steps, rhs):
+    """Solve ``matrix @ x = rhs`` from :func:`_eliminate`'s *upper*
+    triangle and *steps*.  Each entry of *rhs* goes through exactly
+    the operations it would as an augmented column of the matrix."""
+    rhs = list(rhs)
+    for col, (pivot, eliminated) in enumerate(steps):
+        if pivot != col:
+            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        head = rhs[col]
+        for r, factor in eliminated:
+            rhs[r] -= factor * head
+    n = len(upper)
     solution = [0.0] * n
-    for row_index in range(n - 1, -1, -1):
-        row = matrix[row_index]
-        acc = math.fsum(row[c] * solution[c]
-                        for c in range(row_index + 1, n))
-        solution[row_index] = (row[n] - acc) / row[row_index]
+    for i in range(n - 1, -1, -1):
+        row = upper[i]
+        acc = math.fsum(map(mul, row[i + 1:n], solution[i + 1:]))
+        solution[i] = (rhs[i] - acc) / row[i]
     return solution
+
+
+class _Design:
+    """What a fit derives from its rows alone: the standardization,
+    the eliminated ridge normal matrix and the stump partitions.
+    Member k of every target fits the same bootstrap rows, so the
+    ensemble builds one per bootstrap."""
+
+    def __init__(self, rows, l2):
+        if not rows:
+            raise ValueError("cannot fit on zero rows")
+        n_features = len(rows[0])
+        n = len(rows)
+        self.means = [
+            math.fsum(row[j] for row in rows) / n
+            for j in range(n_features)
+        ]
+        self.scales = []
+        for j in range(n_features):
+            mean = self.means[j]
+            var = math.fsum((row[j] - mean) ** 2 for row in rows) / n
+            std = math.sqrt(var)
+            self.scales.append(std if std > 1e-12 else 1.0)
+
+        self.standardized = [
+            _standardize(row, self.means, self.scales) + [1.0]
+            for row in rows
+        ]
+        dim = n_features + 1
+        self.columns = list(zip(*self.standardized))
+        normal = [[0.0] * dim for _ in range(dim)]
+        for a in range(dim):        # symmetric: x * y == y * x
+            for b in range(a, dim):
+                normal[a][b] = normal[b][a] = math.fsum(
+                    map(mul, self.columns[a], self.columns[b]))
+        ridge = l2 * n
+        for j in range(n_features):    # never regularize the bias
+            normal[j][j] += ridge
+        self.steps = _eliminate(normal)
+        self.upper = normal
+        self.partitions = None
+        if n >= 2 * _MIN_LEAF:
+            self.partitions = _partitions(
+                [row[:-1] for row in self.standardized])
 
 
 class RidgeModel:
@@ -181,88 +284,90 @@ class RidgeModel:
         self.scales = None
         self.weights = None         # bias last
         self.stumps = []
-        self._leaves = ()           # (feature, threshold, lr*left, lr*right)
+        self.splits = {}            # feature -> [(threshold, lr*left, lr*right)]
 
     def fit(self, rows, targets):
-        if not rows:
-            raise ValueError("cannot fit on zero rows")
-        n_features = len(rows[0])
-        n = len(rows)
-        self.means = [
-            math.fsum(row[j] for row in rows) / n
-            for j in range(n_features)
-        ]
-        self.scales = []
-        for j in range(n_features):
-            mean = self.means[j]
-            var = math.fsum((row[j] - mean) ** 2 for row in rows) / n
-            std = math.sqrt(var)
-            self.scales.append(std if std > 1e-12 else 1.0)
+        return self.fit_design(_Design(rows, self.l2), targets)
 
-        standardized = [
-            _standardize(row, self.means, self.scales) + [1.0]
-            for row in rows
-        ]
+    def fit_design(self, design, targets):
+        """Fit *targets* on the rows of *design* (a :class:`_Design`
+        at this model's ``l2``)."""
+        self.means = design.means
+        self.scales = design.scales
         logs = [math.log(max(t, _LOG_FLOOR)) for t in targets]
-
-        dim = n_features + 1
-        normal = [
-            [math.fsum(row[a] * row[b] for row in standardized)
-             for b in range(dim)]
-            for a in range(dim)
-        ]
-        ridge = self.l2 * n
-        for j in range(n_features):    # never regularize the bias
-            normal[j][j] += ridge
-        rhs = [
-            math.fsum(row[a] * log for row, log
-                      in zip(standardized, logs))
-            for a in range(dim)
-        ]
-        self.weights = _solve(normal, rhs)
+        rhs = [math.fsum(map(mul, column, logs))
+               for column in design.columns]
+        self.weights = _substitute(design.upper, design.steps, rhs)
 
         self.stumps = []
-        if self.boost_rounds > 0 and n >= 2 * _MIN_LEAF:
+        if self.boost_rounds > 0 and design.partitions is not None:
+            standardized = design.standardized
             plain = [row[:-1] for row in standardized]
             residuals = [
                 log - math.fsum(map(mul, self.weights, row))
                 for row, log in zip(standardized, logs)
             ]
-            partitions = _partitions(plain)
             for _ in range(self.boost_rounds):
-                stump = _best_stump(partitions, residuals)
+                stump = _best_stump(design.partitions, residuals)
                 if stump is None:
                     break
                 self.stumps.append(stump)
                 for i, row in enumerate(plain):
                     residuals[i] -= self.boost_lr * stump.value(row)
-        self._leaves = tuple(
-            (stump.feature, stump.threshold,
-             self.boost_lr * stump.left, self.boost_lr * stump.right)
-            for stump in self.stumps)
+        self.splits = {}
+        for stump in self.stumps:
+            self.splits.setdefault(stump.feature, []).append(
+                (stump.threshold, self.boost_lr * stump.left,
+                 self.boost_lr * stump.right))
         return self
 
     def geometry(self):
         """``(means, scales)``: the standardization of this fit."""
         return tuple(self.means), tuple(self.scales)
 
-    def standardize(self, features):
-        """One feature vector in this fit's standardized coordinates."""
-        return _standardize([float(x) for x in features],
-                            self.means, self.scales)
 
-    def log_of(self, row):
-        """Predicted log-space value of one standardized *row* that
-        ends in the bias slot ``1.0``.
+class _MemberTables:
+    """One member's column tables, indexed by the ensemble's value
+    codes and grown as new values arrive: per column, ``weights[j] *
+    value``; per feature the member's stumps split on, the exact
+    partials (:func:`_exact_parts`) of the pre-scaled leaves each value
+    selects."""
 
-        The linear part sums ``weights[j] * row[j]`` with the bias
-        term ``weights[-1] * 1.0``; the boosted part adds one
-        pre-scaled leaf per stump.
+    __slots__ = ("model", "geometry", "products", "leaves")
+
+    def __init__(self, model, geometry):
+        self.model = model
+        self.geometry = geometry
+        self.products = [[] for _ in model.means]
+        self.leaves = {feature: [] for feature in model.splits}
+
+    def logs(self, standardized, codes, n):
+        """Predicted log-space values of *n* coded rows.
+
+        *standardized* holds each column's values, by code, in this
+        member's geometry.  Per row, the linear part is the
+        :func:`math.fsum` of ``weights[j] * value`` and the bias term
+        ``weights[-1] * 1.0``; the log is the :func:`math.fsum` of the
+        linear part and every stump's leaf, taken as each split
+        feature's exact partials.  Both sums see the same exact terms
+        as a member-by-member scorer, so they round the same.
         """
-        terms = [math.fsum(map(mul, self.weights, row))]
-        for feature, threshold, left, right in self._leaves:
-            terms.append(left if row[feature] <= threshold else right)
-        return math.fsum(terms)
+        weights = self.model.weights
+        for table, values, weight in zip(self.products, standardized,
+                                         weights):
+            table.extend([weight * x for x in values[len(table):]])
+        products = _lookup(self.products, codes)
+        products.append(repeat(weights[-1] * 1.0, n))
+        terms = zip(map(math.fsum, zip(*products)))
+        for feature, splits in self.model.splits.items():
+            table = self.leaves[feature]
+            table.extend(
+                _exact_parts([left if x <= threshold else right
+                              for threshold, left, right in splits])
+                for x in standardized[feature][len(table):])
+            terms = map(concat, terms,
+                        map(table.__getitem__, codes[feature]))
+        return list(map(math.fsum, terms))
 
 
 class SurrogateEnsemble:
@@ -287,8 +392,17 @@ class SurrogateEnsemble:
         self.members = {}           # target -> [RidgeModel, ...]
         self.n_trained = 0
         self._train_rows = []       # standardized, for novelty()
-        self._geometries = []       # distinct member (means, scales)
-        self._scorers = {}          # target -> [(geometry, model), ...]
+        self._geometries = []       # distinct member (means, scales);
+                                    # [0] is the anchor's
+        self._scorers = {}          # target -> [_MemberTables, ...]
+        # Column tables of this fit, indexed by value code: per column
+        # the value -> code map and the values; per geometry each
+        # column's standardized values; per training row each column's
+        # |value - train| in the anchor's geometry.
+        self._codes = []
+        self._values = []
+        self._standardized = []
+        self._gaps = []
 
     def fit(self, rows, targets_by_name):
         """Fit every member of every target.
@@ -305,6 +419,14 @@ class SurrogateEnsemble:
             indices_per_member.append(
                 [rng.randrange(n) for _ in range(n)])
 
+        designs = []
+        for indices in indices_per_member:
+            try:
+                designs.append(_Design([rows[i] for i in indices],
+                                       self.l2))
+            except ArithmeticError:
+                designs.append(None)
+
         self.members = {}
         for name in self.target_names:
             targets = targets_by_name[name]
@@ -313,36 +435,79 @@ class SurrogateEnsemble:
                     f"target {name!r} has {len(targets)} values "
                     f"for {n} rows")
             fits = []
-            for indices in indices_per_member:
-                member_rows = [rows[i] for i in indices]
-                member_targets = [targets[i] for i in indices]
+            for indices, design in zip(indices_per_member, designs):
                 model = RidgeModel(l2=self.l2,
                                    boost_rounds=self.boost_rounds,
                                    boost_lr=self.boost_lr)
-                try:
-                    model.fit(member_rows, member_targets)
-                except ArithmeticError:
+                if design is None:
                     # A degenerate bootstrap (e.g. all-identical rows)
                     # falls back to the full-data member's geometry.
                     model.fit(rows, targets)
+                else:
+                    model.fit_design(design,
+                                     [targets[i] for i in indices])
                 fits.append(model)
             self.members[name] = fits
         self.n_trained = n
         anchor = self.members[self.target_names[0]][0]
-        self._train_rows = [anchor.standardize(row) for row in rows]
+        self._train_rows = [
+            _standardize([float(x) for x in row], anchor.means,
+                         anchor.scales)
+            for row in rows]
 
         index_of = {}
         self._scorers = {}
         for name in self.target_names:
             self._scorers[name] = [
-                (index_of.setdefault(model.geometry(), len(index_of)),
-                 model)
+                _MemberTables(model, index_of.setdefault(
+                    model.geometry(), len(index_of)))
                 for model in self.members[name]]
         self._geometries = list(index_of)
+        width = len(anchor.means)
+        self._codes = [{} for _ in range(width)]
+        self._values = [[] for _ in range(width)]
+        self._standardized = [[[] for _ in range(width)]
+                              for _ in self._geometries]
+        self._gaps = [[[] for _ in range(width)]
+                      for _ in self._train_rows]
         return self
 
-    def novelty(self, features):
-        """Min standardized L1 distance to the training set.
+    def _code(self, rows):
+        """Each column's value codes for the batch *rows*.
+
+        Equal values share a code, so ``0.0`` and ``-0.0`` do too.
+        That cannot change a score: standardizing them differs at most
+        in the sign of a zero, and every use of a standardized value
+        is a comparison, an ``abs`` of a difference or a product
+        summed by :func:`math.fsum`, none of which shows that sign.
+        """
+        codes = []
+        for column, code, values in zip(zip(*rows), self._codes,
+                                        self._values):
+            try:
+                codes.append(list(map(code.__getitem__, column)))
+            except KeyError:
+                for x in column:
+                    if x not in code:
+                        code[x] = len(values)
+                        values.append(float(x))
+                codes.append(list(map(code.__getitem__, column)))
+        return codes
+
+    def _standardized_in(self, geometry):
+        """Each column's values, by code, standardized in the
+        *geometry*-th distinct member geometry."""
+        columns = self._standardized[geometry]
+        means, scales = self._geometries[geometry]
+        for table, values, mean, scale in zip(columns, self._values,
+                                              means, scales):
+            table.extend([(x - mean) / scale
+                          for x in values[len(table):]])
+        return columns
+
+    def novelty(self, rows):
+        """Min standardized L1 distance to the training set, one per
+        feature vector of the batch *rows*.
 
         Bootstrap spread measures *variance* — members disagreeing —
         but a region no training point touches produces confident,
@@ -352,42 +517,63 @@ class SurrogateEnsemble:
         signal: acquisition adds it to the ensemble spread so unseen
         (core, subset) regions get explored even when the model is
         confidently wrong about them.
-        """
-        if not self._train_rows:
-            return 0.0
-        anchor = self.members[self.target_names[0]][0]
-        row = anchor.standardize(features)
-        n_features = len(row)
-        return min(
-            math.fsum(map(abs, map(sub, row, train_row))) / n_features
-            for train_row in self._train_rows)
 
-    def predict(self, features):
-        """``{target: (predicted_value, log_space_uncertainty)}``."""
-        features = [float(x) for x in features]
-        rows = [_standardize(features, means, scales) + [1.0]
-                for means, scales in self._geometries]
-        out = {}
+        Standardized in the anchor's (member 0 of the first target)
+        geometry; each training row keeps one ``|value - train_j|``
+        table per column.
+        """
+        if not rows:
+            return []
+        if not self._train_rows:
+            return [0.0] * len(rows)
+        codes = self._code(rows)
+        standardized = self._standardized_in(0)
+        width = len(standardized)
+        nearest = None
+        for train_row, gaps in zip(self._train_rows, self._gaps):
+            for table, values, train in zip(gaps, standardized,
+                                            train_row):
+                table.extend([abs(x - train)
+                              for x in values[len(table):]])
+            distances = [total / width for total in map(
+                math.fsum, zip(*_lookup(gaps, codes)))]
+            nearest = distances if nearest is None \
+                else list(map(min, nearest, distances))
+        return nearest
+
+    def predict(self, rows):
+        """``{target: (predicted_value, log_space_uncertainty)}`` for
+        each feature vector of the batch *rows*."""
+        if not rows:
+            return []
+        codes = self._code(rows)
+        standardized = [self._standardized_in(geometry)
+                        for geometry in range(len(self._geometries))]
+        n = len(rows)
+        by_target = []
         for name in self.target_names:
-            logs = [model.log_of(rows[geometry])
-                    for geometry, model in self._scorers[name]]
-            mean = math.fsum(logs) / len(logs)
-            if len(logs) > 1:
-                var = math.fsum((v - mean) ** 2 for v in logs) \
-                    / len(logs)
-                std = math.sqrt(var)
-            else:
-                std = 0.0
-            out[name] = (math.exp(mean), std)
-        return out
+            member_logs = [
+                member.logs(standardized[member.geometry], codes, n)
+                for member in self._scorers[name]]
+            k = len(member_logs)
+            means = list(map(truediv, map(math.fsum, zip(*member_logs)),
+                             repeat(k)))
+            stds = repeat(0.0)
+            if k > 1:
+                squares = [map(pow, map(sub, logs, means), repeat(2))
+                           for logs in member_logs]
+                stds = map(math.sqrt, map(truediv, map(
+                    math.fsum, zip(*squares)), repeat(k)))
+            by_target.append(zip(map(math.exp, means), stds))
+        return [dict(zip(self.target_names, row))
+                for row in zip(*by_target)]
 
     def mean_abs_log_error(self, rows, targets_by_name):
         """Mean |log(pred) - log(actual)| across rows and targets —
         the out-of-sample error statistic the EXPLORE artifact
         records per round."""
         errors = []
-        for i, features in enumerate(rows):
-            predicted = self.predict(features)
+        for i, predicted in enumerate(self.predict(rows)):
             for name in self.target_names:
                 actual = max(targets_by_name[name][i], _LOG_FLOOR)
                 errors.append(abs(math.log(predicted[name][0])

@@ -1,9 +1,31 @@
 """Shared fixtures: small kernels and cached TDGs."""
 
+import os
+
 import pytest
 
+from repro.obs import set_blackbox_dir
 from repro.programs import KernelBuilder
 from repro.tdg import construct_tdg
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_cache_dir(tmp_path_factory):
+    """Keep the test session's cache entries and flight-recorder dumps
+    out of ``~/.cache/repro-dse``: the default cache directory (and
+    with it the default dump directory) is a session tmp dir.  Both
+    are restored afterwards; a test that needs the real default
+    ``monkeypatch.delenv("REPRO_CACHE_DIR")``."""
+    root = tmp_path_factory.mktemp("repro-cache")
+    saved = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(root)
+    set_blackbox_dir(root / "blackbox")
+    yield root
+    set_blackbox_dir(None)
+    if saved is None:
+        os.environ.pop("REPRO_CACHE_DIR", None)
+    else:
+        os.environ["REPRO_CACHE_DIR"] = saved
 
 
 def pytest_addoption(parser):

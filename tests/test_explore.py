@@ -15,9 +15,11 @@ import os
 import random
 import subprocess
 import sys
+import timeit
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.artifacts import (
     artifact_filename, canonical_fields, dumps_artifact,
@@ -28,13 +30,15 @@ from repro.core_model.config import DSE_CORES
 from repro.dse.report import frontier_table, pareto_frontier
 from repro.dse.sweep import run_sweep
 from repro.explore import run_explore
-from repro.explore.acquire import peel_fronts, select_batch, uncovered
+from repro.explore.acquire import (
+    _spread, fronts, select_batch, uncovered,
+)
 from repro.explore.evaluate import ExactEvaluator
 from repro.explore.artifact import (
     check_explore, dumps_explore, explore_filename, frontier_recall,
     latest_explore, load_explore, write_explore,
 )
-from repro.explore.loop import training_points_from_records
+from repro.explore.loop import SCORE_CHUNK, training_points_from_records
 from repro.explore.space import (
     DEFAULT_CORES, DesignPoint, DesignSpace, FEATURE_NAMES,
     point_features,
@@ -260,7 +264,7 @@ class TestSurrogate:
         a = SurrogateEnsemble(seed=11).fit(rows, targets)
         b = SurrogateEnsemble(seed=11).fit(rows, targets)
         probe = point_features(DesignSpace().point_at(999_999))
-        assert a.predict(probe) == b.predict(probe)
+        assert a.predict([probe]) == b.predict([probe])
         for name in a.target_names:
             for ma, mb in zip(a.members[name], b.members[name]):
                 assert ma.weights == mb.weights
@@ -280,15 +284,15 @@ class TestSurrogate:
     def test_single_member_has_zero_uncertainty(self):
         rows, targets = _training_set()
         model = SurrogateEnsemble(n_members=1).fit(rows, targets)
-        _, std = model.predict(rows[0])["speedup"]
+        _, std = model.predict([rows[0]])[0]["speedup"]
         assert std == 0.0
 
     def test_prediction_finite_and_positive(self):
         rows, targets = _training_set()
         model = SurrogateEnsemble().fit(rows, targets)
-        for index in (0, 123, 456_789):
-            out = model.predict(
-                point_features(DesignSpace().point_at(index)))
+        probes = [point_features(DesignSpace().point_at(index))
+                  for index in (0, 123, 456_789)]
+        for out in model.predict(probes):
             for mean, std in out.values():
                 assert math.isfinite(mean) and mean > 0
                 assert math.isfinite(std) and std >= 0.0
@@ -296,15 +300,15 @@ class TestSurrogate:
     def test_novelty_zero_on_training_row(self):
         rows, targets = _training_set()
         model = SurrogateEnsemble().fit(rows, targets)
-        assert model.novelty(rows[0]) == 0.0
+        assert model.novelty([rows[0]]) == [0.0]
         far = point_features(DesignSpace().point_at(1))
-        assert model.novelty(far) >= 0.0
+        assert model.novelty([far])[0] >= 0.0
 
     def test_nonpositive_targets_survive_log_floor(self):
         rows, targets = _training_set()
         targets["speedup"][0] = 0.0
         model = SurrogateEnsemble().fit(rows, targets)
-        mean, _ = model.predict(rows[0])["speedup"]
+        mean, _ = model.predict([rows[0]])[0]["speedup"]
         assert math.isfinite(mean)
 
     def test_boosting_fits_plateaus_better(self):
@@ -333,14 +337,16 @@ class TestSurrogate:
         a = SurrogateEnsemble(seed=3).fit(rows, targets)
         b = SurrogateEnsemble(seed=3).fit(as_arrays, targets)
         probe = rows[7]
-        assert a.predict(probe) == b.predict(array(
-            "d", [float(v) for v in probe]))
+        assert a.predict([probe]) == b.predict([array(
+            "d", [float(v) for v in probe])])
 
     def test_scoring_matches_member_by_member_oracle(self):
         rows, targets = _training_set()
-        model = SurrogateEnsemble(seed=7).fit(rows, targets)
-        _assert_scores_match_oracle(model, rows, _probe_vectors(
-            len(FEATURE_NAMES), 200, seed=13))
+        probes = _probe_vectors(len(FEATURE_NAMES), 300, seed=13)
+        assert len(rows) + len(probes) > SCORE_CHUNK
+        _assert_scores_match_oracle(
+            lambda: SurrogateEnsemble(seed=7).fit(rows, targets), rows,
+            probes)
 
     def test_degenerate_bootstrap_fallback_scores_match_oracle(self):
         # Feature 0 is non-zero in two rows only: a bootstrap that
@@ -365,8 +371,47 @@ class TestSurrogate:
         else:
             pytest.fail("no seed triggered the bootstrap fallback")
         assert len(model._geometries) < model.n_members
-        _assert_scores_match_oracle(model, rows, _probe_vectors(
-            5, 200, seed=seed))
+        _assert_scores_match_oracle(
+            lambda: SurrogateEnsemble(l2=0.0, seed=seed).fit(
+                rows, targets),
+            rows, _probe_vectors(5, 200, seed=seed))
+
+    def test_duplicates_and_signed_zeros_match_oracle(self):
+        # Column 0 trains on +-1.0, so its mean is exactly 0.0 and
+        # 0.0 and -0.0 standardize to zeros of opposite sign.
+        rows, targets = _training_set()
+        rows = [(1.0 if i % 2 else -1.0,) + tuple(row[1:])
+                for i, row in enumerate(rows)]
+        model = SurrogateEnsemble(seed=7).fit(rows, targets)
+        assert model.members["speedup"][0].means[0] == 0.0
+        probes = []
+        for probe in _probe_vectors(len(FEATURE_NAMES), 40, seed=21):
+            probes.append((0.0,) + probe[1:])
+            probes.append((-0.0,) + probe[1:])
+            probes.append(probes[-1])
+        probes.extend(rows[:5])
+        _assert_scores_match_oracle(
+            lambda: SurrogateEnsemble(seed=7).fit(rows, targets), rows,
+            probes)
+
+    def test_linear_only_and_single_member_match_oracle(self):
+        rows, targets = _training_set()
+        probes = _probe_vectors(len(FEATURE_NAMES), 60, seed=5)
+        model = SurrogateEnsemble(boost_rounds=0).fit(rows, targets)
+        assert all(not member.stumps for member
+                   in model.members["speedup"])
+        _assert_scores_match_oracle(
+            lambda: SurrogateEnsemble(boost_rounds=0).fit(rows, targets),
+            rows, probes)
+        _assert_scores_match_oracle(
+            lambda: SurrogateEnsemble(n_members=1).fit(rows, targets),
+            rows, probes)
+
+    def test_empty_batch(self):
+        rows, targets = _training_set()
+        model = SurrogateEnsemble().fit(rows, targets)
+        assert model.predict([]) == []
+        assert model.novelty([]) == []
 
 
 def _probe_vectors(width, n, seed):
@@ -428,21 +473,72 @@ def _bits(prediction):
             for name, (mean, std) in prediction.items()}
 
 
-def _assert_scores_match_oracle(model, train_rows, probes):
+def _forms(vectors):
+    """*vectors* as tuples, as ``array('d')`` rows and as numpy rows."""
     from array import array
+    forms = [[tuple(v) for v in vectors],
+             [array("d", v) for v in vectors]]
     try:
         import numpy
     except ImportError:
-        numpy = None
-    for probe in list(train_rows) + probes:
-        expected = _bits(_oracle_predict(model, probe))
-        novelty = _oracle_novelty(model, train_rows, probe).hex()
-        forms = [tuple(probe), array("d", probe)]
-        if numpy is not None:
-            forms.append(numpy.asarray(probe, dtype=numpy.float64))
-        for form in forms:
-            assert _bits(model.predict(form)) == expected
-            assert model.novelty(form).hex() == novelty
+        return forms
+    forms.append(list(numpy.asarray(vectors, dtype=numpy.float64)))
+    return forms
+
+
+def _assert_scores_match_oracle(fit, train_rows, probes):
+    """Batch scores equal the member-by-member oracle's, compared by
+    ``float.hex``: the training rows and *probes* scored as one batch,
+    split at the explore loop's chunk size, and one row at a time, in
+    each input form.  Each split scores on a fresh ``fit()``, so its
+    first batch builds the column tables and later ones extend them."""
+    vectors = list(train_rows) + list(probes)
+    model = fit()
+    expected = [_bits(_oracle_predict(model, v)) for v in vectors]
+    novelty = [_oracle_novelty(model, train_rows, v).hex()
+               for v in vectors]
+    for form in _forms(vectors):
+        for batches in ([form],
+                        [form[:SCORE_CHUNK], form[SCORE_CHUNK:]],
+                        [[row] for row in form]):
+            model = fit()
+            predicted = [prediction for batch in batches
+                         for prediction in model.predict(batch)]
+            assert [_bits(p) for p in predicted] == expected
+            distances = [distance for batch in batches
+                         for distance in model.novelty(batch)]
+            assert [d.hex() for d in distances] == novelty
+
+
+@pytest.mark.bench
+def test_batch_scoring_beats_member_by_member_oracle():
+    """2,048 default-space candidates, scored in the explore loop's
+    chunks on a fresh fit, against the member-by-member oracle: the
+    batch path is at least twice as fast (best of 3 each)."""
+    rows, targets = _training_set(n=6)
+    candidates = [point_features(point)
+                  for point in DesignSpace().sample(2048, seed=17)]
+
+    def batch():
+        model = SurrogateEnsemble().fit(rows, targets)
+        for start in range(0, len(candidates), SCORE_CHUNK):
+            chunk = candidates[start:start + SCORE_CHUNK]
+            model.predict(chunk)
+            model.novelty(chunk)
+
+    model = SurrogateEnsemble().fit(rows, targets)
+
+    def oracle():
+        SurrogateEnsemble().fit(rows, targets)
+        for features in candidates:
+            _oracle_predict(model, features)
+            _oracle_novelty(model, rows, features)
+
+    batch_s = min(timeit.repeat(batch, number=1, repeat=3))
+    oracle_s = min(timeit.repeat(oracle, number=1, repeat=3))
+    assert oracle_s / batch_s >= 2.0, (
+        f"batch {batch_s * 1000:.0f} ms vs oracle "
+        f"{oracle_s * 1000:.0f} ms")
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +617,9 @@ class TestAcquire:
             (1, 3, 0), (2, 1, 0),       # front 2
             (1, 1, 0),                  # front 3
         ])
-        ranked = peel_fronts(rows, tie_key="key")
-        by_key = {r["key"]: r["front_rank"] for r in ranked}
+        by_key = {row["key"]: rank for rank, front
+                  in enumerate(fronts(rows, tie_key="key"), start=1)
+                  for row in front}
         assert by_key == {"k00": 1, "k01": 1, "k02": 2, "k03": 2,
                           "k04": 3}
 
@@ -578,6 +675,81 @@ class TestAcquire:
         rows = _prediction_rows([(1, 1, 0), (2, 2, 0)])
         assert len(select_batch(rows, 10)) == 2
         assert select_batch([], 5) == []
+
+
+def _full_peel_select_batch(rows, batch_size, explore_fraction=0.5,
+                            evaluated=(), covered_tolerance=0.05):
+    """The oracle: ``select_batch`` as it was when it peeled every
+    front of the pool and backfilled from them, copied verbatim with
+    its ``peel_fronts`` (``max_rows=None``) inlined."""
+    x_key, y_key, tie_key = "speedup", "energy_eff", "key"
+    batch_size = min(int(batch_size), len(rows))
+    if batch_size <= 0:
+        return []
+    n_explore = int(round(batch_size * explore_fraction))
+    n_exploit = batch_size - n_explore
+
+    informative = uncovered(rows, evaluated,
+                            tolerance=covered_tolerance,
+                            x_key=x_key, y_key=y_key)
+    remaining = {row[tie_key]: row for row in informative or rows}
+    ranked = []
+    rank = 0
+    while remaining:
+        rank += 1
+        front = pareto_frontier(list(remaining.values()),
+                                x_key=x_key, y_key=y_key,
+                                tie_key=tie_key)
+        for row in front:
+            ranked.append(dict(row, front_rank=rank))
+            del remaining[row[tie_key]]
+    by_rank = {}
+    for row in ranked:
+        by_rank.setdefault(row["front_rank"], []).append(row)
+
+    chosen = set()
+    for rank in sorted(by_rank):
+        need = n_exploit - len(chosen)
+        if need <= 0:
+            break
+        chosen.update(_spread(by_rank[rank], need, x_key, tie_key))
+
+    for row in sorted(rows, key=lambda r: (-r["uncertainty"],
+                                           r[tie_key])):
+        if len(chosen) >= batch_size:
+            break
+        chosen.add(row[tie_key])
+    for row in sorted(ranked, key=lambda r: (r["front_rank"],
+                                             r[x_key], r[tie_key])):
+        if len(chosen) >= batch_size:    # backfill on uncertainty ties
+            break
+        chosen.add(row[tie_key])
+    return sorted(chosen)
+
+
+#: Few distinct objective and uncertainty values, so drawn pools are
+#: full of ties, duplicates and covered plateaus.
+_LEVELS = st.sampled_from((0.5, 1.0, 1.04, 1.5, 2.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coords=st.lists(st.tuples(_LEVELS, _LEVELS, _LEVELS,
+                                 st.integers(0, 40)),
+                       max_size=40),
+       evaluated=st.lists(st.tuples(_LEVELS, _LEVELS), max_size=4),
+       batch_size=st.integers(0, 45),
+       explore_fraction=st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)))
+def test_lazy_peel_selects_what_the_full_peel_selects(
+        coords, evaluated, batch_size, explore_fraction):
+    rows = [{"key": f"k{key:02d}", "speedup": x, "energy_eff": y,
+             "uncertainty": u} for x, y, u, key in coords]
+    evaluated = [{"speedup": x, "energy_eff": y} for x, y in evaluated]
+    assert select_batch(rows, batch_size,
+                        explore_fraction=explore_fraction,
+                        evaluated=evaluated) \
+        == _full_peel_select_batch(rows, batch_size,
+                                   explore_fraction=explore_fraction,
+                                   evaluated=evaluated)
 
 
 # ---------------------------------------------------------------------------
