@@ -17,29 +17,30 @@ means the surrogate produces **bit-identical** coefficients and
 predictions whether or not numpy is installed, at any worker count, on
 any platform with IEEE-754 doubles — the property the EXPLORE
 artifact's byte-reproducibility rests on.  (Feature vectors may arrive
-as tuples, ``array('d')`` or numpy arrays; scoring converts them to
-Python floats once, which is exact for all three.)
+as tuples, ``array('d')`` or numpy arrays; scoring converts each
+distinct value to a Python float once, which is exact for all three.)
 
 Scoring is the explorer's inner loop (thousands of candidates per
 round), so :meth:`SurrogateEnsemble.predict` and
 :meth:`~SurrogateEnsemble.novelty` take a **batch** of feature vectors
 and work column by column.  Every feature takes only a few values (at
-most 8 per column on the default space), so each column's distinct
-values get small integer codes, and everything a member needs from a
-value becomes a **column table** indexed by code: the standardized
-value (once per distinct member geometry, the (means, scales) that
-member k of every target shares), the linear term ``weights[j] *
-value``, and, for each feature the member's stumps split on, the exact
-partials of the pre-scaled leaves that value selects.  The tables
-belong to the fit and grow only when a batch brings a value no earlier
-batch had.  A candidate's log estimate is then two :func:`math.fsum`
-calls over table lookups.  :func:`math.fsum` is correctly rounded, so
-it depends only on the exact sum of its terms: feeding it a split
-feature's exact leaf partials instead of the leaves themselves gives
-the same float, and the batch path is bit-identical to scoring member
-by member.  Fitting shares work the same way: member k of every target
-fits the same bootstrap rows, so one :class:`_Design` per bootstrap
-holds the standardization, the eliminated normal matrix and the stump
+most 8 per column on the default space), so each distinct (column,
+value) gets a small integer code, its *slot*, and everything a value
+decides becomes a **column table** entry at that slot: the
+standardized value (once per distinct member geometry, the (means,
+scales) that member k of every target shares), each member's linear
+term ``weights[j] * value``, the exact partials of the pre-scaled
+stump leaves the value selects, and its gap ``|value - train_j|`` to
+each training row.  The tables belong to the fit and grow only when a
+batch brings a value no earlier batch had.  A candidate's member
+estimate is then two :func:`math.fsum` calls over table lookups.
+:func:`math.fsum` is correctly rounded, so it depends only on the
+exact sum of its terms: feeding it a split feature's exact leaf
+partials instead of the leaves themselves gives the same float, and
+the batch path is bit-identical to scoring member by member.  Fitting
+shares work the same way: member k of every target fits the same
+bootstrap rows, so one :class:`_Design` per bootstrap holds the
+standardization, the eliminated normal matrix and the stump
 partitions, and each target solves only its own right-hand side.
 
 Bootstrap resampling uses integer-seeded :class:`random.Random`
@@ -49,7 +50,7 @@ instances only — never hash-based or global-state randomness.
 import math
 import random
 from itertools import chain, repeat
-from operator import concat, mul, neg, sub, truediv
+from operator import concat, itemgetter, mul, neg, sub, truediv
 
 #: Floor for log-space targets: a non-positive metric (degenerate
 #: benchmark) trains as "very bad", not as a crash.
@@ -165,12 +166,6 @@ def _exact_parts(values):
         if not part:
             return tuple(parts)
         parts.append(part)
-
-
-def _lookup(tables, codes):
-    """Per table, an iterator over the entries that *codes* select."""
-    return [map(table.__getitem__, column_codes)
-            for table, column_codes in zip(tables, codes)]
 
 
 def _eliminate(matrix):
@@ -327,46 +322,47 @@ class RidgeModel:
 
 
 class _MemberTables:
-    """One member's column tables, indexed by the ensemble's value
-    codes and grown as new values arrive: per column, ``weights[j] *
-    value``; per feature the member's stumps split on, the exact
-    partials (:func:`_exact_parts`) of the pre-scaled leaves each value
-    selects."""
+    """One member's slot tables (see :class:`SurrogateEnsemble`),
+    grown as new slots arrive: per slot, the linear term ``weights[j] *
+    value`` (slot 0 holds the bias term ``weights[-1] * 1.0``) and the
+    exact partials (:func:`_exact_parts`) of the pre-scaled leaves the
+    value selects among the stumps that split its column."""
 
     __slots__ = ("model", "geometry", "products", "leaves")
 
     def __init__(self, model, geometry):
         self.model = model
         self.geometry = geometry
-        self.products = [[] for _ in model.means]
-        self.leaves = {feature: [] for feature in model.splits}
+        self.products = []
+        self.leaves = []
 
-    def logs(self, standardized, codes, n):
-        """Predicted log-space values of *n* coded rows.
+    def logs(self, standardized, columns, slots, batch):
+        """Predicted log-space values of a batch.
 
-        *standardized* holds each column's values, by code, in this
-        member's geometry.  Per row, the linear part is the
-        :func:`math.fsum` of ``weights[j] * value`` and the bias term
-        ``weights[-1] * 1.0``; the log is the :func:`math.fsum` of the
-        linear part and every stump's leaf, taken as each split
-        feature's exact partials.  Both sums see the same exact terms
-        as a member-by-member scorer, so they round the same.
+        *standardized* is the slot table of this member's geometry and
+        *columns* each slot's column; *slots* and *batch* are
+        :meth:`SurrogateEnsemble._slots_of`'s.  Per row, the linear
+        part is the :func:`math.fsum` of ``weights[j] * value`` and
+        the bias term; the log is the :func:`math.fsum` of the linear
+        part and each split feature's leaf partials.  Both sums have
+        the exact totals of a member-by-member scorer's, so they round
+        the same.
         """
         weights = self.model.weights
-        for table, values, weight in zip(self.products, standardized,
-                                         weights):
-            table.extend([weight * x for x in values[len(table):]])
-        products = _lookup(self.products, codes)
-        products.append(repeat(weights[-1] * 1.0, n))
-        terms = zip(map(math.fsum, zip(*products)))
-        for feature, splits in self.model.splits.items():
-            table = self.leaves[feature]
-            table.extend(
-                _exact_parts([left if x <= threshold else right
-                              for threshold, left, right in splits])
-                for x in standardized[feature][len(table):])
+        splits = self.model.splits
+        new = range(len(self.products), len(standardized))
+        self.products.extend([weights[columns[k]] * standardized[k]
+                              for k in new])
+        self.leaves.extend(
+            _exact_parts([left if standardized[k] <= threshold
+                          else right for threshold, left, right
+                          in splits.get(columns[k], ())])
+            for k in new)
+        terms = zip(map(math.fsum, map(itemgetter.__call__, batch,
+                                       repeat(self.products))))
+        for feature in splits:
             terms = map(concat, terms,
-                        map(table.__getitem__, codes[feature]))
+                        map(self.leaves.__getitem__, slots[feature]))
         return list(map(math.fsum, terms))
 
 
@@ -395,14 +391,12 @@ class SurrogateEnsemble:
         self._geometries = []       # distinct member (means, scales);
                                     # [0] is the anchor's
         self._scorers = {}          # target -> [_MemberTables, ...]
-        # Column tables of this fit, indexed by value code: per column
-        # the value -> code map and the values; per geometry each
-        # column's standardized values; per training row each column's
-        # |value - train| in the anchor's geometry.
-        self._codes = []
-        self._values = []
-        self._standardized = []
-        self._gaps = []
+        # Slot tables of this fit (see _slots_of).
+        self._slot_index = []       # per column: value -> slot
+        self._slot_columns = []     # per slot: its column
+        self._slot_values = []      # per slot: its value
+        self._standardized = []     # per geometry: per slot
+        self._gaps = []             # per training row: per slot
 
     def fit(self, rows, targets_by_name):
         """Fit every member of every target.
@@ -452,7 +446,7 @@ class SurrogateEnsemble:
         anchor = self.members[self.target_names[0]][0]
         self._train_rows = [
             _standardize([float(x) for x in row], anchor.means,
-                         anchor.scales)
+                         anchor.scales) + [1.0]
             for row in rows]
 
         index_of = {}
@@ -464,46 +458,56 @@ class SurrogateEnsemble:
                 for model in self.members[name]]
         self._geometries = list(index_of)
         width = len(anchor.means)
-        self._codes = [{} for _ in range(width)]
-        self._values = [[] for _ in range(width)]
-        self._standardized = [[[] for _ in range(width)]
-                              for _ in self._geometries]
-        self._gaps = [[[] for _ in range(width)]
-                      for _ in self._train_rows]
+        self._slot_index = [{} for _ in range(width)]
+        self._slot_columns = [width]
+        self._slot_values = [1.0]
+        self._standardized = [[1.0] for _ in self._geometries]
+        self._gaps = [[0.0] for _ in self._train_rows]
         return self
 
-    def _code(self, rows):
-        """Each column's value codes for the batch *rows*.
+    def _slots_of(self, rows):
+        """The batch *rows* as ``(slots, batch)``.
 
-        Equal values share a code, so ``0.0`` and ``-0.0`` do too.
+        Every distinct (column, value) the ensemble has scored since
+        its fit owns a **slot**; slot 0 is the bias column's constant
+        ``1.0``.  The scoring tables (standardized values, each
+        member's terms and leaf partials, each training row's gaps)
+        are lists indexed by slot, so a slot's entries are computed
+        once per fit.  *slots* holds each column's slots for the rows;
+        *batch* holds, per row, an :func:`~operator.itemgetter` of
+        slot 0 and its slots, which picks a row's terms out of a
+        table in column order.
+
+        Equal values share a slot, so ``0.0`` and ``-0.0`` do too.
         That cannot change a score: standardizing them differs at most
         in the sign of a zero, and every use of a standardized value
         is a comparison, an ``abs`` of a difference or a product
         summed by :func:`math.fsum`, none of which shows that sign.
         """
-        codes = []
-        for column, code, values in zip(zip(*rows), self._codes,
-                                        self._values):
+        slots = []
+        for j, (column, index) in enumerate(zip(zip(*rows),
+                                                self._slot_index)):
             try:
-                codes.append(list(map(code.__getitem__, column)))
+                slots.append(list(map(index.__getitem__, column)))
             except KeyError:
                 for x in column:
-                    if x not in code:
-                        code[x] = len(values)
-                        values.append(float(x))
-                codes.append(list(map(code.__getitem__, column)))
-        return codes
+                    if x not in index:
+                        index[x] = len(self._slot_values)
+                        self._slot_columns.append(j)
+                        self._slot_values.append(float(x))
+                slots.append(list(map(index.__getitem__, column)))
+        return slots, list(map(itemgetter, repeat(0), *slots))
 
     def _standardized_in(self, geometry):
-        """Each column's values, by code, standardized in the
-        *geometry*-th distinct member geometry."""
-        columns = self._standardized[geometry]
+        """The slot table of values standardized in the *geometry*-th
+        distinct member geometry."""
+        table = self._standardized[geometry]
         means, scales = self._geometries[geometry]
-        for table, values, mean, scale in zip(columns, self._values,
-                                              means, scales):
-            table.extend([(x - mean) / scale
-                          for x in values[len(table):]])
-        return columns
+        columns = self._slot_columns
+        table.extend([(self._slot_values[k] - means[columns[k]])
+                      / scales[columns[k]]
+                      for k in range(len(table), len(columns))])
+        return table
 
     def novelty(self, rows):
         """Min standardized L1 distance to the training set, one per
@@ -519,24 +523,24 @@ class SurrogateEnsemble:
         confidently wrong about them.
 
         Standardized in the anchor's (member 0 of the first target)
-        geometry; each training row keeps one ``|value - train_j|``
-        table per column.
+        geometry; each training row keeps a slot table of gaps
+        ``|value - train_j|``.
         """
         if not rows:
             return []
         if not self._train_rows:
             return [0.0] * len(rows)
-        codes = self._code(rows)
+        slots, batch = self._slots_of(rows)
         standardized = self._standardized_in(0)
-        width = len(standardized)
+        columns = self._slot_columns
+        width = len(self._slot_index)
         nearest = None
         for train_row, gaps in zip(self._train_rows, self._gaps):
-            for table, values, train in zip(gaps, standardized,
-                                            train_row):
-                table.extend([abs(x - train)
-                              for x in values[len(table):]])
+            gaps.extend([abs(standardized[k] - train_row[columns[k]])
+                         for k in range(len(gaps), len(columns))])
             distances = [total / width for total in map(
-                math.fsum, zip(*_lookup(gaps, codes)))]
+                math.fsum, map(itemgetter.__call__, batch,
+                               repeat(gaps)))]
             nearest = distances if nearest is None \
                 else list(map(min, nearest, distances))
         return nearest
@@ -546,14 +550,14 @@ class SurrogateEnsemble:
         each feature vector of the batch *rows*."""
         if not rows:
             return []
-        codes = self._code(rows)
+        slots, batch = self._slots_of(rows)
         standardized = [self._standardized_in(geometry)
                         for geometry in range(len(self._geometries))]
-        n = len(rows)
         by_target = []
         for name in self.target_names:
             member_logs = [
-                member.logs(standardized[member.geometry], codes, n)
+                member.logs(standardized[member.geometry],
+                            self._slot_columns, slots, batch)
                 for member in self._scorers[name]]
             k = len(member_logs)
             means = list(map(truediv, map(math.fsum, zip(*member_logs)),
