@@ -37,11 +37,7 @@ estimate is then two :func:`math.fsum` calls over table lookups.
 :func:`math.fsum` is correctly rounded, so it depends only on the
 exact sum of its terms: feeding it a split feature's exact leaf
 partials instead of the leaves themselves gives the same float, and
-the batch path is bit-identical to scoring member by member.  Fitting
-shares work the same way: member k of every target fits the same
-bootstrap rows, so one :class:`_Design` per bootstrap holds the
-standardization, the eliminated normal matrix and the stump
-partitions, and each target solves only its own right-hand side.
+the batch path is bit-identical to scoring member by member.
 
 Bootstrap resampling uses integer-seeded :class:`random.Random`
 instances only — never hash-based or global-state randomness.
@@ -129,16 +125,14 @@ def _best_stump(partitions, residuals):
     """
     best = None
     best_sse = None
-    residual = residuals.__getitem__
     for feature, threshold, left_ids, right_ids in partitions:
-        lefts = list(map(residual, left_ids))
-        rights = list(map(residual, right_ids))
-        left = math.fsum(lefts) / len(lefts)
-        right = math.fsum(rights) / len(rights)
-        sse = math.fsum(map(pow, map(sub, lefts, repeat(left)),
-                            repeat(2))) \
-            + math.fsum(map(pow, map(sub, rights, repeat(right)),
-                            repeat(2)))
+        left = math.fsum(residuals[i] for i in left_ids) / len(left_ids)
+        right = math.fsum(residuals[i] for i in right_ids) \
+            / len(right_ids)
+        sse = math.fsum(
+            (residuals[i] - left) ** 2 for i in left_ids) \
+            + math.fsum(
+                (residuals[i] - right) ** 2 for i in right_ids)
         if best_sse is None or sse < best_sse - 1e-15:
             best_sse = sse
             best = _Stump(feature, threshold, left, right)
@@ -168,13 +162,12 @@ def _exact_parts(values):
         parts.append(part)
 
 
-def _eliminate(matrix):
-    """Gaussian elimination with partial pivoting of the square
-    *matrix* (a list of row-lists, reduced in place to its upper
-    triangle).  Returns the steps ``[(pivot, [(row, factor), ...]),
-    ...]`` that :func:`_substitute` replays on a right-hand side."""
+def _solve(matrix, rhs):
+    """Solve ``matrix @ x = rhs`` by Gaussian elimination with partial
+    pivoting.  *matrix* is a list of row-lists (modified in place)."""
     n = len(matrix)
-    steps = []
+    for row, value in zip(matrix, rhs):
+        row.append(value)
     for col in range(n):
         pivot = max(range(col, n), key=lambda r: abs(matrix[r][col]))
         if abs(matrix[pivot][col]) < 1e-30:
@@ -182,81 +175,20 @@ def _eliminate(matrix):
         if pivot != col:
             matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
         head = matrix[col]
-        eliminated = []
         for r in range(col + 1, n):
             row = matrix[r]
             factor = row[col] / head[col]
             if factor == 0.0:
                 continue
-            row[col:] = map(sub, row[col:],
-                            map(mul, repeat(factor), head[col:]))
-            eliminated.append((r, factor))
-        steps.append((pivot, eliminated))
-    return steps
-
-
-def _substitute(upper, steps, rhs):
-    """Solve ``matrix @ x = rhs`` from :func:`_eliminate`'s *upper*
-    triangle and *steps*.  Each entry of *rhs* goes through exactly
-    the operations it would as an augmented column of the matrix."""
-    rhs = list(rhs)
-    for col, (pivot, eliminated) in enumerate(steps):
-        if pivot != col:
-            rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        head = rhs[col]
-        for r, factor in eliminated:
-            rhs[r] -= factor * head
-    n = len(upper)
+            for c in range(col, n + 1):
+                row[c] -= factor * head[c]
     solution = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        row = upper[i]
-        acc = math.fsum(map(mul, row[i + 1:n], solution[i + 1:]))
-        solution[i] = (rhs[i] - acc) / row[i]
+    for row_index in range(n - 1, -1, -1):
+        row = matrix[row_index]
+        acc = math.fsum(row[c] * solution[c]
+                        for c in range(row_index + 1, n))
+        solution[row_index] = (row[n] - acc) / row[row_index]
     return solution
-
-
-class _Design:
-    """What a fit derives from its rows alone: the standardization,
-    the eliminated ridge normal matrix and the stump partitions.
-    Member k of every target fits the same bootstrap rows, so the
-    ensemble builds one per bootstrap."""
-
-    def __init__(self, rows, l2):
-        if not rows:
-            raise ValueError("cannot fit on zero rows")
-        n_features = len(rows[0])
-        n = len(rows)
-        self.means = [
-            math.fsum(row[j] for row in rows) / n
-            for j in range(n_features)
-        ]
-        self.scales = []
-        for j in range(n_features):
-            mean = self.means[j]
-            var = math.fsum((row[j] - mean) ** 2 for row in rows) / n
-            std = math.sqrt(var)
-            self.scales.append(std if std > 1e-12 else 1.0)
-
-        self.standardized = [
-            _standardize(row, self.means, self.scales) + [1.0]
-            for row in rows
-        ]
-        dim = n_features + 1
-        self.columns = list(zip(*self.standardized))
-        normal = [[0.0] * dim for _ in range(dim)]
-        for a in range(dim):        # symmetric: x * y == y * x
-            for b in range(a, dim):
-                normal[a][b] = normal[b][a] = math.fsum(
-                    map(mul, self.columns[a], self.columns[b]))
-        ridge = l2 * n
-        for j in range(n_features):    # never regularize the bias
-            normal[j][j] += ridge
-        self.steps = _eliminate(normal)
-        self.upper = normal
-        self.partitions = None
-        if n >= 2 * _MIN_LEAF:
-            self.partitions = _partitions(
-                [row[:-1] for row in self.standardized])
 
 
 class RidgeModel:
@@ -282,28 +214,53 @@ class RidgeModel:
         self.splits = {}            # feature -> [(threshold, lr*left, lr*right)]
 
     def fit(self, rows, targets):
-        return self.fit_design(_Design(rows, self.l2), targets)
+        if not rows:
+            raise ValueError("cannot fit on zero rows")
+        n_features = len(rows[0])
+        n = len(rows)
+        self.means = [
+            math.fsum(row[j] for row in rows) / n
+            for j in range(n_features)
+        ]
+        self.scales = []
+        for j in range(n_features):
+            mean = self.means[j]
+            var = math.fsum((row[j] - mean) ** 2 for row in rows) / n
+            std = math.sqrt(var)
+            self.scales.append(std if std > 1e-12 else 1.0)
 
-    def fit_design(self, design, targets):
-        """Fit *targets* on the rows of *design* (a :class:`_Design`
-        at this model's ``l2``)."""
-        self.means = design.means
-        self.scales = design.scales
+        standardized = [
+            _standardize(row, self.means, self.scales) + [1.0]
+            for row in rows
+        ]
         logs = [math.log(max(t, _LOG_FLOOR)) for t in targets]
-        rhs = [math.fsum(map(mul, column, logs))
-               for column in design.columns]
-        self.weights = _substitute(design.upper, design.steps, rhs)
+
+        dim = n_features + 1
+        normal = [
+            [math.fsum(row[a] * row[b] for row in standardized)
+             for b in range(dim)]
+            for a in range(dim)
+        ]
+        ridge = self.l2 * n
+        for j in range(n_features):    # never regularize the bias
+            normal[j][j] += ridge
+        rhs = [
+            math.fsum(row[a] * log for row, log
+                      in zip(standardized, logs))
+            for a in range(dim)
+        ]
+        self.weights = _solve(normal, rhs)
 
         self.stumps = []
-        if self.boost_rounds > 0 and design.partitions is not None:
-            standardized = design.standardized
+        if self.boost_rounds > 0 and n >= 2 * _MIN_LEAF:
             plain = [row[:-1] for row in standardized]
             residuals = [
                 log - math.fsum(map(mul, self.weights, row))
                 for row, log in zip(standardized, logs)
             ]
+            partitions = _partitions(plain)
             for _ in range(self.boost_rounds):
-                stump = _best_stump(design.partitions, residuals)
+                stump = _best_stump(partitions, residuals)
                 if stump is None:
                     break
                 self.stumps.append(stump)
@@ -413,14 +370,6 @@ class SurrogateEnsemble:
             indices_per_member.append(
                 [rng.randrange(n) for _ in range(n)])
 
-        designs = []
-        for indices in indices_per_member:
-            try:
-                designs.append(_Design([rows[i] for i in indices],
-                                       self.l2))
-            except ArithmeticError:
-                designs.append(None)
-
         self.members = {}
         for name in self.target_names:
             targets = targets_by_name[name]
@@ -429,17 +378,18 @@ class SurrogateEnsemble:
                     f"target {name!r} has {len(targets)} values "
                     f"for {n} rows")
             fits = []
-            for indices, design in zip(indices_per_member, designs):
+            for indices in indices_per_member:
+                member_rows = [rows[i] for i in indices]
+                member_targets = [targets[i] for i in indices]
                 model = RidgeModel(l2=self.l2,
                                    boost_rounds=self.boost_rounds,
                                    boost_lr=self.boost_lr)
-                if design is None:
+                try:
+                    model.fit(member_rows, member_targets)
+                except ArithmeticError:
                     # A degenerate bootstrap (e.g. all-identical rows)
                     # falls back to the full-data member's geometry.
                     model.fit(rows, targets)
-                else:
-                    model.fit_design(design,
-                                     [targets[i] for i in indices])
                 fits.append(model)
             self.members[name] = fits
         self.n_trained = n
