@@ -13,9 +13,9 @@ what remains, and so on — standard NSGA-style non-dominated sorting,
 but implemented as repeated deterministic scans so the order is
 reproducible for any input order.  :func:`fronts` peels lazily, so the
 selector computes only the fronts its exploit share reaches.  Every
-tie anywhere breaks on the
-canonical point key; nothing here consults an RNG, so acquisition is
-a pure function of (predictions, batch size, explore fraction).
+tie anywhere breaks on the canonical point key; nothing here consults
+an RNG, so acquisition is a pure function of (predictions, batch size,
+explore fraction).
 """
 
 from repro.dse.report import pareto_frontier

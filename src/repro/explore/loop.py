@@ -46,9 +46,10 @@ from repro.obs import counter, span
 #: Cap on the per-round surrogate-ranked candidate pool.
 DEFAULT_CANDIDATE_POOL = 2048
 
-#: Candidates per batch that the surrogate scores: its column tables
-#: are rebuilt per batch, and a bounded batch bounds their memory.
-SCORE_CHUNK = 256
+#: Candidates per batch that the surrogate scores.  Scores do not
+#: depend on how the pool is cut; a bounded batch bounds the memory
+#: its per-row columns take.
+SCORE_CHUNK = 128
 
 #: Weight of the coverage (distance-to-training-set) term in the
 #: explore-tail acquisition uncertainty, relative to the
@@ -139,12 +140,13 @@ def _candidate_rows(surrogate, space, evaluated, pool, seed,
     else:
         candidates = space.sample(
             pool, seed=seed * 1_000_003 + round_index)
-    fresh = [(point.key(), point) for point in candidates]
-    fresh = [(key, point) for key, point in fresh if key not in evaluated]
     rows = []
     with span("explore.rank", candidates=len(candidates)) as current:
-        for start in range(0, len(fresh), SCORE_CHUNK):
-            chunk = fresh[start:start + SCORE_CHUNK]
+        for start in range(0, len(candidates), SCORE_CHUNK):
+            chunk = [(point.key(), point)
+                     for point in candidates[start:start + SCORE_CHUNK]]
+            chunk = [(key, point) for key, point in chunk
+                     if key not in evaluated]
             features = [point_features(point) for _, point in chunk]
             for (key, point), predicted, novelty in zip(
                     chunk, surrogate.predict(features),

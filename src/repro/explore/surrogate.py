@@ -344,7 +344,7 @@ class SurrogateEnsemble:
         self.boost_lr = float(boost_lr)
         self.members = {}           # target -> [RidgeModel, ...]
         self.n_trained = 0
-        self._train_rows = []       # standardized, for novelty()
+        self._train_rows = []       # standardized + bias 1.0, for novelty()
         self._geometries = []       # distinct member (means, scales);
                                     # [0] is the anchor's
         self._scorers = {}          # target -> [_MemberTables, ...]
