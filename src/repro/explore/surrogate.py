@@ -329,7 +329,9 @@ class SurrogateEnsemble:
     Member 0 fits the full training set; members ``1..K-1`` fit
     bootstrap resamples drawn by ``random.Random(seed * 1000003 + k)``.
     Prediction is the exp of the mean member log-estimate; uncertainty
-    is the std of the member log-estimates (0.0 when K == 1).
+    is the std of the member log-estimates (0.0 when K == 1).  Scoring
+    grows the fit's slot tables, so one ensemble is not scored from
+    two threads at once.
     """
 
     def __init__(self, target_names=("speedup", "energy_eff"),
