@@ -211,7 +211,7 @@ class RidgeModel:
         self.scales = None
         self.weights = None         # bias last
         self.stumps = []
-        self.splits = {}            # feature -> [(threshold, lr*left, lr*right)]
+        self.splits = {}    # feature -> [(threshold, lr*left, lr*right)]
 
     def fit(self, rows, targets):
         if not rows:
