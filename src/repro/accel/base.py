@@ -17,7 +17,7 @@ from repro.isa.opcodes import Opcode
 from repro.obs import counter, span
 from repro.tdg.fastpath import (
     SYNTHESIZED_SEQ_BASE, FastTimingEngine, LoweredStream, OffloadTable,
-    StreamBuilder, trace_facts,
+    StreamBuilder, baseline_from_columns, trace_facts,
 )
 
 
@@ -283,11 +283,23 @@ class AnalysisContext:
         """``(timed, events)`` of the whole trace, as
         :meth:`~repro.tdg.fastpath.StreamBuilder.finish` gives them:
         the trace is lowered once, for the baseline runs and the
-        dataflow offload alike."""
+        dataflow offload alike.
+
+        With the kernel, an interpreter trace is packed from the
+        columns the interpreter filled
+        (:func:`~repro.tdg.fastpath.baseline_from_columns`), which also
+        gives :attr:`trace_facts`.  Any other trace, or any trace
+        without the kernel, takes the builder every BSA stream takes,
+        whose walk stays the reference."""
         if self._baseline is None:
-            out = StreamBuilder()
-            out.extend(self.tdg.trace.instructions)
-            self._baseline = out.finish()
+            packed = baseline_from_columns(self.tdg.trace)
+            if packed is None:
+                out = StreamBuilder()
+                out.extend(self.tdg.trace.instructions)
+                self._baseline = out.finish()
+            else:
+                lowered, events, self._trace_facts = packed
+                self._baseline = lowered, events
         return self._baseline
 
     @property
@@ -297,10 +309,13 @@ class AnalysisContext:
         None when the trace is not lowered (no kernel, or an
         unlowerable trace) or the offload cannot read it."""
         if self._trace_facts is False:
+            # Packing the interpreter's columns also gives the facts.
             timed, events = self.baseline()
-            self._trace_facts = None \
-                if timed.__class__ is not LoweredStream \
-                else trace_facts(self.tdg.trace.instructions, timed, events)
+            if self._trace_facts is False:
+                self._trace_facts = None \
+                    if timed.__class__ is not LoweredStream \
+                    else trace_facts(self.tdg.trace.instructions, timed,
+                                     events)
         return self._trace_facts
 
     def dep_info(self, loop):

@@ -99,11 +99,12 @@ def evaluate_benchmark(tdg, core_names=("IO2", "OOO2", "OOO4", "OOO6"),
         configs = [core_by_name(core_name) for core_name in core_names]
 
         # ---- baselines --------------------------------------------------
-        # The trace takes the builder every BSA stream takes: one walk
-        # puts it in the engine's form and reduces it to energy events
-        # (AnalysisContext.baseline; the dataflow offload reads the same
-        # lowered trace).  Each loop's spans are reduced to events
-        # alone, in C over the lowered trace when there is one
+        # The trace is put in the engine's form and reduced to energy
+        # events once (AnalysisContext.baseline: packed from the
+        # interpreter's columns with the kernel, else the builder every
+        # BSA stream takes; the dataflow offload reads the same lowered
+        # trace).  Each loop's spans are reduced to events alone, in C
+        # over the lowered trace when there is one
         # (TraceFacts.span_events); both are then timed and priced on
         # every core.
         with span("tdg.lower", path="baseline"):

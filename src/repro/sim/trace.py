@@ -4,7 +4,10 @@ A :class:`DynInst` is one executed instruction carrying the dynamic
 facts the paper's µDG embeds: producer seq-ids for each register
 operand, the memory dependence, the observed memory latency, and branch
 outcome/misprediction.  A :class:`Trace` is the ordered stream plus
-summary statistics.
+summary statistics.  The interpreter also leaves a
+:class:`TraceColumns` on its trace: the rows' dynamic facts as plain
+lists, which :func:`~repro.tdg.fastpath.baseline_from_columns` packs
+into the lowered baseline trace without walking the rows again.
 """
 
 #: Default of every :meth:`DynInst.clone` argument (and of
@@ -104,14 +107,49 @@ class DynInst:
                 f"uid={self.uid}>")
 
 
-class Trace:
-    """An executed instruction stream plus execution metadata."""
+#: Codes of :attr:`DynInst.mem_level` in the lowered trace's memory
+#: level column; a level outside the cache hierarchy's reads as ``l1``.
+MEM_LEVEL_CODES = {None: 0, "l1": 1, "l2": 2, "dram": 3}
 
-    def __init__(self, program, instructions, memory=None, registers=None):
+
+class TraceColumns:
+    """The rows of an interpreter trace as plain int lists, one entry
+    per row in trace order, filled as the interpreter executes.
+
+    ``uid`` is the static instruction's uid; ``lat`` the execute
+    latency (:attr:`DynInst.latency`); ``memdep`` the memory
+    dependence's seq, or -1; ``level`` the :data:`MEM_LEVEL_CODES` code
+    of the memory level; ``mispred`` 1 for a mispredicted branch;
+    ``icache`` the I-cache stall; ``regfile`` the regfile category (``2 *
+    source deps + destination write``).  ``dep_ptr``/``dep_idx`` are
+    the source deps in CSR form: row ``i``'s producers' seqs are
+    ``dep_idx[dep_ptr[i]:dep_ptr[i + 1]]``.  A row's seq is its
+    position, so every seq is also a row index.
+    """
+
+    __slots__ = ("uid", "lat", "memdep", "level", "mispred", "icache",
+                 "regfile", "dep_ptr", "dep_idx")
+
+    def __init__(self):
+        for field in self.__slots__:
+            setattr(self, field, [])
+        self.dep_ptr.append(0)
+
+
+class Trace:
+    """An executed instruction stream plus execution metadata.
+
+    *columns* is the interpreter's :class:`TraceColumns` of the rows,
+    or None (a trace built some other way, or one whose columns were
+    packed and dropped)."""
+
+    def __init__(self, program, instructions, memory=None, registers=None,
+                 columns=None):
         self.program = program
         self.instructions = instructions
         self.memory = memory          # final memory image (for checks)
         self.registers = registers    # final register file
+        self.columns = columns
         self.block_counts = {}        # (func, label) -> executions
         self.branch_outcomes = {}     # static uid -> [not_taken, taken]
 

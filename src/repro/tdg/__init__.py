@@ -9,7 +9,8 @@
 - :mod:`repro.tdg.fastpath`: the compiled evaluation hot path — a
   :class:`~repro.tdg.fastpath.StreamBuilder` that lowers each
   instruction stream to flat arrays once when the kernel compiles (its
-  ``finish`` is the one place that picks a stream's form), and a
+  ``finish`` is the one place that picks a stream's form; the baseline
+  trace is packed from the interpreter's columns instead), and a
   drop-in :class:`FastTimingEngine` that relaxes edges over lowered
   streams in a C kernel and times DynInst lists on the object engine
   (byte-identical to :class:`TimingEngine`).

@@ -9,13 +9,21 @@ This module restructures the same computation into flat parallel
 arrays evaluated by a compiled kernel:
 
 - A :class:`StreamBuilder` collects an instruction stream (BSA
-  transforms emit into one; the baseline trace is kept into one) and
-  walks it **once** (:func:`_walk`) into a :class:`LoweredStream` of
-  ``array('q')`` int64 buffers (latency, occupancy, FU table id,
-  dependence CSR, accelerator tag ids, ...) and the stream's
-  core-independent energy events.  Producer references are resolved
-  from seq ids to stream positions at lowering time, so the hot loop
-  indexes a dense ``complete[]`` array instead of probing a dict.
+  transforms emit into one) and walks it **once** (:func:`_walk`) into
+  a :class:`LoweredStream` of ``array('q')`` int64 buffers (latency,
+  occupancy, FU table id, dependence CSR, accelerator tag ids, ...)
+  and the stream's core-independent energy events.  Producer
+  references are resolved from seq ids to stream positions at
+  lowering time, so the hot loop indexes a dense ``complete[]`` array
+  instead of probing a dict.
+- The baseline trace is not walked: the interpreter fills its
+  per-row columns as it executes, and :func:`baseline_from_columns`
+  packs them into the same :class:`LoweredStream`, its
+  :class:`TraceFacts` and its events.  A trace the interpreter did not
+  build, or any trace without the kernel, is kept into a
+  :class:`StreamBuilder` instead, whose walk stays the reference
+  (``tests/test_baseline_loop_events.py`` checks the two against each
+  other).
 - :class:`FastTimingEngine` evaluates a lowered stream with the exact
   edge rules of the object engine in a C kernel (``_KERNEL_SOURCE``,
   built once per source digest and loaded through ctypes).  Its
@@ -39,12 +47,14 @@ the same entry point reduces the baseline's per-loop spans to energy
 events (:meth:`TraceFacts.span_events`), checked against
 :func:`stream_events` by ``tests/test_baseline_loop_events.py``.
 
-There is one implementation choice and one place that makes it:
+There is one implementation choice:
 :meth:`StreamBuilder.finish` lowers a stream when the kernel loads
 (:func:`kernel_available`; ``$REPRO_NO_KERNEL=1`` forces it off) and
 hands back the stream's :class:`~repro.sim.trace.DynInst` rows
 otherwise, or when the stream's columns cannot be packed (a
-non-integer latency).  The dataflow offload follows the same choice:
+non-integer latency).  :func:`baseline_from_columns` makes the same
+choice for the baseline trace: it packs only when the kernel loads and
+the columns are int64-lowerable.  The dataflow offload follows it:
 it runs only on a lowered trace.  :class:`FastTimingEngine` follows the
 form it is given: the kernel times a :class:`LoweredStream`, the
 reference :class:`~repro.tdg.engine.TimingEngine` times rows.  Because
@@ -65,6 +75,7 @@ import struct
 import subprocess
 import tempfile
 import threading
+from operator import itemgetter
 from pathlib import Path
 
 from repro.energy.cacti import DRAM_ACCESS_PJ, L1D_SRAM, L2_SRAM
@@ -75,7 +86,7 @@ from repro.energy.mcpat import (
 )
 from repro.isa.opcodes import Opcode, OpClass
 from repro.obs import counter
-from repro.sim.trace import _KEEP, DynInst
+from repro.sim.trace import _KEEP, MEM_LEVEL_CODES, DynInst
 from repro.tdg.engine import (
     TimingEngine, TimingResult, bind_histogram,
 )
@@ -180,8 +191,9 @@ SYNTHESIZED_SEQ_BASE = 1 << 40
 
 # Module globals for the opcodes the walk tests per row: on Python
 # 3.11 even ``Opcode.BR`` costs ~10x a global read.
-_CFU, _CFG, _BR, _SEND, _RECV, _ST = (
-    Opcode.CFU, Opcode.CFG, Opcode.BR, Opcode.SEND, Opcode.RECV, Opcode.ST)
+_CFU, _CFG, _BR, _SEND, _RECV, _LD, _ST = (
+    Opcode.CFU, Opcode.CFG, Opcode.BR, Opcode.SEND, Opcode.RECV, Opcode.LD,
+    Opcode.ST)
 
 #: Where the patched fields sit in an emitted row, a list of the
 #: :class:`~repro.sim.trace.DynInst` fields in slot order.
@@ -197,14 +209,15 @@ class StreamBuilder:
     BSA and DSL transforms add rows (:meth:`emit`, :meth:`keep`,
     :meth:`synthesize`) and patch rows added earlier
     (:meth:`merge_deps`, :meth:`fold`, :meth:`add_edge`);
-    :meth:`extend` keeps every instruction of a list (the baseline
-    trace).  A kept instruction is the caller's own
-    :class:`~repro.sim.trace.DynInst`, unchanged; an
-    emitted row is a plain list of the DynInst fields, so building a
-    transformed stream constructs no DynInst.  :meth:`finish` walks
-    the rows (:func:`_walk`, the one place both per-instruction rules
-    live) for the form the timing engine takes and the core-independent
-    energy events; add no row after that.
+    :meth:`extend` keeps every instruction of a list (a baseline
+    trace not packed from the interpreter's columns).  A kept
+    instruction is the caller's own
+    :class:`~repro.sim.trace.DynInst`, unchanged; an emitted row is a
+    plain list of the DynInst fields, so building a transformed stream
+    constructs no DynInst.  :meth:`finish` walks the rows
+    (:func:`_walk`, the reference for both per-instruction rules) for
+    the form the timing engine takes and the core-independent energy
+    events; add no row after that.
 
     *dataflow_latency*, when non-zero, charges fabric forwarding on
     accelerator-internal edges: an accelerator row's deps on
@@ -335,8 +348,9 @@ class StreamBuilder:
 
 
 def _walk(rows, lower, forward, record):
-    """The one pass over a stream's rows, and the one place both
-    per-instruction rules live: lowering and energy-event counting.
+    """The one pass over a stream's rows, and the reference for both
+    per-instruction rules: lowering and energy-event counting (the C
+    offload and :func:`baseline_from_columns` are checked against it).
 
     *rows* holds DynInst objects and emitted field lists
     (:class:`StreamBuilder`).  Returns ``(columns, accel_tags, events,
@@ -558,9 +572,6 @@ def lower_stream(stream):
 # ---------------------------------------------------------------------------
 # Dataflow offload on the lowered trace.
 
-#: Memory level codes of the ``level`` fact column.
-_LEVEL_CODES = {None: 0, "l1": 1, "l2": 2, "dram": 3}
-
 _OPCODES = tuple(Opcode)
 
 #: Per-opcode facts the offload entry point reads, by ``Opcode.op_id``:
@@ -577,8 +588,10 @@ _OP_FU_PJ = array.array("d", (_FU_PJ_BY_CLASS[op.class_id]
                               for op in _OPCODES))
 _OP_ADDRS = tuple(map(_addr_of, (_OP_FLAGS, _OP_TABLE_IDS, _OP_FU_PJ)))
 
-#: One int64 zero, repeated into the offload's output buffers.
+#: One int64 zero, repeated into the offload's output buffers, and
+#: one -1.
 _ZERO = array.array("q", [0])
+_MINUS_ONE = array.array("q", [-1])
 
 #: Energy components of the offload's ``K_*`` ids, in id order; the
 #: first ten are priced per core.
@@ -653,9 +666,73 @@ def trace_facts(trace, lowered, events):
                     for static in statics]),
         _int_array([inst.opcode.op_id for inst in trace]),
         _int_array(events.regfile),
-        _int_array([_LEVEL_CODES.get(inst.mem_level, 1)
+        _int_array([MEM_LEVEL_CODES.get(inst.mem_level, 1)
                     for inst in trace]))
     return TraceFacts(lowered, columns)
+
+
+def baseline_from_columns(trace):
+    """``(lowered, events, facts)`` of an interpreter *trace*, packed
+    from the columns the interpreter filled as it executed
+    (:class:`~repro.sim.trace.TraceColumns`): its
+    :class:`LoweredStream`, :class:`~repro.energy.mcpat.EnergyEvents`
+    and :class:`TraceFacts`, equal to what :meth:`StreamBuilder.finish`
+    and :func:`trace_facts` give over its rows, with no walk over them.
+
+    The per-static columns (FU table, memory and store flags,
+    occupancy, opcode id) are gathered from per-static tables by uid,
+    and the events come from one all-stray offload call over the whole
+    trace (:meth:`TraceFacts.span_events`).  The trace's columns are
+    dropped, packed or not.  Returns None, and the caller walks the
+    rows, when the trace carries no columns (one not built by the
+    interpreter, or already packed), the kernel does not load or the
+    columns cannot be packed (a non-integer latency from a custom cache
+    hierarchy).
+    """
+    columns = getattr(trace, "columns", None)
+    if columns is None:
+        return None
+    trace.columns = None
+    if not kernel_available():
+        return None
+    uids = columns.uid
+    n = len(uids)
+    opcodes = [static.opcode
+               for static in trace.program.static_instructions]
+    is_mem = [opcode is _LD or opcode is _ST for opcode in opcodes]
+    try:
+        lowered = LoweredStream.from_buffers((
+            _ZERO * n,
+            _int_array(columns.lat),
+            _gather([opcode.latency if opcode.unpipelined else 1
+                     for opcode in opcodes], uids),
+            _gather([PORT_TABLE if mem else opcode.class_id
+                     for opcode, mem in zip(opcodes, is_mem)], uids),
+            _gather(is_mem, uids),
+            _gather([opcode.is_store for opcode in opcodes], uids),
+            _int_array(columns.memdep),
+            _int_array(columns.dep_ptr),
+            _int_array(columns.dep_idx),
+            _ZERO * (n + 1),
+            _ZERO[:0],
+            _ZERO[:0],
+            _int_array(columns.mispred),
+            _int_array(columns.icache),
+            _MINUS_ONE * n), ())
+    except struct.error:
+        return None
+    facts = TraceFacts(lowered, (
+        _int_array(uids),
+        _gather([opcode.op_id for opcode in opcodes], uids),
+        _int_array(columns.regfile),
+        _int_array(columns.level)))
+    return lowered, facts.span_events([(0, n)]), facts
+
+
+def _gather(table, uids):
+    """int64 buffer of *table*'s entry for each uid in *uids*."""
+    return _int_array(itemgetter(*uids)(table) if len(uids) > 1
+                      else [table[uid] for uid in uids])
 
 
 class OffloadTable:

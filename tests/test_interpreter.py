@@ -6,10 +6,59 @@ from repro.isa import Instruction, Opcode
 from repro.programs import KernelBuilder, assemble
 from repro.sim import run_program
 from repro.sim.interpreter import ExecutionError
+from repro.tdg.fastpath import baseline_from_columns, kernel_available
+from tests.test_baseline_loop_events import (
+    assert_same_baseline, walked_baseline,
+)
 
 
 def run_asm(source, memory=None, **kwargs):
     return run_program(assemble(source), memory=memory, **kwargs)
+
+
+NESTED_CALLS = """
+.func inner
+    add r10, r10, 1
+    ret
+.func outer
+    call inner
+    call inner
+    ret
+.func main
+    li r10, 0
+    call outer
+    call outer
+    st r10, [r0+0]
+    halt
+"""
+
+#: A hot loop that calls a function with a loop of its own; the callee
+#: loads, stores with base == value (a repeated dep) and divides (an
+#: unpipelined op).
+CALL_IN_LOOP = """
+.func visit
+    li r5, 0
+inner:
+    ld r6, [r5+100]
+    add r6, r6, r4
+    st r6, [r6+0]
+    ld r7, [r0+200]
+    add r7, r7, r4
+    st r7, [r0+200]
+    add r5, r5, 1
+    slt r8, r5, 3
+    br r8, inner
+    div r9, r7, r5
+    ret
+.func main
+    li r4, 0
+loop:
+    call visit
+    add r4, r4, 1
+    slt r3, r4, 3
+    br r3, loop
+    halt
+"""
 
 
 class TestArithmeticSemantics:
@@ -95,9 +144,13 @@ class TestArithmeticSemantics:
     li r0, 99
     add r3, r0, 5
     st r3, [r0+0]
+    ld r0, [r0+0]
+    add r4, r0, 1
+    st r4, [r0+1]
     halt
 """)
-        assert trace.memory[0] == 5
+        assert trace.memory[0:2] == [5, 1]
+        assert trace.registers[0] == 0
 
 
 class TestControlFlow:
@@ -155,22 +208,13 @@ loop:
             run_asm(".func main\n ret")
 
     def test_nested_calls(self):
-        trace = run_asm("""
-.func inner
-    add r10, r10, 1
-    ret
-.func outer
-    call inner
-    call inner
-    ret
-.func main
-    li r10, 0
-    call outer
-    call outer
-    st r10, [r0+0]
-    halt
-""")
+        trace = run_asm(NESTED_CALLS)
         assert trace.memory[0] == 4
+
+    def test_a_loop_calling_a_function_with_a_loop(self):
+        trace = run_asm(CALL_IN_LOOP)
+        assert trace.memory[200] == 3 * (0 + 1 + 2)
+        assert trace.count_opcodes()[Opcode.CALL] == 3
 
 
 class TestDependenceRecording:
@@ -338,3 +382,27 @@ class TestInstructionFetch:
         assert (caches.l1i.misses, caches.dram_accesses) == (lines, lines)
         assert [inst.seq for inst in trace if inst.icache_lat] \
             == list(range(0, len(trace), LINE_WORDS))
+
+
+class TestPackedBaseline:
+    """The baseline packed from the interpreter's columns equals the
+    walk over the rows (``tests/test_baseline_loop_events.py`` checks
+    every workload).  No workload executes a ``call``, so only these
+    programs cover the ``call`` and ``ret`` rows; the others cover a
+    trace with no memory op or branch, and a one-row trace."""
+
+    @pytest.mark.parametrize("source", [
+        NESTED_CALLS, CALL_IN_LOOP,
+        ".func main\n nop\n jmp next\nnext:\n nop\n jmp last\n"
+        "last:\n halt",
+        ".func main\n halt",
+    ], ids=["nested_calls", "call_in_loop", "jmp_nop_halt", "halt"])
+    def test_packed_baseline_equals_the_walk(self, source):
+        trace = run_asm(source)
+        assert trace.columns is not None
+        packed = baseline_from_columns(trace)
+        assert trace.columns is None
+        if not kernel_available():
+            assert packed is None
+            return
+        assert_same_baseline(packed, walked_baseline(trace))
